@@ -111,9 +111,6 @@ class Tensor:
         """Same data, severed from the tape (constant in any backward pass)."""
         return Tensor(self.data, requires_grad=False)
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
         backward(self)
 

@@ -30,7 +30,6 @@ class HyperpriorSignal:
 
     features: Tensor
     grad_map: Tensor
-    refined: Tensor
 
 
 @dataclass
@@ -39,7 +38,6 @@ class GuidanceBundle:
 
     hard_mask: Tensor
     soft_map: Tensor
-    topk_fraction: float
 
 
 class ResidualBlock(Module):
@@ -52,11 +50,11 @@ class ResidualBlock(Module):
 
 
 class RefinementNet(Module):
-    """Coarse-estimate refiner: head conv, residual stack, tail with global skip."""
+    """Coarse-estimate refiner: head conv, two residual blocks, tail with global skip."""
 
-    def __init__(self, channels, rng, depth=2):
+    def __init__(self, channels, rng):
         self.head = Conv2d(1, channels, 3, rng)
-        self.blocks = [ResidualBlock(channels, rng) for _ in range(depth)]
+        self.blocks = [ResidualBlock(channels, rng) for _ in range(2)]
         self.tail = Conv2d(channels, 1, 3, rng)
 
     def forward(self, x):
@@ -124,19 +122,17 @@ def build_hard_mask(block_scores, rho, block_size, hw):
 class HyperpriorBranch(Module):
     """Full branch: adjoint back-projection, refinement, guidance generation."""
 
-    def __init__(self, channels, rho, block_size, rng, depth=2):
-        self.refiner = RefinementNet(channels, rng, depth=depth)
+    def __init__(self, channels, rho, rng):
+        self.refiner = RefinementNet(channels, rng)
         self.soft_net = SoftMapNet(channels, rng)
         self.rho = rho
-        self.block_size = block_size
 
     def forward(self, y1, sampler, hw):
         coarse = sampler.phi1.adjoint(y1, hw)
         refined, feats = self.refiner(coarse)
         grad_map = data_grad(sampler.phi1, refined, y1, hw)
-        scores = block_mean_abs_grad(grad_map, self.block_size)
-        hard = build_hard_mask(scores, self.rho, self.block_size, hw)
+        scores = block_mean_abs_grad(grad_map, sampler.block_size)
+        hard = build_hard_mask(scores, self.rho, sampler.block_size, hw)
         soft = self.soft_net(grad_map)
-        signal = HyperpriorSignal(features=feats, grad_map=grad_map, refined=refined)
-        guidance = GuidanceBundle(hard_mask=hard, soft_map=soft, topk_fraction=self.rho)
-        return signal, guidance
+        signal = HyperpriorSignal(features=feats, grad_map=grad_map)
+        return signal, GuidanceBundle(hard_mask=hard, soft_map=soft)

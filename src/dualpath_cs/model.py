@@ -8,7 +8,7 @@ from .autograd import Tensor, default_dtype
 from .errors import GeometryError
 from .hyperprior import GuidanceBundle, HyperpriorBranch, HyperpriorSignal
 from .nn import Conv2d, Module
-from .reconstruction import DEFAULT_TOKEN_CAP, ReconstructionStage, stage_factor
+from .reconstruction import ReconstructionStage, stage_factor
 from .sampling import build_dual_sampler, initial_recon, sample
 
 
@@ -28,22 +28,16 @@ class ReconstructionTrace:
 class DualPathModel(Module):
     """End-to-end sampler + reconstructor with jointly learnable weights."""
 
-    def __init__(self, gamma, split, block_size, stages, channels, rho, seed,
-                 token_cap=DEFAULT_TOKEN_CAP):
-        self.gamma = gamma
-        self.split = tuple(split)
+    def __init__(self, gamma, split, block_size, stages, channels, rho, seed):
         self.block_size = block_size
         self.num_stages = stages
         self.channels = channels
-        self.rho = rho
-        self.seed = seed
-        self.token_cap = token_cap
 
         rng = np.random.default_rng(seed)
         self.sampler = build_dual_sampler(gamma, split, block_size, seed)
         self.fusion = Conv2d(2, 1, 3, rng)
-        self.hyperprior = HyperpriorBranch(channels, rho, block_size, rng)
-        self.stages = [ReconstructionStage(channels, rng, token_cap) for _ in range(stages)]
+        self.hyperprior = HyperpriorBranch(channels, rho, rng)
+        self.stages = [ReconstructionStage(channels, rng) for _ in range(stages)]
 
     def check_extents(self, hw):
         h, w = hw
@@ -90,7 +84,3 @@ class DualPathModel(Module):
 
     def sampler_parameters(self):
         return [self.sampler.phi1.weights, self.sampler.phi2.weights]
-
-    def network_parameters(self):
-        sampler_ids = {id(p) for p in self.sampler_parameters()}
-        return [p for p in self.parameters() if id(p) not in sampler_ids]

@@ -41,9 +41,6 @@ class Parameter:
 class Module:
     """Minimal parameter-tree container with dotted-name traversal."""
 
-    def __setattr__(self, key, value):
-        object.__setattr__(self, key, value)
-
     def _children(self):
         for key, value in vars(self).items():
             if isinstance(value, Parameter):
@@ -71,56 +68,54 @@ class Module:
         return self.forward(*args, **kwargs)
 
 
-def uniform_fan_in(rng, shape, fan_in, dtype=None):
+def uniform_fan_in(rng, shape, fan_in):
     """Zero-mean uniform init scaled by 1/sqrt(fan_in); the conv/linear default."""
     bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype or default_dtype())
+    return rng.uniform(-bound, bound, size=shape).astype(default_dtype())
 
 
 class Conv2d(Module):
-    def __init__(self, cin, cout, kernel, rng, stride=1, padding=None, bias=True):
+    """Biased odd-kernel conv with "same" zero padding (kernel // 2)."""
+
+    def __init__(self, cin, cout, kernel, rng, stride=1):
         self.stride = stride
-        self.padding = kernel // 2 if padding is None else padding
-        fan_in = cin * kernel * kernel
-        self.weight = Parameter(uniform_fan_in(rng, (cout, cin, kernel, kernel), fan_in))
-        self.bias = Parameter(np.zeros(cout, dtype=default_dtype())) if bias else None
+        self.padding = kernel // 2
+        self.weight = Parameter(uniform_fan_in(rng, (cout, cin, kernel, kernel), cin * kernel * kernel))
+        self.bias = Parameter(np.zeros(cout, dtype=default_dtype()))
 
     def forward(self, x):
-        b = None if self.bias is None else self.bias.value
-        return conv2d(x, self.weight.value, b, stride=self.stride, padding=self.padding)
+        return conv2d(x, self.weight.value, self.bias.value, stride=self.stride, padding=self.padding)
 
 
 class ConvTranspose2x(Module):
-    """Stride-2 transposed conv with 2x2 kernel: exact spatial doubling."""
+    """Biased stride-2 transposed conv with 2x2 kernel: exact spatial doubling."""
 
-    def __init__(self, cin, cout, rng, bias=True):
+    def __init__(self, cin, cout, rng):
         self.weight = Parameter(uniform_fan_in(rng, (cin, cout, 2, 2), cin))
-        self.bias = Parameter(np.zeros(cout, dtype=default_dtype())) if bias else None
+        self.bias = Parameter(np.zeros(cout, dtype=default_dtype()))
 
     def forward(self, x):
-        b = None if self.bias is None else self.bias.value
-        return conv_transpose2x(x, self.weight.value, b)
+        return conv_transpose2x(x, self.weight.value, self.bias.value)
 
 
 class LayerNormChannels(Module):
-    """LayerNorm over the channel axis of an [N,C,H,W] map (eps 1e-5)."""
+    """LayerNorm over the channel axis of an [N,C,H,W] map (`ops.layer_norm`'s eps)."""
 
-    def __init__(self, channels, eps=1e-5):
-        self.eps = eps
+    def __init__(self, channels):
         self.gain = Parameter(np.ones(channels, dtype=default_dtype()))
         self.shift = Parameter(np.zeros(channels, dtype=default_dtype()))
 
     def forward(self, x):
         moved = ops.transpose(x, (0, 2, 3, 1))
-        normed = ops.layer_norm(moved, self.gain.value, self.shift.value, eps=self.eps)
+        normed = ops.layer_norm(moved, self.gain.value, self.shift.value)
         return ops.transpose(normed, (0, 3, 1, 2))
 
 
 class SpatialGate(Module):
     """Spatial attention: gate by a 7x7 conv over channel-max and channel-mean maps."""
 
-    def __init__(self, rng, kernel=7):
-        self.conv = Conv2d(2, 1, kernel, rng)
+    def __init__(self, rng):
+        self.conv = Conv2d(2, 1, 7, rng)
 
     def forward(self, x):
         mx = ops.reduce_max(x, axis=1, keepdims=True)
@@ -132,8 +127,8 @@ class SpatialGate(Module):
 class ChannelGate(Module):
     """Squeeze-excite channel attention with reduction 4 and a sigmoid gate."""
 
-    def __init__(self, channels, rng, reduction=4):
-        hidden = max(1, channels // reduction)
+    def __init__(self, channels, rng):
+        hidden = max(1, channels // 4)
         self.down = Conv2d(channels, hidden, 1, rng)
         self.up = Conv2d(hidden, channels, 1, rng)
 
@@ -167,8 +162,4 @@ class Adam:
             m_hat = p.adam_m / (1.0 - self.beta1 ** t)
             v_hat = p.adam_v / (1.0 - self.beta2 ** t)
             p.value.data = p.value.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            p.value.grad = None
-
-    def zero_grad(self):
-        for p in self.params:
             p.value.grad = None

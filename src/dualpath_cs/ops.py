@@ -10,7 +10,7 @@ interpolation matrices so the adjoint is the exact transpose.
 import numpy as np
 from scipy.special import erf
 
-from .autograd import Tensor, make, tensor
+from .autograd import Tensor, make
 from .errors import DimensionError
 
 _INV_SQRT2 = 0.7071067811865476
@@ -35,7 +35,7 @@ def _unbroadcast(g, shape):
 
 
 def add(a, b):
-    a = _as_tensor(a, b) if not isinstance(a, Tensor) else a
+    a = _as_tensor(a, b)
     b = _as_tensor(b, a)
     out = a.data + b.data
 
@@ -46,7 +46,7 @@ def add(a, b):
 
 
 def sub(a, b):
-    a = _as_tensor(a, b) if not isinstance(a, Tensor) else a
+    a = _as_tensor(a, b)
     b = _as_tensor(b, a)
     out = a.data - b.data
 
@@ -57,7 +57,7 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a = _as_tensor(a, b) if not isinstance(a, Tensor) else a
+    a = _as_tensor(a, b)
     b = _as_tensor(b, a)
     out = a.data * b.data
     ad, bd = a.data, b.data
@@ -379,17 +379,11 @@ def scaled_dot_attention(q, k, v, chunk=512):
     return make(out, (q, k, v), bwd)
 
 
-def _coerce_operand(other, self_tensor):
-    if isinstance(other, Tensor):
-        return other
-    return Tensor(np.asarray(other, dtype=self_tensor.dtype))
-
-
-Tensor.__add__ = lambda self, other: add(self, _coerce_operand(other, self))
-Tensor.__radd__ = lambda self, other: add(_coerce_operand(other, self), self)
-Tensor.__sub__ = lambda self, other: sub(self, _coerce_operand(other, self))
-Tensor.__rsub__ = lambda self, other: sub(_coerce_operand(other, self), self)
-Tensor.__mul__ = lambda self, other: mul(self, _coerce_operand(other, self))
-Tensor.__rmul__ = lambda self, other: mul(_coerce_operand(other, self), self)
+Tensor.__add__ = lambda self, other: add(self, _as_tensor(other, self))
+Tensor.__radd__ = lambda self, other: add(_as_tensor(other, self), self)
+Tensor.__sub__ = lambda self, other: sub(self, _as_tensor(other, self))
+Tensor.__rsub__ = lambda self, other: sub(_as_tensor(other, self), self)
+Tensor.__mul__ = lambda self, other: mul(self, _as_tensor(other, self))
+Tensor.__rmul__ = lambda self, other: mul(_as_tensor(other, self), self)
 Tensor.__neg__ = lambda self: neg(self)
 Tensor.__matmul__ = lambda self, other: matmul(self, other)

@@ -23,7 +23,7 @@ def _read_token(blob, pos):
 
 
 def read_pgm(path):
-    """Read a P5 grayscale image as a float64 [H,W] array in [0, 1]."""
+    """Read a P5 grayscale image as a float64 [H,W] array in [0, 1] (pixel / maxval)."""
     with open(path, "rb") as fh:
         blob = fh.read()
     magic, pos = _read_token(blob, 0)
@@ -46,7 +46,9 @@ def read_pgm(path):
     if len(pixels) < width * height:
         raise IngestionError("PGM pixel payload truncated")
     arr = np.frombuffer(pixels, dtype=np.uint8).reshape(height, width)
-    return arr.astype(np.float64) / 255.0
+    if arr.max() > maxval:
+        raise IngestionError(f"PGM pixel value {arr.max()} exceeds maxval {maxval}")
+    return arr.astype(np.float64) / maxval
 
 
 def write_pgm(path, image):

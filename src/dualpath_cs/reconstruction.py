@@ -15,7 +15,7 @@ from .errors import ContractError, GeometryError, ResourceError
 from .nn import ChannelGate, Conv2d, ConvTranspose2x, LayerNormChannels, Module, SpatialGate
 from .sampling import data_grad
 
-DEFAULT_TOKEN_CAP = 4096
+TOKEN_CAP = 4096  # attention tokens (pixels) per stage: the T x T probabilities stay in memory
 
 
 def stage_factor(k, total, hw, dtype=None):
@@ -29,24 +29,19 @@ def stage_factor(k, total, hw, dtype=None):
 class StepSizeGenerator(Module):
     """Step-map network: concat guidance, channel-attend, reduce to one channel.
 
-    The channel attention uses a sigmoid gate (squeeze ratio 4); the final
-    stack leaves the step map unconstrained in sign.
+    The channel attention is a `ChannelGate`; the final stack leaves the step
+    map unconstrained in sign.
     """
 
     def __init__(self, channels, rng):
-        cin = channels + 2
-        hidden = max(1, cin // 4)
-        self.ca_down = Conv2d(cin, hidden, 1, rng)
-        self.ca_up = Conv2d(hidden, cin, 1, rng)
-        self.conv1 = Conv2d(cin, channels, 3, rng)
+        self.gate = ChannelGate(channels + 2, rng)
+        self.conv1 = Conv2d(channels + 2, channels, 3, rng)
         self.conv2 = Conv2d(channels, channels, 3, rng)
         self.out = Conv2d(channels, 1, 3, rng)
 
     def forward(self, signal, stage_map):
         f_in = ops.concat([signal.grad_map, signal.features, stage_map], axis=1)
-        gate = ops.sigmoid(self.ca_up(ops.gelu(self.ca_down(ops.global_avg_pool(f_in)))))
-        f_ca = ops.mul(f_in, gate)
-        return self.out(ops.relu(self.conv2(ops.relu(self.conv1(f_ca)))))
+        return self.out(ops.relu(self.conv2(ops.relu(self.conv1(self.gate(f_in))))))
 
 
 def hgdm_step(x_prev, y1, y2, sampler, p):
@@ -64,12 +59,11 @@ class HardMaskedAttention(Module):
 
     Tokens are pixels of the C-channel projection of r (single head, d = C);
     the block mask multiplies V so masked-out pixels contribute nothing to any
-    aggregation. Quadratic cost is guarded by `token_cap`.
+    aggregation. Quadratic cost is guarded by `TOKEN_CAP`.
     """
 
-    def __init__(self, channels, rng, token_cap=DEFAULT_TOKEN_CAP):
+    def __init__(self, channels, rng):
         self.channels = channels
-        self.token_cap = token_cap
         self.proj = Conv2d(1, channels, 3, rng)
         self.to_q = Conv2d(channels, channels, 1, rng)
         self.to_k = Conv2d(channels, channels, 1, rng)
@@ -78,8 +72,8 @@ class HardMaskedAttention(Module):
     def forward(self, r, hard_mask):
         _, _, h, w = r.shape
         tokens = h * w
-        if tokens > self.token_cap:
-            raise ResourceError(f"{tokens} attention tokens exceed the cap {self.token_cap}")
+        if tokens > TOKEN_CAP:
+            raise ResourceError(f"{tokens} attention tokens exceed the cap {TOKEN_CAP}")
         feats = self.proj(r)
 
         def to_tokens(t):
@@ -96,15 +90,15 @@ class HardMaskedAttention(Module):
 
 
 class DualAttentionUnit(Module):
-    """LN -> parallel spatial+channel attention -> LN -> FFN, residual around each."""
+    """LN -> parallel spatial+channel attention -> LN -> 2x-wide FFN, residual around each."""
 
-    def __init__(self, channels, rng, expansion=2):
+    def __init__(self, channels, rng):
         self.norm1 = LayerNormChannels(channels)
         self.spatial = SpatialGate(rng)
         self.channel = ChannelGate(channels, rng)
         self.norm2 = LayerNormChannels(channels)
-        self.ffn_in = Conv2d(channels, channels * expansion, 3, rng)
-        self.ffn_out = Conv2d(channels * expansion, channels, 3, rng)
+        self.ffn_in = Conv2d(channels, channels * 2, 3, rng)
+        self.ffn_out = Conv2d(channels * 2, channels, 3, rng)
 
     def forward(self, x):
         z = self.norm1(x)
@@ -158,9 +152,9 @@ class SoftGuidedUNet(Module):
 class ReconstructionStage(Module):
     """One unrolled stage: modulated gradient step, then the learned proximal map."""
 
-    def __init__(self, channels, rng, token_cap=DEFAULT_TOKEN_CAP):
+    def __init__(self, channels, rng):
         self.step_gen = StepSizeGenerator(channels, rng)
-        self.hard_att = HardMaskedAttention(channels, rng, token_cap)
+        self.hard_att = HardMaskedAttention(channels, rng)
         self.soft_unet = SoftGuidedUNet(channels, rng)
 
     def forward(self, x_prev, y1, y2, sampler, signal, guidance, stage_map, z_prev):

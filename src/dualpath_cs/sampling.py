@@ -8,7 +8,7 @@ counts split the measurement budget round(gamma * B^2) in a configured ratio.
 import numpy as np
 
 from . import ops
-from .autograd import Tensor, default_dtype
+from .autograd import default_dtype
 from .errors import ConfigError, DimensionError, GeometryError
 from .nn import Module, Parameter
 
@@ -70,13 +70,11 @@ class BlockSensingMatrix(Module):
 class DualSampler(Module):
     """Pair of sensing matrices (phi1, phi2) sharing one block grid."""
 
-    def __init__(self, phi1, phi2, gamma, split):
+    def __init__(self, phi1, phi2):
         if phi1.block_size != phi2.block_size:
             raise ConfigError("phi1 and phi2 must share the block size")
         self.phi1 = phi1
         self.phi2 = phi2
-        self.gamma = gamma
-        self.split = tuple(split)
 
     @property
     def block_size(self):
@@ -107,12 +105,7 @@ def build_dual_sampler(gamma, split, block_size, seed):
     dt = default_dtype()
     w1 = (rng.standard_normal((m1, block_size * block_size)) * sigma).astype(dt)
     w2 = (rng.standard_normal((m2, block_size * block_size)) * sigma).astype(dt)
-    return DualSampler(
-        BlockSensingMatrix(m1, block_size, w1),
-        BlockSensingMatrix(m2, block_size, w2),
-        gamma,
-        split,
-    )
+    return DualSampler(BlockSensingMatrix(m1, block_size, w1), BlockSensingMatrix(m2, block_size, w2))
 
 
 def sample(sampler, x):

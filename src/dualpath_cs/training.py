@@ -55,7 +55,8 @@ class TrainConfig:
 
 
 def build_model(config):
-    return DualPathModel(
+    """The configured model; a frozen sampler's weights are constants to the tape."""
+    model = DualPathModel(
         gamma=config.gamma,
         split=config.split,
         block_size=config.block_size,
@@ -64,10 +65,15 @@ def build_model(config):
         rho=config.rho,
         seed=config.seed,
     )
+    if config.freeze_sampler:
+        for p in model.sampler_parameters():
+            p.value.requires_grad = False
+    return model
 
 
 def build_optimizer(model, config):
-    params = model.network_parameters() if config.freeze_sampler else model.parameters()
+    """Adam over the model's parameters that take gradients."""
+    params = [p for p in model.parameters() if p.value.requires_grad]
     return Adam(params, lr=config.lr, beta1=config.betas[0], beta2=config.betas[1])
 
 
@@ -157,6 +163,8 @@ def overfit_single_image(image, config, steps, progress=None):
     optimizer = build_optimizer(model, config)
     result = OverfitResult(model=model)
     gt = arr[0, 0]
+    with no_grad():
+        result.initial_psnr_x0 = psnr(model(tensor(arr)).stages[0].data[0, 0], gt)
     for step in range(steps):
         try:
             loss, traces = train_step([arr], model, optimizer)
@@ -170,7 +178,6 @@ def overfit_single_image(image, config, steps, progress=None):
             progress(step, loss, result.psnrs[-1])
     with no_grad():
         trace = model(tensor(arr))
-    result.initial_psnr_x0 = psnr(trace.stages[0].data[0, 0], gt)
-    result.final_psnr_x0 = result.initial_psnr_x0
+    result.final_psnr_x0 = psnr(trace.stages[0].data[0, 0], gt)
     result.final_psnr_xk = psnr(trace.output.data[0, 0], gt)
     return result

@@ -6,26 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-ACCEPTANCE_RESULTS = {}
-
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
-
-
-def record_criterion(number, title, passed, detail=""):
-    ACCEPTANCE_RESULTS[number] = (title, passed, detail)
-
-
-def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if not ACCEPTANCE_RESULTS:
-        return
-    terminalreporter.write_sep("=", "acceptance criteria")
-    for number in sorted(ACCEPTANCE_RESULTS):
-        title, passed, detail = ACCEPTANCE_RESULTS[number]
-        status = "PASS" if passed else "FAIL"
-        line = f"criterion {number:>2} [{status}] {title}"
-        if detail:
-            line += f" ({detail})"
-        terminalreporter.write_line(line)

@@ -127,7 +127,7 @@ class TestRefiner:
 class TestBranch:
     def _branch_and_sampler(self, seed=0, b=4, rho=0.5):
         sampler = build_dual_sampler(0.5, (1, 2), b, seed=seed)
-        branch = HyperpriorBranch(8, rho, b, np.random.default_rng(seed + 1))
+        branch = HyperpriorBranch(8, rho, np.random.default_rng(seed + 1))
         return branch, sampler
 
     def test_zero_measurements_trivial_composition(self):

@@ -9,6 +9,7 @@ from dualpath_cs.errors import ContractError, GeometryError, ResourceError
 from dualpath_cs.hyperprior import GuidanceBundle, HyperpriorSignal
 from dualpath_cs.model import DualPathModel
 from dualpath_cs.reconstruction import (
+    TOKEN_CAP,
     HardMaskedAttention,
     SoftGuidedUNet,
     StepSizeGenerator,
@@ -30,8 +31,6 @@ def orthonormal_dual_sampler(block_size, seed):
     return DualSampler(
         BlockSensingMatrix(half, block_size, rows[:half].copy()),
         BlockSensingMatrix(n - half, block_size, rows[half:].copy()),
-        1.0,
-        (1, 1),
     )
 
 
@@ -66,7 +65,6 @@ def make_signal(rng, channels, hw, dtype=np.float32):
     return HyperpriorSignal(
         features=tensor(rng.standard_normal((1, channels, h, w)).astype(dtype)),
         grad_map=tensor(rng.standard_normal((1, 1, h, w)).astype(dtype)),
-        refined=tensor(rng.standard_normal((1, 1, h, w)).astype(dtype)),
     )
 
 
@@ -86,12 +84,12 @@ class TestStepSizeGenerator:
 
     def test_zero_gate_logits_halve_features(self, rng):
         gen = StepSizeGenerator(8, np.random.default_rng(0))
-        gen.ca_up.weight.data = np.zeros_like(gen.ca_up.weight.data)
-        gen.ca_up.bias.data = np.zeros_like(gen.ca_up.bias.data)
+        gen.gate.up.weight.data = np.zeros_like(gen.gate.up.weight.data)
+        gen.gate.up.bias.data = np.zeros_like(gen.gate.up.bias.data)
         signal = make_signal(rng, 8, (8, 8))
         m = stage_factor(1, 4, (8, 8))
         f_in = ops.concat([signal.grad_map, signal.features, m], axis=1)
-        gate = ops.sigmoid(gen.ca_up(ops.gelu(gen.ca_down(ops.global_avg_pool(f_in)))))
+        gate = ops.sigmoid(gen.gate.up(ops.gelu(gen.gate.down(ops.global_avg_pool(f_in)))))
         assert np.all(gate.data == 0.5)
         scaled = ops.mul(f_in, gate)
         assert np.array_equal(scaled.data, f_in.data * 0.5)
@@ -121,7 +119,7 @@ class TestGradientStep:
             b = 2
             phi1 = BlockSensingMatrix(2, b, rng.standard_normal((2, 4)))
             phi2 = BlockSensingMatrix(3, b, rng.standard_normal((3, 4)))
-            sampler = DualSampler(phi1, phi2, 1.0, (1, 1))
+            sampler = DualSampler(phi1, phi2)
             from test_sampling import dense_block_operator
 
             d1 = dense_block_operator(phi1, (4, 4))
@@ -200,10 +198,12 @@ class TestHardMaskedAttention:
         assert np.allclose(got, expect, atol=1e-6)
 
     def test_token_cap_enforced(self):
-        att = HardMaskedAttention(2, np.random.default_rng(0), token_cap=8)
-        r = tensor(np.zeros((1, 1, 4, 4), dtype=np.float32))
+        att = HardMaskedAttention(2, np.random.default_rng(0))
+        att.proj = lambda r: pytest.fail("projection ran past the token cap")
+        assert 64 * 65 > TOKEN_CAP
+        r = tensor(np.zeros((1, 1, 64, 65), dtype=np.float32))
         with pytest.raises(ResourceError):
-            att(r, Tensor(np.ones((1, 1, 4, 4), dtype=np.float32)))
+            att(r, Tensor(np.ones((1, 1, 64, 65), dtype=np.float32)))
 
 
 class TestSoftGuidedUNet:

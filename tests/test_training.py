@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dualpath_cs.autograd import precision, tensor
+from dualpath_cs.autograd import no_grad, precision, tensor
 from dualpath_cs.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from dualpath_cs.errors import (
     CheckpointMagicError,
@@ -14,6 +14,7 @@ from dualpath_cs.errors import (
     IngestionError,
     TrainingDivergenceError,
 )
+from dualpath_cs.metrics import psnr
 from dualpath_cs.training import (
     TrainConfig,
     build_model,
@@ -131,6 +132,16 @@ class TestTrainStep:
         for param in model.sampler_parameters():
             assert param.grad is None, param.name
 
+    def test_frozen_sampler_is_constant_to_the_tape(self, rng):
+        cfg = tiny_config(freeze_sampler=True)
+        model = build_model(cfg)
+        frozen = {id(p) for p in model.sampler_parameters()}
+        assert all(not p.value.requires_grad for p in model.sampler_parameters())
+        optimizer = build_optimizer(model, cfg)
+        assert {id(p) for p in optimizer.params} == {id(p) for p in model.parameters()} - frozen
+        trace = model(tensor(random_image(rng).reshape(1, 1, 16, 16)))
+        assert not any(y.requires_grad for y in trace.measurements)
+
     def test_divergence_detected(self, rng):
         cfg = tiny_config()
         model = build_model(cfg)
@@ -161,6 +172,15 @@ class TestOverfit:
         img = random_image(rng)
         result = overfit_single_image(img, tiny_config(lr=1e-3), steps=30)
         assert result.losses[-1] < result.losses[0]
+
+    def test_initial_x0_psnr_measured_before_training(self, rng):
+        img = random_image(rng)
+        cfg = tiny_config(lr=1e-3)
+        result = overfit_single_image(img, cfg, steps=3)
+        with no_grad():
+            fresh = build_model(cfg)(tensor(img.reshape(1, 1, 16, 16)))
+        assert result.initial_psnr_x0 == psnr(fresh.stages[0].data[0, 0], img)
+        assert result.final_psnr_x0 != result.initial_psnr_x0
 
     def test_frozen_sampler_untouched(self, rng):
         cfg = tiny_config(freeze_sampler=True)
