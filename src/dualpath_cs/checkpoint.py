@@ -24,8 +24,10 @@ import numpy as np
 
 from .errors import (
     CheckpointMagicError,
+    CheckpointMismatchError,
     CheckpointTruncatedError,
     CheckpointVersionError,
+    ContractError,
 )
 
 MAGIC = b"DPHDUNCK"
@@ -58,7 +60,7 @@ class _Reader:
 def _tensor_entry(name, arr):
     dtype = np.dtype(arr.dtype)
     if dtype not in _DTYPE_CODES:
-        raise CheckpointTruncatedError(f"unsupported dtype {dtype} for {name}")
+        raise ContractError(f"unsupported dtype {dtype} for {name}")
     payload = [
         struct.pack("<I", len(name.encode()))
         + name.encode()
@@ -90,14 +92,15 @@ def checkpoint_state(model, epoch=0, rng=None, config=None):
 def save_checkpoint(path, model, epoch=0, rng=None, config=None):
     header, tensors = checkpoint_state(model, epoch=epoch, rng=rng, config=config)
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    entries = [_tensor_entry(name, arr) for name, arr in tensors]
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, arr in tensors:
-            fh.write(_tensor_entry(name, arr))
+        fh.write(struct.pack("<I", len(entries)))
+        for entry in entries:
+            fh.write(entry)
 
 
 def load_checkpoint(path):
@@ -129,11 +132,30 @@ def load_checkpoint(path):
 
 
 def restore_model(model, header, tensors):
-    """Write saved parameter values and Adam state into a freshly built model."""
+    """Write saved parameter values and Adam state into a freshly built model.
+
+    Every entry is checked against the model before the first write: a missing
+    or unexpected name, shape or dtype raises CheckpointMismatchError and
+    leaves the model untouched.
+    """
     steps = header.get("steps", {})
-    for name, param in model.named_parameters():
-        if name not in tensors:
-            raise CheckpointTruncatedError(f"checkpoint missing parameter {name}")
+    params = list(model.named_parameters())
+    expected = {}
+    for name, param in params:
+        for key in (name, f"{name}#adam_m", f"{name}#adam_v"):
+            expected[key] = param.data
+    unexpected = sorted(set(tensors) - set(expected))
+    if unexpected:
+        raise CheckpointMismatchError(f"checkpoint entries not in the model: {unexpected[:3]}")
+    for key, like in expected.items():
+        arr = tensors.get(key)
+        if arr is None:
+            raise CheckpointMismatchError(f"checkpoint missing {key}")
+        if arr.shape != like.shape or arr.dtype != like.dtype:
+            raise CheckpointMismatchError(
+                f"{key}: checkpoint has {arr.dtype} {arr.shape}, model expects {like.dtype} {like.shape}"
+            )
+    for name, param in params:
         param.data = tensors[name].copy()
         param.adam_m = tensors[f"{name}#adam_m"].copy()
         param.adam_v = tensors[f"{name}#adam_v"].copy()

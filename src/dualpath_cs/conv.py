@@ -4,7 +4,8 @@ The input gradient of a strided cross-correlation is computed as a stride-1
 cross-correlation of the (zero-dilated, re-padded) output gradient with the
 spatially flipped, channel-swapped kernel, so forward and backward share one
 gemm core. The im2col matrix is kept on the tape node and reused for the
-weight gradient.
+weight gradient. Backward returns None for a constant parent (one with
+`requires_grad=False`) and skips that parent's gemm and im2col.
 """
 
 import numpy as np
@@ -75,21 +76,22 @@ def conv2d(x, w, b=None, stride=1, padding=0):
 
     out, cols, ho, wo = _conv_forward(x.data, w.data, None if b is None else b.data, stride, padding)
     cout = w.shape[0]
-    xd, wd = x.data, w.data
+    wd = w.data
+    need_x, need_w = x.requires_grad, w.requires_grad
 
     def bwd(g):
         g_mat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, cout)
-        dw = (cols.T @ g_mat).T.reshape(cout, cin, kh, kw)
-        db = None if b is None else g_mat.sum(axis=0)
-        extra_h = (h + 2 * padding - kh) - (ho - 1) * stride
-        extra_w = (wdt + 2 * padding - kw) - (wo - 1) * stride
-        gd = _dilate(g, stride, extra_h, extra_w)
-        w_swap = np.ascontiguousarray(wd.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-        dx, _, _, _ = _conv_forward(gd, w_swap, None, 1, kh - 1 - padding)
-        parent_grads = [dx, dw]
-        if b is not None:
-            parent_grads.append(db)
-        return tuple(parent_grads)
+        dw = (cols.T @ g_mat).T.reshape(cout, cin, kh, kw) if need_w else None
+        dx = None
+        if need_x:
+            extra_h = (h + 2 * padding - kh) - (ho - 1) * stride
+            extra_w = (wdt + 2 * padding - kw) - (wo - 1) * stride
+            gd = _dilate(g, stride, extra_h, extra_w)
+            w_swap = np.ascontiguousarray(wd.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+            dx, _, _, _ = _conv_forward(gd, w_swap, None, 1, kh - 1 - padding)
+        if b is None:
+            return dx, dw
+        return dx, dw, g_mat.sum(axis=0)
 
     parents = (x, w) if b is None else (x, w, b)
     return make(np.ascontiguousarray(out), parents, bwd)
@@ -117,15 +119,19 @@ def conv_transpose2x(x, w, b=None):
     if b is not None:
         out = out + b.data[None, :, None, None]
 
+    need_x, need_w = x.requires_grad, w.requires_grad
+
     def bwd(g):
         g_tiles = g.reshape(n, cout, h, 2, wdt, 2)
         g_mat = np.ascontiguousarray(g_tiles.transpose(0, 2, 4, 1, 3, 5)).reshape(-1, cout * 4)
-        dx = (g_mat @ w_mat.T).reshape(n, h, wdt, cin).transpose(0, 3, 1, 2)
-        dw = (x_mat.T @ g_mat).reshape(cin, cout, 2, 2)
-        parent_grads = [np.ascontiguousarray(dx), dw]
-        if b is not None:
-            parent_grads.append(g.sum(axis=(0, 2, 3)))
-        return tuple(parent_grads)
+        dx = dw = None
+        if need_x:
+            dx = np.ascontiguousarray((g_mat @ w_mat.T).reshape(n, h, wdt, cin).transpose(0, 3, 1, 2))
+        if need_w:
+            dw = (x_mat.T @ g_mat).reshape(cin, cout, 2, 2)
+        if b is None:
+            return dx, dw
+        return dx, dw, g.sum(axis=(0, 2, 3))
 
     parents = (x, w) if b is None else (x, w, b)
     return make(out, parents, bwd)

@@ -60,3 +60,7 @@ class CheckpointVersionError(CheckpointError):
 
 class CheckpointTruncatedError(CheckpointError):
     """File ended before the declared payload was read."""
+
+
+class CheckpointMismatchError(CheckpointError):
+    """Checkpoint entries do not match the model they are restored into."""

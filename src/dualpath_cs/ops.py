@@ -4,7 +4,9 @@ Every op computes its forward value with numpy/BLAS and registers a closure
 producing per-parent gradients. Numerical-stability conventions: softmax
 subtracts the row max, sigmoid never exponentiates a positive argument,
 bilinear resizing uses half-pixel centers realized as explicit (cached)
-interpolation matrices so the adjoint is the exact transpose.
+interpolation matrices so the adjoint is the exact transpose. Attention
+keeps only a per-row log-sum-exp for its backward pass and recomputes the
+probabilities chunk by chunk, so its memory is linear in the token count.
 """
 
 import numpy as np
@@ -79,11 +81,12 @@ def matmul(a, b):
         raise DimensionError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
     out = np.matmul(a.data, b.data)
     ad, bd = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bwd(g):
-        ga = np.matmul(g, bd.swapaxes(-1, -2))
-        gb = np.matmul(ad.swapaxes(-1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = _unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), a.shape) if need_a else None
+        gb = _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), b.shape) if need_b else None
+        return ga, gb
 
     return make(out, (a, b), bwd)
 
@@ -332,11 +335,14 @@ def mse(pred, target):
     return make(out, (pred, target), bwd)
 
 
-def scaled_dot_attention(q, k, v, chunk=512):
+def scaled_dot_attention(q, k, v, chunk=64):
     """softmax(q kᵀ / sqrt(d)) v for [T,d] token matrices, single head.
 
-    Row-chunked so the T×T score matrix never leaves cache unnormalized; the
-    full probability matrix is kept for the backward pass.
+    Memory-linear: rows are processed `chunk` at a time through one reused
+    chunk×T score buffer, and only the per-row log-sum-exp is kept for the
+    backward pass, which rebuilds each chunk of probabilities from it
+    (recomputation as in Rabe & Staats 2021 and FlashAttention, Dao et al.
+    2022). Peak extra memory is O(chunk·T + T·d) in both passes.
     """
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
         raise DimensionError("attention operands must be [T,d]")
@@ -345,35 +351,52 @@ def scaled_dot_attention(q, k, v, chunk=512):
     t, d = q.shape
     dt = q.dtype
     scale = np.asarray(1.0 / np.sqrt(d), dtype=dt)
-    kt = np.ascontiguousarray(k.data.T)
-    probs = np.empty((t, t), dtype=dt)
+    # Row-major copies: the per-chunk dk and dv sums then add contiguous rows.
+    qs = np.ascontiguousarray(q.data * scale)
+    kd, vd = np.ascontiguousarray(k.data), np.ascontiguousarray(v.data)
+    kt = np.ascontiguousarray(kd.T)
     out = np.empty((t, v.shape[1]), dtype=dt)
+    lse = np.empty((t, 1), dtype=dt)
+    buf = np.empty((min(chunk, t), t), dtype=dt)
     for i0 in range(0, t, chunk):
         i1 = min(i0 + chunk, t)
-        s = q.data[i0:i1] @ kt
-        s *= scale
-        s -= s.max(axis=1, keepdims=True)
-        np.exp(s, out=s)
-        s /= s.sum(axis=1, keepdims=True)
-        probs[i0:i1] = s
-        out[i0:i1] = s @ v.data
-
-    qd, kd, vd = q.data, k.data, v.data
+        e = buf[:i1 - i0]
+        np.matmul(qs[i0:i1], kt, out=e)
+        row_max = e.max(axis=1, keepdims=True)
+        e -= row_max
+        np.exp(e, out=e)
+        row_sum = e.sum(axis=1, keepdims=True)
+        np.matmul(e, vd, out=out[i0:i1])
+        out[i0:i1] /= row_sum
+        lse[i0:i1] = row_max + np.log(row_sum)
 
     def bwd(g):
-        dv = probs.T @ g
-        dq = np.empty_like(qd)
+        # rowsum(P ⊙ (g vᵀ)) = rowsum(g ⊙ out): O(T·d) instead of a T×T product.
+        g = np.ascontiguousarray(g)
+        rowdot = (g * out).sum(axis=1, keepdims=True)
+        # A ones row under kᵀ and vᵀ folds the -lse and -rowdot shifts into the gemms.
+        ones = np.ones((1, t), dtype=dt)
+        q_lse = np.hstack([qs, -lse])
+        k_one = np.vstack([kt, ones])
+        g_dot = np.hstack([g, -rowdot])
+        v_one = np.vstack([vd.T, ones])
+        p_buf = np.empty((min(chunk, t), t), dtype=dt)
+        dp_buf = np.empty_like(p_buf)
+        dq = np.empty_like(qs)
         dk = np.zeros_like(kd)
-        vt = np.ascontiguousarray(vd.T)
+        dv = np.zeros_like(vd)
         for i0 in range(0, t, chunk):
             i1 = min(i0 + chunk, t)
-            pb = probs[i0:i1]
-            dp = g[i0:i1] @ vt
-            rowdot = np.einsum("ij,ij->i", pb, dp).astype(dt, copy=False)
-            ds = pb * (dp - rowdot[:, None])
-            ds *= scale
-            dq[i0:i1] = ds @ kd
-            dk += ds.T @ qd[i0:i1]
+            p = p_buf[:i1 - i0]
+            np.matmul(q_lse[i0:i1], k_one, out=p)
+            np.exp(p, out=p)
+            dv += p.T @ g[i0:i1]
+            dp = dp_buf[:i1 - i0]
+            np.matmul(g_dot[i0:i1], v_one, out=dp)
+            p *= dp
+            dq[i0:i1] = p @ kd
+            dk += p.T @ qs[i0:i1]
+        dq *= scale
         return dq, dk, dv
 
     return make(out, (q, k, v), bwd)

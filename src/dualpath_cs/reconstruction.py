@@ -15,7 +15,7 @@ from .errors import ContractError, GeometryError, ResourceError
 from .nn import ChannelGate, Conv2d, ConvTranspose2x, LayerNormChannels, Module, SpatialGate
 from .sampling import data_grad
 
-TOKEN_CAP = 4096  # attention tokens (pixels) per stage: the T x T probabilities stay in memory
+TOKEN_CAP = 16384  # attention tokens (pixels) per stage, 128x128: bounds the quadratic time; memory is linear
 
 
 def stage_factor(k, total, hw, dtype=None):
@@ -59,7 +59,8 @@ class HardMaskedAttention(Module):
 
     Tokens are pixels of the C-channel projection of r (single head, d = C);
     the block mask multiplies V so masked-out pixels contribute nothing to any
-    aggregation. Quadratic cost is guarded by `TOKEN_CAP`.
+    aggregation. Attention memory is linear in the token count; its time is
+    quadratic, and `TOKEN_CAP` bounds that time.
     """
 
     def __init__(self, channels, rng):

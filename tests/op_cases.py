@@ -157,6 +157,13 @@ def case_attention(rng):
     return lambda x, y, z: reduce(ops.scaled_dot_attention(x, y, z)), [q, k, v]
 
 
+def case_attention_multi_chunk(rng):
+    """Five tokens in chunks of two: dk and dv accumulate across three chunks."""
+    q, k, v = (rng.standard_normal((5, 3)) for _ in range(3))
+    reduce = _weighted((5, 3), rng)
+    return lambda x, y, z: reduce(ops.scaled_dot_attention(x, y, z, chunk=2)), [q, k, v]
+
+
 def case_conv2d(rng):
     cin, cout = int(rng.integers(1, 3)), int(rng.integers(1, 3))
     h = int(rng.integers(3, 6))

@@ -105,3 +105,28 @@ class TestConvTranspose:
         x = tensor(rng.standard_normal((1, 4, 5, 7)))
         w = tensor(rng.standard_normal((4, 2, 2, 2)))
         assert conv_transpose2x(x, w).shape == (1, 2, 10, 14)
+
+
+class TestConstantParents:
+    """A constant parent gets no gradient; the others' gradients are unchanged."""
+
+    @staticmethod
+    def _parent_grads(op, arrays, constant):
+        parents = [tensor(a, requires_grad=i not in constant) for i, a in enumerate(arrays)]
+        out = op(*parents)
+        g = np.random.default_rng(1).standard_normal(out.shape).astype(out.dtype)
+        return out._backward_fn(g)
+
+    @pytest.mark.parametrize("op,shapes", [
+        (lambda x, w, b: conv2d(x, w, b, stride=2, padding=1), [(1, 2, 7, 7), (3, 2, 3, 3), (3,)]),
+        (conv_transpose2x, [(1, 3, 4, 4), (3, 2, 2, 2), (2,)]),
+    ])
+    @pytest.mark.parametrize("constant", [0, 1])
+    def test_constant_parent_gets_none(self, rng, op, shapes, constant):
+        arrays = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+        full = self._parent_grads(op, arrays, constant=())
+        skipped = self._parent_grads(op, arrays, constant=(constant,))
+        assert skipped[constant] is None
+        for i, (a, b) in enumerate(zip(full, skipped)):
+            if i != constant:
+                assert np.array_equal(a, b), i

@@ -13,7 +13,7 @@ from dualpath_cs.hyperprior import (
     block_mean_abs_grad,
     build_hard_mask,
 )
-from dualpath_cs.sampling import BlockSensingMatrix, build_dual_sampler, sample
+from dualpath_cs.sampling import BlockSensingMatrix, DualSampler, build_dual_sampler, sample
 
 
 def brute_force_topk(scores, k):
@@ -171,16 +171,19 @@ class TestBranch:
 
     def test_consistent_refined_estimate_zeroes_gradient_map(self, rng):
         with precision("f64"):
-            sampler = build_dual_sampler(1.0, (1, 1), 2, seed=0)
-            # orthonormal rows: phi1 adjoint(phi1 x) keeps phi1-range content consistent
-            branch, _ = self._branch_and_sampler(seed=1, b=2)
-            phi = BlockSensingMatrix(4, 2, np.eye(4))
-            x = tensor(rng.standard_normal((1, 1, 4, 4)))
-            y = phi.apply(x)
-            from dualpath_cs.sampling import data_grad
-
-            g = data_grad(phi, x, y)
-            assert np.allclose(g.data, 0.0, atol=1e-14)
+            # Square orthonormal phi1: the adjoint back-projection of y1 = phi1 x is x.
+            q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+            sampler = DualSampler(BlockSensingMatrix(4, 2, q), BlockSensingMatrix(1, 2, q[:1].copy()))
+            branch = HyperpriorBranch(8, 0.5, np.random.default_rng(1))
+            y1, _ = sample(sampler, tensor(rng.standard_normal((1, 1, 8, 8))))
+            signal, _ = branch(y1, sampler, (8, 8))
+            assert np.abs(signal.grad_map.data).max() > 1e-3
+            # A zero tail makes the refined estimate the coarse one, which is consistent.
+            branch.refiner.tail.weight.data = np.zeros_like(branch.refiner.tail.weight.data)
+            branch.refiner.tail.bias.data = np.zeros_like(branch.refiner.tail.bias.data)
+            signal, _ = branch(y1, sampler, (8, 8))
+        assert signal.grad_map.dtype == np.float64
+        assert np.allclose(signal.grad_map.data, 0.0, rtol=0, atol=1e-13)
 
     def test_gradients_flow_to_refiner_but_not_through_mask(self, rng):
         branch, sampler = self._branch_and_sampler(seed=7)

@@ -1,10 +1,12 @@
 """Primitive-op semantics plus finite-difference verification of every case."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dualpath_cs import ops
-from dualpath_cs.autograd import precision, tensor
+from dualpath_cs.autograd import backward, precision, tensor
 from dualpath_cs.errors import DimensionError
 from gradcheck import max_gradient_error
 from op_cases import ALL_CASES
@@ -124,6 +126,62 @@ class TestAttention:
             a = ops.scaled_dot_attention(q, k, v, chunk=3)
             b = ops.scaled_dot_attention(q, k, v, chunk=512)
             assert np.allclose(a.data, b.data, atol=1e-14)
+
+    @staticmethod
+    def _gradients(attend, arrays, weight):
+        q, k, v = (tensor(a, requires_grad=True) for a in arrays)
+        backward(ops.reduce_sum(ops.mul(attend(q, k, v), tensor(weight))))
+        return q.grad, k.grad, v.grad
+
+    @pytest.mark.parametrize("t", [5, 64, 70, 130])
+    def test_gradients_match_op_composition(self, rng, t):
+        # 70 and 130 tokens span two and three default chunks.
+        def composed(q, k, v):
+            scores = ops.mul(ops.matmul(q, ops.transpose(k, (1, 0))), 1.0 / np.sqrt(3))
+            return ops.matmul(ops.softmax(scores, axis=1), v)
+
+        with precision("f64"):
+            arrays = [2.0 * rng.standard_normal((t, 3)) for _ in range(3)]
+            weight = rng.standard_normal((t, 3))
+            fused = self._gradients(ops.scaled_dot_attention, arrays, weight)
+            reference = self._gradients(composed, arrays, weight)
+        for got, expect in zip(fused, reference):
+            assert np.allclose(got, expect, rtol=0, atol=1e-12)
+
+    def test_chunk_size_leaves_gradients_unchanged(self, rng):
+        with precision("f64"):
+            arrays = [rng.standard_normal((70, 4)) for _ in range(3)]
+            weight = rng.standard_normal((70, 4))
+            small = self._gradients(lambda q, k, v: ops.scaled_dot_attention(q, k, v, chunk=3), arrays, weight)
+            default = self._gradients(ops.scaled_dot_attention, arrays, weight)
+        for a, b in zip(small, default):
+            assert np.allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_memory_linear_in_tokens(self, rng):
+        t, d = 4096, 16
+        q, k, v = (tensor(rng.standard_normal((t, d)).astype(np.float32), requires_grad=True) for _ in range(3))
+        weight = tensor(rng.standard_normal((t, d)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            backward(ops.reduce_sum(ops.mul(ops.scaled_dot_attention(q, k, v), weight)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(np.all(np.isfinite(x.grad)) for x in (q, k, v))
+        # A kept T x T probability matrix alone would be 8x this bound.
+        assert peak < t * t * 4 // 8, f"peak {peak / 2**20:.1f} MiB"
+
+
+class TestMatmul:
+    @pytest.mark.parametrize("constant", [0, 1])
+    def test_constant_parent_gets_none(self, rng, constant):
+        arrays = [rng.standard_normal((2, 3, 4)).astype(np.float32), rng.standard_normal((4, 5)).astype(np.float32)]
+        g = rng.standard_normal((2, 3, 5)).astype(np.float32)
+        full = ops.matmul(*(tensor(a, requires_grad=True) for a in arrays))._backward_fn(g)
+        parents = [tensor(a, requires_grad=i != constant) for i, a in enumerate(arrays)]
+        skipped = ops.matmul(*parents)._backward_fn(g)
+        assert skipped[constant] is None
+        assert np.array_equal(skipped[1 - constant], full[1 - constant])
 
 
 class TestReductions:

@@ -1,10 +1,12 @@
 """Unrolled-stage semantics: step maps, gradient step, attention limits, U-Net."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dualpath_cs import ops
-from dualpath_cs.autograd import Tensor, backward, precision, tensor
+from dualpath_cs.autograd import Tensor, backward, no_grad, precision, tensor
 from dualpath_cs.errors import ContractError, GeometryError, ResourceError
 from dualpath_cs.hyperprior import GuidanceBundle, HyperpriorSignal
 from dualpath_cs.model import DualPathModel
@@ -17,6 +19,7 @@ from dualpath_cs.reconstruction import (
     stage_factor,
 )
 from dualpath_cs.sampling import BlockSensingMatrix, DualSampler, sample
+from dualpath_cs.training import TrainConfig, build_model
 from gradcheck import max_gradient_error, numeric_gradients
 
 
@@ -200,10 +203,25 @@ class TestHardMaskedAttention:
     def test_token_cap_enforced(self):
         att = HardMaskedAttention(2, np.random.default_rng(0))
         att.proj = lambda r: pytest.fail("projection ran past the token cap")
-        assert 64 * 65 > TOKEN_CAP
-        r = tensor(np.zeros((1, 1, 64, 65), dtype=np.float32))
+        assert 128 * 129 > TOKEN_CAP
+        r = tensor(np.zeros((1, 1, 128, 129), dtype=np.float32))
         with pytest.raises(ResourceError):
-            att(r, Tensor(np.ones((1, 1, 64, 65), dtype=np.float32)))
+            att(r, Tensor(np.ones((1, 1, 128, 129), dtype=np.float32)))
+
+    def test_no_grad_128_forward_is_memory_linear(self):
+        # 16384 tokens: a kept T x T float32 probability matrix alone would be 1 GB.
+        model = build_model(TrainConfig(patch_size=128, channels=4, stages=1))
+        x = tensor(np.random.default_rng(0).uniform(0, 1, (1, 1, 128, 128)).astype(np.float32))
+        assert 128 * 128 <= TOKEN_CAP
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = model(x).output
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(out.data))
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestSoftGuidedUNet:

@@ -7,6 +7,7 @@ from dualpath_cs.autograd import no_grad, precision, tensor
 from dualpath_cs.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from dualpath_cs.errors import (
     CheckpointMagicError,
+    CheckpointMismatchError,
     CheckpointTruncatedError,
     CheckpointVersionError,
     ConfigError,
@@ -142,6 +143,24 @@ class TestTrainStep:
         trace = model(tensor(random_image(rng).reshape(1, 1, 16, 16)))
         assert not any(y.requires_grad for y in trace.measurements)
 
+    def test_skipped_sampler_gradients_leave_trajectory_bit_identical(self, rng):
+        # The frozen sampler's weights are constants, so no op computes their
+        # gradient. Marking them trainable again outside the optimizer brings
+        # back every Phi gradient gemm and must not move any loss or parameter.
+        img = random_image(rng).reshape(1, 1, 16, 16)
+        cfg = tiny_config(freeze_sampler=True)
+        runs = []
+        for computed in (False, True):
+            model = build_model(cfg)
+            optimizer = build_optimizer(model, cfg)
+            for p in model.sampler_parameters():
+                p.value.requires_grad = computed
+            losses = [train_step([img], model, optimizer)[0] for _ in range(3)]
+            runs.append((losses, [p.data.copy() for p in model.parameters()]))
+        assert runs[0][0] == runs[1][0]
+        for skipped, computed in zip(runs[0][1], runs[1][1]):
+            assert np.array_equal(skipped, computed)
+
     def test_divergence_detected(self, rng):
         cfg = tiny_config()
         model = build_model(cfg)
@@ -268,3 +287,62 @@ class TestCheckpoint:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointTruncatedError):
             load_checkpoint(path)
+
+
+class TestRestoreValidation:
+    """restore_model rejects a mismatched checkpoint before writing anything."""
+
+    @pytest.fixture
+    def saved(self, tmp_path, rng):
+        cfg = tiny_config()
+        model = overfit_single_image(random_image(rng), cfg, steps=1).model
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model, config=cfg.to_dict())
+        return load_checkpoint(path)
+
+    @staticmethod
+    def _assert_rejected_untouched(model, header, tensors):
+        before = [(p.data.copy(), p.adam_m.copy(), p.adam_v.copy(), p.step_count) for p in model.parameters()]
+        with pytest.raises(CheckpointMismatchError):
+            restore_model(model, header, tensors)
+        for p, (data, m, v, steps) in zip(model.parameters(), before):
+            assert np.array_equal(p.data, data) and np.array_equal(p.adam_m, m)
+            assert np.array_equal(p.adam_v, v) and p.step_count == steps
+
+    def test_missing_adam_moment(self, saved):
+        header, tensors = saved
+        del tensors["stages.1.soft_unet.out.bias#adam_m"]
+        self._assert_rejected_untouched(build_model(tiny_config()), header, tensors)
+
+    def test_missing_last_parameter_found_before_first_write(self, saved):
+        header, tensors = saved
+        model = build_model(tiny_config())
+        last = model.parameters()[-1].name
+        del tensors[last]
+        self._assert_rejected_untouched(model, header, tensors)
+
+    def test_unexpected_entry(self, saved):
+        header, tensors = saved
+        tensors["stages.9.out.weight"] = np.zeros(1, dtype=np.float32)
+        self._assert_rejected_untouched(build_model(tiny_config()), header, tensors)
+
+    def test_wider_model_checkpoint(self, tmp_path, rng):
+        wide = tiny_config(channels=16)
+        path = tmp_path / "wide.ckpt"
+        save_checkpoint(path, build_model(wide), config=wide.to_dict())
+        header, tensors = load_checkpoint(path)
+        self._assert_rejected_untouched(build_model(tiny_config()), header, tensors)
+
+    def test_wrong_dtype(self, saved):
+        header, tensors = saved
+        name = "fusion.weight"
+        tensors[name] = tensors[name].astype(np.float64)
+        self._assert_rejected_untouched(build_model(tiny_config()), header, tensors)
+
+    def test_unsupported_dtype_rejected_at_save(self, tmp_path):
+        model = build_model(tiny_config())
+        model.fusion.weight.data = model.fusion.weight.data.astype(np.float16)
+        path = tmp_path / "half.ckpt"
+        with pytest.raises(ContractError, match="float16"):
+            save_checkpoint(path, model)
+        assert not path.exists()
