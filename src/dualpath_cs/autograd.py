@@ -46,10 +46,6 @@ def precision(mode):
         _default_dtype = saved
 
 
-def grad_enabled():
-    return _grad_enabled
-
-
 @contextmanager
 def no_grad():
     """Disable tape recording (evaluation fast path)."""

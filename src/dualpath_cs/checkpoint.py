@@ -4,7 +4,7 @@ Layout (all integers little-endian):
     8 bytes   magic "DPHDUNCK"
     u32       format version (1)
     u32 + n   UTF-8 JSON header: config snapshot, epoch, per-parameter Adam
-              step counters, RNG state
+              step counters
     u32       tensor count
     per tensor:
         u32 + n  UTF-8 name ("<param>", "<param>#adam_m", "<param>#adam_v")
@@ -71,7 +71,7 @@ def _tensor_entry(name, arr):
     return b"".join(payload)
 
 
-def checkpoint_state(model, epoch=0, rng=None, config=None):
+def checkpoint_state(model, epoch=0, config=None):
     """Collect the serializable state of a model into (header, tensor list)."""
     tensors = []
     steps = {}
@@ -80,17 +80,12 @@ def checkpoint_state(model, epoch=0, rng=None, config=None):
         tensors.append((f"{name}#adam_m", param.adam_m))
         tensors.append((f"{name}#adam_v", param.adam_v))
         steps[name] = param.step_count
-    header = {
-        "config": config or {},
-        "epoch": epoch,
-        "steps": steps,
-        "rng_state": rng.bit_generator.state if rng is not None else None,
-    }
+    header = {"config": config or {}, "epoch": epoch, "steps": steps}
     return header, tensors
 
 
-def save_checkpoint(path, model, epoch=0, rng=None, config=None):
-    header, tensors = checkpoint_state(model, epoch=epoch, rng=rng, config=config)
+def save_checkpoint(path, model, epoch=0, config=None):
+    header, tensors = checkpoint_state(model, epoch=epoch, config=config)
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     entries = [_tensor_entry(name, arr) for name, arr in tensors]
     with open(path, "wb") as fh:

@@ -17,8 +17,8 @@ def _as_array(x):
     return x.data if isinstance(x, Tensor) else np.asarray(x)
 
 
-def psnr(a, b, peak=1.0):
-    """10*log10(peak^2 / MSE) in dB; math.inf signals bit-identical inputs.
+def psnr(a, b):
+    """10*log10(1 / MSE) in dB for a peak of 1; math.inf signals bit-identical inputs.
 
     Reports must render the infinite case as a distinguished "identical"
     outcome rather than a number.
@@ -26,12 +26,10 @@ def psnr(a, b, peak=1.0):
     av, bv = _as_array(a), _as_array(b)
     if av.shape != bv.shape:
         raise DimensionError(f"psnr shapes differ: {av.shape} vs {bv.shape}")
-    if peak <= 0:
-        raise ConfigError(f"psnr peak must be positive, got {peak}")
     err = float(np.mean((av.astype(np.float64) - bv.astype(np.float64)) ** 2))
     if err == 0.0:
         return math.inf
-    return 10.0 * math.log10(peak * peak / err)
+    return 10.0 * math.log10(1.0 / err)
 
 
 def _gaussian_window(size, sigma):

@@ -21,7 +21,6 @@ class ReconstructionTrace:
     signal: HyperpriorSignal = None
     guidance: GuidanceBundle = None
     step_maps: list = field(default_factory=list)
-    stage_values: list = field(default_factory=list)
     measurements: tuple = None
 
 
@@ -66,13 +65,11 @@ class DualPathModel(Module):
         trace.stages.append(x0)
         z = self.initial_state(hw)
         x = x0
-        total = self.num_stages
         for k, stage in enumerate(self.stages, start=1):
-            m_stage = stage_factor(k, total, hw, dtype=x.dtype)
+            m_stage = stage_factor(k, self.num_stages, hw, dtype=x.dtype)
             x, z, p = stage(x, y1, y2, self.sampler, signal, guidance, m_stage, z)
             trace.stages.append(x)
             trace.step_maps.append(p)
-            trace.stage_values.append(k / total)
         trace.output = x
         return trace
 

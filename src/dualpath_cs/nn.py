@@ -7,6 +7,8 @@ from .autograd import Tensor, default_dtype
 from .conv import conv2d, conv_transpose2x
 from .errors import ContractError
 
+ADAM_EPS = 1e-8
+
 
 class Parameter:
     """Learnable tensor plus its Adam state.
@@ -99,7 +101,7 @@ class ConvTranspose2x(Module):
 
 
 class LayerNormChannels(Module):
-    """LayerNorm over the channel axis of an [N,C,H,W] map (`ops.layer_norm`'s eps)."""
+    """LayerNorm over the channel axis of an [N,C,H,W] map (eps `ops.LAYER_NORM_EPS`)."""
 
     def __init__(self, channels):
         self.gain = Parameter(np.ones(channels, dtype=default_dtype()))
@@ -118,8 +120,8 @@ class SpatialGate(Module):
         self.conv = Conv2d(2, 1, 7, rng)
 
     def forward(self, x):
-        mx = ops.reduce_max(x, axis=1, keepdims=True)
-        mn = ops.reduce_mean(x, axis=1, keepdims=True)
+        mx = ops.reduce_max(x, axis=1)
+        mn = ops.reduce_mean(x, axis=1)
         gate = ops.sigmoid(self.conv(ops.concat([mx, mn], axis=1)))
         return ops.mul(x, gate)
 
@@ -141,12 +143,11 @@ class ChannelGate(Module):
 class Adam:
     """Adam with bias correction; clears gradients after each step."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999):
         self.params = list(params)
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
-        self.eps = eps
 
     def step(self):
         """Update every parameter, or none: a missing gradient raises before any update."""
@@ -161,5 +162,5 @@ class Adam:
             p.adam_v = self.beta2 * p.adam_v + (1.0 - self.beta2) * (g * g)
             m_hat = p.adam_m / (1.0 - self.beta1 ** t)
             v_hat = p.adam_v / (1.0 - self.beta2 ** t)
-            p.value.data = p.value.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.value.data = p.value.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             p.value.grad = None

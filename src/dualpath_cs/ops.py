@@ -2,12 +2,13 @@
 
 Every op computes its forward value with numpy/BLAS and registers a closure
 producing per-parent gradients. Numerical-stability conventions: softmax
-subtracts the row max, sigmoid never exponentiates a positive argument,
-bilinear resizing uses half-pixel centers realized as explicit (cached)
-interpolation matrices so the adjoint is the exact transpose. Attention
+subtracts the row max, sigmoid never exponentiates a positive argument, and
+the half-size bilinear resize is the 2x2 block mean it equals. Attention
 keeps only a per-row log-sum-exp for its backward pass and recomputes the
 probabilities chunk by chunk, so its memory is linear in the token count.
 """
+
+import math
 
 import numpy as np
 from scipy.special import erf
@@ -17,6 +18,7 @@ from .errors import DimensionError
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
+LAYER_NORM_EPS = 1e-5
 
 
 def _as_tensor(x, like):
@@ -184,50 +186,39 @@ def softmax(a, axis):
     return make(y.astype(x.dtype, copy=False), (a,), bwd)
 
 
-def reduce_sum(a, axis=None, keepdims=False):
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+def reduce_sum(a, axis=None):
+    """Sum over `axis` (all axes when None), dropping the reduced axes."""
+    out = a.data.sum(axis=axis)
     shape = a.shape
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        gk = g if keepdims else np.expand_dims(g, axis)
+        gk = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gk, shape).copy(),)
 
     return make(np.asarray(out), (a,), bwd)
 
 
-def reduce_mean(a, axis=None, keepdims=False):
-    out = a.data.mean(axis=axis, keepdims=keepdims)
+def reduce_mean(a, axis):
+    """Mean over `axis` (an int or a tuple), keeping the reduced axes."""
+    out = a.data.mean(axis=axis, keepdims=True)
     shape = a.shape
-    if axis is None:
-        count = a.size
-    else:
-        ax = axis if isinstance(axis, tuple) else (axis,)
-        count = 1
-        for i in ax:
-            count *= shape[i]
+    count = math.prod(shape[i] for i in (axis if isinstance(axis, tuple) else (axis,)))
 
     def bwd(g):
-        gs = g / count
-        if axis is None:
-            return (np.broadcast_to(gs, shape).copy(),)
-        gk = gs if keepdims else np.expand_dims(gs, axis)
-        return (np.broadcast_to(gk, shape).copy(),)
+        return (np.broadcast_to(g / count, shape).copy(),)
 
-    return make(np.asarray(out), (a,), bwd)
+    return make(out, (a,), bwd)
 
 
-def reduce_max(a, axis, keepdims=True):
-    """Max along one axis; gradient routes to the first maximal element."""
+def reduce_max(a, axis):
+    """Max along one kept axis; gradient routes to the first maximal element."""
     x = a.data
-    out = x.max(axis=axis, keepdims=keepdims)
-    idx = np.expand_dims(x.argmax(axis=axis), axis)
+    out = x.max(axis=axis, keepdims=True)
+    idx = x.argmax(axis=axis, keepdims=True)
 
     def bwd(g):
-        gk = g if keepdims else np.expand_dims(g, axis)
         gx = np.zeros_like(x)
-        np.put_along_axis(gx, idx, gk, axis)
+        np.put_along_axis(gx, idx, g, axis)
         return (gx,)
 
     return make(out, (a,), bwd)
@@ -239,10 +230,10 @@ def global_avg_pool(a):
         raise DimensionError(f"global_avg_pool expects [N,C,H,W], got {a.shape}")
     if a.shape[2] < 1 or a.shape[3] < 1:
         raise DimensionError("global_avg_pool needs nonempty spatial extents")
-    return reduce_mean(a, axis=(2, 3), keepdims=True)
+    return reduce_mean(a, axis=(2, 3))
 
 
-def layer_norm(a, gain, bias, eps=1e-5):
+def layer_norm(a, gain, bias):
     """Normalize over the last axis with learnable scale/shift."""
     x = a.data
     d = x.shape[-1]
@@ -251,7 +242,7 @@ def layer_norm(a, gain, bias, eps=1e-5):
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     out = xhat * gain.data + bias.data
 
@@ -268,56 +259,26 @@ def layer_norm(a, gain, bias, eps=1e-5):
     return make(out.astype(x.dtype, copy=False), (a, gain, bias), bwd)
 
 
-_resize_matrices = {}
+def bilinear_resize(a):
+    """Half-size bilinear resize of an [N,C,H,W] map with half-pixel centres.
 
-
-def _resize_matrix(n_in, n_out, dtype):
-    """Half-pixel-center bilinear interpolation as an explicit [n_out, n_in] matrix."""
-    key = (n_in, n_out, np.dtype(dtype).name)
-    cached = _resize_matrices.get(key)
-    if cached is not None:
-        return cached
-    scale = n_out / n_in
-    src = (np.arange(n_out, dtype=np.float64) + 0.5) / scale - 0.5
-    i0f = np.floor(src)
-    frac = src - i0f
-    i0 = np.clip(i0f, 0, n_in - 1).astype(np.int64)
-    i1 = np.clip(i0f + 1, 0, n_in - 1).astype(np.int64)
-    mat = np.zeros((n_out, n_in), dtype=np.float64)
-    rows = np.arange(n_out)
-    np.add.at(mat, (rows, i0), 1.0 - frac)
-    np.add.at(mat, (rows, i1), frac)
-    mat = mat.astype(dtype)
-    _resize_matrices[key] = mat
-    return mat
-
-
-def _apply_axis_matrix(x, mat, axis):
-    moved = np.moveaxis(x, axis, 0)
-    flat = moved.reshape(moved.shape[0], -1)
-    out = mat @ flat
-    return np.moveaxis(out.reshape((mat.shape[0],) + moved.shape[1:]), 0, axis)
-
-
-def bilinear_resize(a, scale):
-    """Bilinear resize of an [N,C,H,W] map by 1/2 or 2, half-pixel alignment."""
+    Each output centre lies midway between two pixel pairs, so the resize is
+    the mean of each 2x2 block: vertical pairs are added first, then
+    horizontal pairs, then the sum is scaled by 1/4.
+    """
     if a.ndim != 4:
         raise DimensionError(f"bilinear_resize expects [N,C,H,W], got {a.shape}")
-    if scale not in (0.5, 2, 2.0):
-        raise DimensionError("bilinear_resize supports scale 0.5 or 2")
     n, c, h, w = a.shape
-    ho, wo = int(round(h * scale)), int(round(w * scale))
-    if ho < 1 or wo < 1:
-        raise DimensionError("bilinear_resize output would be empty")
-    mh = _resize_matrix(h, ho, a.dtype)
-    mw = _resize_matrix(w, wo, a.dtype)
-    out = _apply_axis_matrix(_apply_axis_matrix(a.data, mh, 2), mw, 3)
+    if h < 2 or w < 2 or h % 2 or w % 2:
+        raise DimensionError(f"bilinear_resize needs even nonempty extents, got {h}x{w}")
+    pairs = a.data.reshape(n, c, h // 2, 2, w // 2, 2)
+    rows = pairs[:, :, :, 0] + pairs[:, :, :, 1]
+    out = (rows[..., 0] + rows[..., 1]) * 0.25
 
     def bwd(g):
-        gx = _apply_axis_matrix(_apply_axis_matrix(g, mw.T, 3), mh.T, 2)
-        return (np.ascontiguousarray(gx),)
+        return (np.repeat(np.repeat(g * 0.25, 2, axis=2), 2, axis=3),)
 
-    return make(np.ascontiguousarray(out), (a,), bwd)
+    return make(out, (a,), bwd)
 
 
 def mse(pred, target):
@@ -401,12 +362,3 @@ def scaled_dot_attention(q, k, v, chunk=64):
 
     return make(out, (q, k, v), bwd)
 
-
-Tensor.__add__ = lambda self, other: add(self, _as_tensor(other, self))
-Tensor.__radd__ = lambda self, other: add(_as_tensor(other, self), self)
-Tensor.__sub__ = lambda self, other: sub(self, _as_tensor(other, self))
-Tensor.__rsub__ = lambda self, other: sub(_as_tensor(other, self), self)
-Tensor.__mul__ = lambda self, other: mul(self, _as_tensor(other, self))
-Tensor.__rmul__ = lambda self, other: mul(_as_tensor(other, self), self)
-Tensor.__neg__ = lambda self: neg(self)
-Tensor.__matmul__ = lambda self, other: matmul(self, other)

@@ -112,7 +112,7 @@ class SoftGuidedUNet(Module):
     """Three-scale encoder-decoder with per-scale soft-map modulation.
 
     Scale widths are (C, 2C, 4C); the soft map is halved per level by bilinear
-    resizing; each scale entry adds the carried features from the previous
+    resizing (the 2x2 block mean); each scale entry adds the carried features from the previous
     stage; decoder levels merge encoder skips through 1x1 convs. The carried
     state for the next stage is the decoder feature triple (before the final
     image conv).
@@ -139,8 +139,8 @@ class SoftGuidedUNet(Module):
         if h % 4 or w % 4:
             raise GeometryError(f"extents {h}x{w} must be divisible by 4 for three scales")
         m1 = soft_map
-        m2 = ops.bilinear_resize(m1, 0.5)
-        m3 = ops.bilinear_resize(m2, 0.5)
+        m2 = ops.bilinear_resize(m1)
+        m3 = ops.bilinear_resize(m2)
         f0 = self.align(att)
         e1 = self.enc1(ops.add(ops.mul(m1, f0), z_prev[0]))
         e2 = self.enc2(ops.add(ops.mul(m2, self.down1(e1)), z_prev[1]))

@@ -23,7 +23,6 @@ class TrainConfig:
     lr: float = 1e-4
     betas: tuple = (0.9, 0.999)
     batch_size: int = 4
-    epochs: int = 1
     patch_size: int = 64
     seed: int = 0
     freeze_sampler: bool = False
@@ -34,7 +33,7 @@ class TrainConfig:
         align = 4 * self.block_size
         if self.patch_size % align:
             raise ConfigError(f"patch size {self.patch_size} must be divisible by 4*block_size={align}")
-        if self.lr <= 0 or self.batch_size < 1 or self.epochs < 0:
+        if self.lr <= 0 or self.batch_size < 1:
             raise ConfigError("rates and counts must be positive")
         if not (0.0 < self.rho <= 1.0):
             raise ConfigError(f"rho must lie in (0, 1], got {self.rho}")

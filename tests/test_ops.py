@@ -1,6 +1,7 @@
 """Primitive-op semantics plus finite-difference verification of every case."""
 
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -93,22 +94,14 @@ class TestBilinearResize:
     def test_half_scale_is_block_mean(self, rng):
         # half-pixel centers at scale 1/2 sample midway between pixel pairs
         x = rng.standard_normal((1, 1, 4, 6))
-        out = ops.bilinear_resize(tensor(x), 0.5).data
+        out = ops.bilinear_resize(tensor(x)).data
         expect = x.reshape(1, 1, 2, 2, 3, 2).mean(axis=(3, 5))
         assert np.allclose(out, expect, atol=1e-6)
 
-    def test_upscale_preserves_constants(self):
-        x = tensor(np.full((1, 2, 3, 3), 0.37))
-        out = ops.bilinear_resize(x, 2)
-        assert out.shape == (1, 2, 6, 6)
-        assert np.allclose(out.data, 0.37, atol=1e-7)
-
-    def test_round_trip_shapes(self, rng):
-        x = tensor(rng.standard_normal((1, 3, 8, 8)))
-        down = ops.bilinear_resize(x, 0.5)
-        up = ops.bilinear_resize(down, 2)
-        assert down.shape == (1, 3, 4, 4)
-        assert up.shape == (1, 3, 8, 8)
+    @pytest.mark.parametrize("hw", [(3, 4), (4, 5), (0, 4)])
+    def test_odd_or_empty_extent_rejected(self, hw):
+        with pytest.raises(DimensionError):
+            ops.bilinear_resize(tensor(np.zeros((1, 1) + hw)))
 
 
 class TestAttention:
@@ -189,7 +182,7 @@ class TestReductions:
         from dualpath_cs.autograd import backward
 
         x = tensor(np.array([[2.0, 2.0, 1.0]]), requires_grad=True)
-        out = ops.reduce_max(x, axis=1, keepdims=True)
+        out = ops.reduce_max(x, axis=1)
         backward(ops.reduce_sum(out))
         assert np.array_equal(x.grad, [[1.0, 0.0, 0.0]])
 
@@ -202,7 +195,7 @@ class TestGradients:
     @pytest.mark.parametrize("name", sorted(ALL_CASES))
     def test_finite_difference(self, name):
         with precision("f64"):
-            rng = np.random.default_rng(hash(name) % (2**32))
+            rng = np.random.default_rng(zlib.crc32(name.encode()))
             build, arrays = ALL_CASES[name](rng)
             err = max_gradient_error(build, arrays)
         assert err < 1e-4, f"{name}: max relative gradient error {err:.3e}"
