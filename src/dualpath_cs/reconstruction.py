@@ -9,7 +9,7 @@ modulated by the soft confidence map and carried across stages.
 
 import numpy as np
 
-from . import ops
+from . import nn, ops
 from .autograd import Tensor, default_dtype
 from .errors import ContractError, GeometryError, ResourceError
 from .nn import ChannelGate, Conv2d, ConvTranspose2x, LayerNormChannels, Module, SpatialGate
@@ -59,15 +59,17 @@ class HardMaskedAttention(Module):
 
     Tokens are pixels of the C-channel projection of r (single head, d = C);
     the block mask multiplies V so masked-out pixels contribute nothing to any
-    aggregation. Attention memory is linear in the token count; its time is
-    quadratic, and `TOKEN_CAP` bounds that time.
+    aggregation. The key projection has no bias: a shift b of every key adds
+    q_i . b to the whole score row i, which softmax ignores, so such a bias
+    would get a zero gradient. Attention memory is linear in the token count;
+    its time is quadratic, and `TOKEN_CAP` bounds that time.
     """
 
     def __init__(self, channels, rng):
         self.channels = channels
         self.proj = Conv2d(1, channels, 3, rng)
         self.to_q = Conv2d(channels, channels, 1, rng)
-        self.to_k = Conv2d(channels, channels, 1, rng)
+        self.to_k = nn.Parameter(nn.uniform_fan_in(rng, (channels, channels, 1, 1), channels))
         self.to_v = Conv2d(channels, channels, 1, rng)
 
     def forward(self, r, hard_mask):
@@ -81,7 +83,7 @@ class HardMaskedAttention(Module):
             return ops.transpose(ops.reshape(t, (self.channels, tokens)), (1, 0))
 
         q = to_tokens(self.to_q(feats))
-        k = to_tokens(self.to_k(feats))
+        k = to_tokens(nn.conv2d(feats, self.to_k.value))
         v = to_tokens(self.to_v(feats))
         mask_col = ops.reshape(hard_mask, (tokens, 1))
         v_masked = ops.mul(v, mask_col)

@@ -113,6 +113,15 @@ class TestAttention:
             composed = ops.matmul(ops.softmax(scores, axis=1), v)
             assert np.allclose(fused.data, composed.data, atol=1e-12)
 
+    def test_key_shift_leaves_output_unchanged(self, rng):
+        # A shift b of every key adds q_i . b to all of score row i; softmax ignores it.
+        with precision("f64"):
+            q, k, v = (rng.standard_normal((9, 4)) for _ in range(3))
+            shift = rng.standard_normal((1, 4))
+            base = ops.scaled_dot_attention(tensor(q), tensor(k), tensor(v))
+            shifted = ops.scaled_dot_attention(tensor(q), tensor(k + shift), tensor(v))
+            assert np.allclose(shifted.data, base.data, rtol=0, atol=1e-12)
+
     def test_chunking_invariance(self, rng):
         with precision("f64"):
             q, k, v = (tensor(rng.standard_normal((9, 4))) for _ in range(3))

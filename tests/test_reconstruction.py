@@ -7,6 +7,7 @@ import pytest
 
 from dualpath_cs import ops
 from dualpath_cs.autograd import Tensor, backward, no_grad, precision, tensor
+from dualpath_cs.conv import conv2d
 from dualpath_cs.errors import ContractError, GeometryError, ResourceError
 from dualpath_cs.hyperprior import GuidanceBundle, HyperpriorSignal
 from dualpath_cs.model import DualPathModel
@@ -170,7 +171,7 @@ class TestHardMaskedAttention:
 
         feats = att.proj(r)
         tok = lambda t: ops.transpose(ops.reshape(t, (att.channels, h * w)), (1, 0))
-        q, k, v = tok(att.to_q(feats)), tok(att.to_k(feats)), tok(att.to_v(feats))
+        q, k, v = tok(att.to_q(feats)), tok(conv2d(feats, att.to_k.value)), tok(att.to_v(feats))
         unmasked = ops.scaled_dot_attention(q, k, v)
         reference = ops.add(ops.reshape(ops.transpose(unmasked, (1, 0)), (1, att.channels, h, w)), feats)
         assert out_masked.data.tobytes() == reference.data.tobytes()
