@@ -202,7 +202,8 @@ def reduce_mean(a, axis):
     """Mean over `axis` (an int or a tuple), keeping the reduced axes."""
     out = a.data.mean(axis=axis, keepdims=True)
     shape = a.shape
-    count = math.prod(shape[i] for i in (axis if isinstance(axis, tuple) else (axis,)))
+    axes = axis if isinstance(axis, tuple) else (axis,)
+    count = math.prod(shape[i] for i in axes)
 
     def bwd(g):
         return (np.broadcast_to(g / count, shape).copy(),)
@@ -263,8 +264,7 @@ def bilinear_resize(a):
     """Half-size bilinear resize of an [N,C,H,W] map with half-pixel centres.
 
     Each output centre lies midway between two pixel pairs, so the resize is
-    the mean of each 2x2 block: vertical pairs are added first, then
-    horizontal pairs, then the sum is scaled by 1/4.
+    the mean of each 2x2 block.
     """
     if a.ndim != 4:
         raise DimensionError(f"bilinear_resize expects [N,C,H,W], got {a.shape}")
@@ -361,4 +361,3 @@ def scaled_dot_attention(q, k, v, chunk=64):
         return dq, dk, dv
 
     return make(out, (q, k, v), bwd)
-

@@ -114,7 +114,7 @@ class SoftGuidedUNet(Module):
     """Three-scale encoder-decoder with per-scale soft-map modulation.
 
     Scale widths are (C, 2C, 4C); the soft map is halved per level by bilinear
-    resizing (the 2x2 block mean); each scale entry adds the carried features from the previous
+    resizing; each scale entry adds the carried features from the previous
     stage; decoder levels merge encoder skips through 1x1 convs. The carried
     state for the next stage is the decoder feature triple (before the final
     image conv).
