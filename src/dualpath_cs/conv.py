@@ -1,56 +1,23 @@
-"""Convolution kernels routed through im2col + BLAS gemm.
+"""Convolutions as sums of shifted-tap gemms, with no column matrix.
 
-The input gradient of a strided cross-correlation is computed as a stride-1
-cross-correlation of the (zero-dilated, re-padded) output gradient with the
-spatially flipped, channel-swapped kernel, so forward and backward share one
-gemm core. The im2col matrix is kept on the tape node and reused for the
-weight gradient. Backward returns None for a constant parent (one with
-`requires_grad=False`) and skips that parent's gemm and im2col.
+`conv2d` pads its input once into a [Cin, N*Hp*Wp + kw-1] buffer: each channel
+is one flat row holding the N padded planes end to end, then kw-1 zeros. Kernel
+tap (i, j) reads the contiguous window of every row that starts at i*Wp + j, so
+the stride-1 output, laid out Wp wide with the N planes end to end, is the sum
+of kh*kw gemms `w[:, :, i, j] @ window`. The columns and rows of that layout
+whose window wraps into the next row or plane are dropped, and a strided conv
+also keeps only every stride-th row and column of what remains. Backward
+scatters the output gradient into the same wide layout, with zeros in every
+dropped place, and runs the same windows: `g_wide @ window.T` is the weight
+gradient of a tap, and `w[:, :, i, j].T @ g_wide`, added into a padded buffer,
+the input gradient. Only the padded input stays on the tape. Backward returns
+None for a constant parent (one with `requires_grad=False`) and skips its gemms.
 """
 
 import numpy as np
 
 from .autograd import make
 from .errors import DimensionError, GeometryError
-
-
-def _im2col(x, kh, kw, stride, pad):
-    n, c, h, w = x.shape
-    hp, wp = h + 2 * pad, w + 2 * pad
-    if pad > 0:
-        xp = np.zeros((n, c, hp, wp), dtype=x.dtype)
-        xp[:, :, pad:pad + h, pad:pad + w] = x
-    else:
-        xp = x
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    s = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, c, kh, kw, ho, wo),
-        strides=(s[0], s[1], s[2], s[3], s[2] * stride, s[3] * stride),
-    )
-    cols = np.ascontiguousarray(windows.transpose(0, 4, 5, 1, 2, 3))
-    return cols.reshape(n * ho * wo, c * kh * kw), ho, wo
-
-
-def _conv_forward(x, w, b, stride, pad):
-    cout = w.shape[0]
-    cols, ho, wo = _im2col(x, w.shape[2], w.shape[3], stride, pad)
-    out = cols @ w.reshape(cout, -1).T
-    if b is not None:
-        out += b
-    n = x.shape[0]
-    return out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2), cols, ho, wo
-
-
-def _dilate(y, stride, extra_h, extra_w):
-    if stride == 1 and extra_h == 0 and extra_w == 0:
-        return y
-    n, c, h, w = y.shape
-    out = np.zeros((n, c, (h - 1) * stride + 1 + extra_h, (w - 1) * stride + 1 + extra_w), dtype=y.dtype)
-    out[:, :, ::stride, ::stride][:, :, :h, :w] = y
-    return out
 
 
 def conv2d(x, w, b=None, stride=1, padding=0):
@@ -74,27 +41,48 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     if b is not None and b.data.shape != (w.shape[0],):
         raise DimensionError("conv2d bias must be [Cout]")
 
-    out, cols, ho, wo = _conv_forward(x.data, w.data, None if b is None else b.data, stride, padding)
     cout = w.shape[0]
-    wd = w.data
+    hp, wp = h + 2 * padding, wdt + 2 * padding
+    plane = hp * wp
+    span = (n - 1) * plane + (hp - kh + 1) * wp  # window length: to the end of the last plane's output rows
+    offsets = [(i, j, i * wp + j) for i in range(kh) for j in range(kw)]
+    keep = (slice(None), slice(None), slice(None, hp - kh + 1, stride), slice(None, wp - kw + 1, stride))
+    inner = (slice(None), slice(None), slice(padding, padding + h), slice(padding, padding + wdt))
+
+    def planes(flat):
+        return flat[:, :n * plane].reshape(flat.shape[0], n, hp, wp)
+
+    xp = np.zeros((cin, n * plane + kw - 1), dtype=x.dtype)
+    planes(xp)[inner] = x.data.transpose(1, 0, 2, 3)
+    taps = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1))  # [kh, kw, Cout, Cin]
+    out_wide = np.zeros((cout, n * plane), dtype=x.dtype)
+    for i, j, off in offsets:
+        out_wide[:, :span] += taps[i, j] @ xp[:, off:off + span]
+    out = np.ascontiguousarray(planes(out_wide)[keep].transpose(1, 0, 2, 3))
+    if b is not None:
+        out += b.data[:, None, None]
     need_x, need_w = x.requires_grad, w.requires_grad
 
     def bwd(g):
-        g_mat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(-1, cout)
-        dw = (cols.T @ g_mat).T.reshape(cout, cin, kh, kw) if need_w else None
-        dx = None
+        g_wide = np.zeros((cout, n * plane), dtype=g.dtype)
+        planes(g_wide)[keep] = g.transpose(1, 0, 2, 3)
+        g_wide = g_wide[:, :span]
+        dw = dx = None
+        if need_w:
+            dw = np.empty_like(w.data)
+            for i, j, off in offsets:
+                dw[:, :, i, j] = g_wide @ xp[:, off:off + span].T
         if need_x:
-            extra_h = (h + 2 * padding - kh) - (ho - 1) * stride
-            extra_w = (wdt + 2 * padding - kw) - (wo - 1) * stride
-            gd = _dilate(g, stride, extra_h, extra_w)
-            w_swap = np.ascontiguousarray(wd.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-            dx, _, _, _ = _conv_forward(gd, w_swap, None, 1, kh - 1 - padding)
+            dxp = np.zeros_like(xp)
+            for i, j, off in offsets:
+                dxp[:, off:off + span] += taps[i, j].T @ g_wide
+            dx = np.ascontiguousarray(planes(dxp)[inner].transpose(1, 0, 2, 3))
         if b is None:
             return dx, dw
-        return dx, dw, g_mat.sum(axis=0)
+        return dx, dw, g.sum(axis=(0, 2, 3))
 
     parents = (x, w) if b is None else (x, w, b)
-    return make(np.ascontiguousarray(out), parents, bwd)
+    return make(out, parents, bwd)
 
 
 def conv_transpose2x(x, w, b=None):

@@ -1,6 +1,7 @@
 """Differentiable-op registry for gradient verification.
 
-Each case draws a small random instance (<= 64 elements per input) and returns
+Each case draws a small random instance (at most about a hundred elements per
+input) and returns
 (build, arrays): `build` maps Tensors to a scalar loss (a fixed random
 weighting of the op output), `arrays` are the float inputs to differentiate.
 """
@@ -182,6 +183,23 @@ def case_conv2d_nopad(rng):
     w = rng.standard_normal((2, 1, 3, 3))
     reduce = _weighted((1, 2, 3, 3), rng)
     return lambda xx, ww: reduce(conv2d(xx, ww, stride=1, padding=0)), [x, w]
+
+
+def case_conv2d_wide_kernel(rng):
+    """7x7 taps on a non-square input narrower than the kernel: a swapped Hp/Wp
+    or a short tail of the padded buffer would misplace taps."""
+    x = rng.standard_normal((1, 2, 5, 9))
+    w = rng.standard_normal((1, 2, 7, 7))
+    b = rng.standard_normal(1)
+    reduce = _weighted((1, 1, 5, 9), rng)
+    return lambda xx, ww, bb: reduce(conv2d(xx, ww, bb, stride=1, padding=3)), [x, w, b]
+
+
+def case_conv2d_pointwise(rng):
+    x = rng.standard_normal((2, 3, 2, 5))
+    w = rng.standard_normal((2, 3, 1, 1))
+    reduce = _weighted((2, 2, 2, 5), rng)
+    return lambda xx, ww: reduce(conv2d(xx, ww)), [x, w]
 
 
 def case_conv_transpose2x(rng):
