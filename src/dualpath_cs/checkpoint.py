@@ -23,12 +23,14 @@ import struct
 import numpy as np
 
 from .errors import (
+    CheckpointFormatError,
     CheckpointMagicError,
     CheckpointMismatchError,
     CheckpointTruncatedError,
     CheckpointVersionError,
     ContractError,
 )
+from .training import TrainConfig
 
 MAGIC = b"DPHDUNCK"
 VERSION = 1
@@ -55,6 +57,13 @@ class _Reader:
 
     def u8(self):
         return self.take(1)[0]
+
+    def text(self, what):
+        raw = self.take(self.u32())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise CheckpointFormatError(f"{what} is not UTF-8: {err}") from None
 
 
 def _tensor_entry(name, arr):
@@ -84,9 +93,37 @@ def checkpoint_state(model, epoch=0, config=None):
     return header, tensors
 
 
+def _is_count(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_header(header):
+    if not isinstance(header, dict) or not {"config", "epoch", "steps"} <= set(header):
+        raise CheckpointFormatError("header must be an object with config, epoch and steps")
+    if not isinstance(header["config"], dict):
+        raise CheckpointFormatError("header config must be an object")
+    if not _is_count(header["epoch"]):
+        raise CheckpointFormatError(f"header epoch must be an integer >= 0, got {header['epoch']!r}")
+    steps = header["steps"]
+    if not (isinstance(steps, dict) and all(_is_count(v) for v in steps.values())):
+        raise CheckpointFormatError("header steps must map parameter names to integers >= 0")
+
+
 def save_checkpoint(path, model, epoch=0, config=None):
+    """Write the model's parameters and Adam state. `config` is None, a TrainConfig
+    or a JSON-serializable dict; anything else, or an epoch that is not an
+    integer >= 0, raises ContractError before the file is opened."""
+    if isinstance(config, TrainConfig):
+        config = config.to_dict()
+    if not (config is None or isinstance(config, dict)):
+        raise ContractError(f"config must be a TrainConfig or a dict, got {type(config).__name__}")
+    if not _is_count(epoch):
+        raise ContractError(f"epoch must be an integer >= 0, got {epoch!r}")
     header, tensors = checkpoint_state(model, epoch=epoch, config=config)
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    try:
+        header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    except (TypeError, ValueError) as err:
+        raise ContractError(f"checkpoint header is not JSON-serializable: {err}") from None
     entries = [_tensor_entry(name, arr) for name, arr in tensors]
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -109,11 +146,15 @@ def load_checkpoint(path):
     version = reader.u32()
     if version != VERSION:
         raise CheckpointVersionError(version, VERSION)
-    header = json.loads(reader.take(reader.u32()).decode())
+    try:
+        header = json.loads(reader.text("header"))
+    except (json.JSONDecodeError, RecursionError) as err:
+        raise CheckpointFormatError(f"header is not JSON: {err!r}") from None
+    _check_header(header)
     count = reader.u32()
     tensors = {}
     for _ in range(count):
-        name = reader.take(reader.u32()).decode()
+        name = reader.text("tensor name")
         rank = reader.u8()
         code = reader.u8()
         if code not in _CODE_DTYPES:

@@ -62,5 +62,9 @@ class CheckpointTruncatedError(CheckpointError):
     """File ended before the declared payload was read."""
 
 
+class CheckpointFormatError(CheckpointError):
+    """The header or a tensor name does not decode, or the header lacks a field."""
+
+
 class CheckpointMismatchError(CheckpointError):
     """Checkpoint entries do not match the model they are restored into."""

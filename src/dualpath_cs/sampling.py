@@ -5,6 +5,9 @@ flattened row-major and measured by two learnable per-block matrices whose row
 counts split the measurement budget round(gamma * B^2) in a configured ratio.
 """
 
+import math
+from numbers import Integral, Real
+
 import numpy as np
 
 from . import ops
@@ -15,6 +18,18 @@ from .nn import Module, Parameter
 
 def round_half_up(x):
     return int(np.floor(x + 0.5))
+
+
+def is_integer(value):
+    """An integral number that is not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def is_finite_real(value):
+    """A real number that is not a bool, NaN or infinite."""
+    if is_integer(value):
+        return True
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def blockify(x, block_size):
@@ -83,13 +98,14 @@ class DualSampler(Module):
 
 def split_rows(gamma, split, block_size):
     """Measurement budget and its split: M_total = round(gamma*B^2), M1:M2 ~ s1:s2."""
-    if not (0.0 < gamma <= 1.0):
-        raise ConfigError(f"gamma must lie in (0, 1], got {gamma}")
+    if not (is_finite_real(gamma) and 0.0 < gamma <= 1.0):
+        raise ConfigError(f"gamma must lie in (0, 1], got {gamma!r}")
+    if not (isinstance(split, (tuple, list)) and len(split) == 2
+            and all(is_finite_real(s) and s > 0 for s in split)):
+        raise ConfigError(f"split must be two positive numbers, got {split!r}")
     s1, s2 = split
-    if s1 <= 0 or s2 <= 0:
-        raise ConfigError(f"split components must be positive, got {split}")
-    if block_size < 2:
-        raise ConfigError(f"block size must be >= 2, got {block_size}")
+    if not (is_integer(block_size) and block_size >= 2):
+        raise ConfigError(f"block size must be an integer >= 2, got {block_size!r}")
     m_total = round_half_up(gamma * block_size * block_size)
     if m_total < 2:
         raise ConfigError(f"measurement budget {m_total} too small to split between two branches")

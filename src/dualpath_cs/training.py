@@ -10,6 +10,7 @@ from .errors import ConfigError, ContractError, IngestionError, TrainingDivergen
 from .metrics import psnr
 from .model import DualPathModel
 from .nn import Adam
+from .sampling import is_finite_real, is_integer, split_rows
 
 
 @dataclass
@@ -28,15 +29,26 @@ class TrainConfig:
     freeze_sampler: bool = False
 
     def __post_init__(self):
+        """Reject any field outside its legal range with ConfigError."""
+        split_rows(self.gamma, self.split, self.block_size)
         self.split = tuple(self.split)
-        self.betas = tuple(self.betas)
+        for name, least in (("stages", 1), ("channels", 1), ("batch_size", 1), ("patch_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (is_integer(value) and value >= least):
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         align = 4 * self.block_size
         if self.patch_size % align:
             raise ConfigError(f"patch size {self.patch_size} must be divisible by 4*block_size={align}")
-        if self.lr <= 0 or self.batch_size < 1:
-            raise ConfigError("rates and counts must be positive")
-        if not (0.0 < self.rho <= 1.0):
-            raise ConfigError(f"rho must lie in (0, 1], got {self.rho}")
+        if not (is_finite_real(self.rho) and 0.0 < self.rho <= 1.0):
+            raise ConfigError(f"rho must lie in (0, 1], got {self.rho!r}")
+        if not (is_finite_real(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be a positive finite number, got {self.lr!r}")
+        if not (isinstance(self.betas, (tuple, list)) and len(self.betas) == 2
+                and all(is_finite_real(b) and 0.0 <= b < 1.0 for b in self.betas)):
+            raise ConfigError(f"betas must be two numbers in [0, 1), got {self.betas!r}")
+        self.betas = tuple(self.betas)
+        if not isinstance(self.freeze_sampler, bool):
+            raise ConfigError(f"freeze_sampler must be a bool, got {self.freeze_sampler!r}")
 
     def to_dict(self):
         d = asdict(self)
@@ -46,6 +58,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d):
+        if not isinstance(d, dict):
+            raise ConfigError(f"config must be a dict, got {type(d).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(d) - known
         if unknown:

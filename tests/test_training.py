@@ -1,11 +1,14 @@
 """Training loop mechanics, determinism, and checkpoint persistence."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from dualpath_cs.autograd import no_grad, precision, tensor
 from dualpath_cs.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from dualpath_cs.errors import (
+    CheckpointFormatError,
     CheckpointMagicError,
     CheckpointMismatchError,
     CheckpointTruncatedError,
@@ -56,6 +59,20 @@ class TestTrainConfig:
     def test_unknown_fields_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig.from_dict({"gamma": 0.25, "bogus": 1})
+
+    def test_non_dict_rejected(self):
+        with pytest.raises(ConfigError):
+            TrainConfig.from_dict(None)
+
+    @pytest.mark.parametrize("field,value", [
+        ("lr", float("nan")), ("betas", (1.5, 0.999)), ("batch_size", 2.5), ("patch_size", 0),
+        ("stages", 0), ("channels", 0), ("channels", -3), ("split", (1,)), ("seed", -1),
+        ("gamma", "0.5"), ("block_size", 4.0), ("rho", float("nan")), ("betas", None),
+        ("freeze_sampler", "no"),
+    ])
+    def test_bad_field_rejected(self, field, value):
+        with pytest.raises(ConfigError):
+            tiny_config(**{field: value})
 
 
 class TestExtractPatches:
@@ -286,6 +303,65 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointTruncatedError):
+            load_checkpoint(path)
+
+
+class TestCheckpointFormat:
+    """A header or tensor name that does not decode, or a header that is not the
+    expected object, raises a CheckpointError subclass; the config may be given
+    as a TrainConfig, and anything unserializable is refused before writing."""
+
+    @staticmethod
+    def _saved_blob(path):
+        cfg = tiny_config()
+        save_checkpoint(path, build_model(cfg), config=cfg)
+        blob = path.read_bytes()
+        return blob, struct.unpack_from("<I", blob, 12)[0]
+
+    def test_config_object_stored_as_dict(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        self._saved_blob(path)
+        header, _ = load_checkpoint(path)
+        assert TrainConfig.from_dict(header["config"]) == tiny_config()
+
+    @pytest.mark.parametrize("kwargs", [
+        {"config": object()}, {"config": {"lr": object()}}, {"config": [1]}, {"epoch": -1},
+    ], ids=["object", "dict-of-object", "list", "negative-epoch"])
+    def test_bad_header_refused_before_writing(self, tmp_path, kwargs):
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(ContractError):
+            save_checkpoint(path, build_model(tiny_config()), **kwargs)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("first", [0x7B ^ 0x80, ord("x")], ids=["flipped-bit", "not-json"])
+    def test_corrupt_header_byte(self, tmp_path, first):
+        path = tmp_path / "m.ckpt"
+        blob = bytearray(self._saved_blob(path)[0])
+        assert blob[16] == 0x7B
+        blob[16] = first
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointFormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [
+        b"[1]", b'{"config":{},"epoch":0}', b'{"config":[],"epoch":0,"steps":{}}',
+        b'{"config":{},"epoch":-1,"steps":{}}', b'{"config":{},"epoch":0,"steps":{"fusion.weight":"x"}}',
+        b"[" * 100000,
+    ], ids=["list", "no-steps", "config-not-object", "negative-epoch", "step-not-integer", "deep-nesting"])
+    def test_header_must_be_the_expected_object(self, tmp_path, header):
+        path = tmp_path / "m.ckpt"
+        blob, length = self._saved_blob(path)
+        path.write_bytes(blob[:12] + struct.pack("<I", len(header)) + header + blob[16 + length:])
+        with pytest.raises(CheckpointFormatError):
+            load_checkpoint(path)
+
+    def test_tensor_name_not_utf8(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        blob, length = self._saved_blob(path)
+        blob = bytearray(blob)
+        blob[16 + length + 8] = 0xFF  # first byte of the first tensor name
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
 
 
