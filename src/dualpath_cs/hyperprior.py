@@ -1,8 +1,9 @@
 """Hyperprior learning branch.
 
-From the secondary measurement stream y1 this produces
+From the secondary stream's back-projection x1 = phi1T y1 and G1 = phi1T phi1
+this produces
   - signal guidance: refined estimate features plus its data-fidelity
-    gradient map, and
+    gradient map G1 r - x1 = phi1T(phi1 r - y1) at the refined estimate r, and
   - gradient guidance: a block-constant binary mask over the top fraction of
     blocks ranked by mean absolute gradient, and a per-pixel confidence map in
     the open interval (1, 2).
@@ -120,19 +121,18 @@ def build_hard_mask(block_scores, rho, block_size, hw):
 
 
 class HyperpriorBranch(Module):
-    """Full branch: adjoint back-projection, refinement, guidance generation."""
+    """Full branch: refinement of the phi1 back-projection, guidance generation."""
 
     def __init__(self, channels, rho, rng):
         self.refiner = RefinementNet(channels, rng)
         self.soft_net = SoftMapNet(channels, rng)
         self.rho = rho
 
-    def forward(self, y1, sampler, hw):
-        coarse = sampler.phi1.adjoint(y1, hw)
-        refined, feats = self.refiner(coarse)
-        grad_map = data_grad(sampler.phi1, refined, y1, hw)
-        scores = block_mean_abs_grad(grad_map, sampler.block_size)
-        hard = build_hard_mask(scores, self.rho, sampler.block_size, hw)
+    def forward(self, x1, gram1, block_size):
+        refined, feats = self.refiner(x1)
+        grad_map = data_grad(gram1, refined, x1)
+        scores = block_mean_abs_grad(grad_map, block_size)
+        hard = build_hard_mask(scores, self.rho, block_size, x1.shape[2:])
         soft = self.soft_net(grad_map)
         signal = HyperpriorSignal(features=feats, grad_map=grad_map)
         return signal, GuidanceBundle(hard_mask=hard, soft_map=soft)

@@ -4,6 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ops
 from .autograd import Tensor, default_dtype
 from .errors import GeometryError
 from .hyperprior import GuidanceBundle, HyperpriorBranch, HyperpriorSignal
@@ -47,27 +48,26 @@ class DualPathModel(Module):
 
     def initial_state(self, hw):
         h, w = hw
-        c = self.channels
-        dt = default_dtype()
-        return (
-            Tensor(np.zeros((1, c, h, w), dtype=dt)),
-            Tensor(np.zeros((1, 2 * c, h // 2, w // 2), dtype=dt)),
-            Tensor(np.zeros((1, 4 * c, h // 4, w // 4), dtype=dt)),
-        )
+        shapes = [(1, self.channels << s, h >> s, w >> s) for s in range(3)]
+        return tuple(Tensor(np.zeros(shape, dtype=default_dtype())) for shape in shapes)
 
     def reconstruct(self, y1, y2, hw):
-        """Run the hyperprior branch and all K stages on given measurements."""
+        """Run the hyperprior branch and all K stages on given measurements; the
+        Gram-form data terms (x1, G1 = phi1T phi1, G and b) are built once here."""
         self.check_extents(hw)
-        signal, guidance = self.hyperprior(y1, self.sampler, hw)
-        x0 = initial_recon(self.sampler, y1, y2, self.fusion, hw)
-        trace = ReconstructionTrace(output=x0, signal=signal, guidance=guidance,
+        x, x1, x2 = initial_recon(self.sampler, y1, y2, self.fusion, hw)
+        gram1 = self.sampler.phi1.gram()
+        gram = ops.add(gram1, self.sampler.phi2.gram())
+        back = ops.add(x1, x2)
+        signal, guidance = self.hyperprior(x1, gram1, self.block_size)
+        del x1, x2, gram1  # the stages need only G and b; without a tape this frees them
+        trace = ReconstructionTrace(output=x, signal=signal, guidance=guidance,
                                     measurements=(y1, y2))
-        trace.stages.append(x0)
+        trace.stages.append(x)
         z = self.initial_state(hw)
-        x = x0
         for k, stage in enumerate(self.stages, start=1):
             m_stage = stage_factor(k, self.num_stages, hw, dtype=x.dtype)
-            x, z, p = stage(x, y1, y2, self.sampler, signal, guidance, m_stage, z)
+            x, z, p = stage(x, gram, back, signal, guidance, m_stage, z)
             trace.stages.append(x)
             trace.step_maps.append(p)
         trace.output = x
@@ -75,9 +75,8 @@ class DualPathModel(Module):
 
     def forward(self, image):
         """Sample an image and reconstruct it; returns the full trace."""
-        hw = (image.shape[2], image.shape[3])
         y1, y2 = sample(self.sampler, image)
-        return self.reconstruct(y1, y2, hw)
+        return self.reconstruct(y1, y2, image.shape[2:])
 
     def sampler_parameters(self):
         return [self.sampler.phi1.weights, self.sampler.phi2.weights]

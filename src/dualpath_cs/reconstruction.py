@@ -2,6 +2,7 @@
 
 Each of the K stages runs a gradient-descent step with a learned spatially
 varying step map (modulated by content guidance and relative stage progress)
+on the Gram-form data term G x - b, which the model builds once per forward,
 followed by a learned proximal mapping: pixel-token attention gated by the
 hard block mask, then a three-scale encoder-decoder whose features are
 modulated by the soft confidence map and carried across stages.
@@ -44,14 +45,9 @@ class StepSizeGenerator(Module):
         return self.out(ops.relu(self.conv2(ops.relu(self.conv1(self.gate(f_in))))))
 
 
-def hgdm_step(x_prev, y1, y2, sampler, p):
-    """r = x - p * (phi1T(phi1 x - y1) + phi2T(phi2 x - y2))."""
-    hw = (x_prev.shape[2], x_prev.shape[3])
-    grad = ops.add(
-        data_grad(sampler.phi1, x_prev, y1, hw),
-        data_grad(sampler.phi2, x_prev, y2, hw),
-    )
-    return ops.sub(x_prev, ops.mul(p, grad))
+def hgdm_step(x_prev, gram, back, p):
+    """r = x - p * (G x - b), i.e. x - p * (phi1T(phi1 x - y1) + phi2T(phi2 x - y2))."""
+    return ops.sub(x_prev, ops.mul(p, data_grad(gram, x_prev, back)))
 
 
 class HardMaskedAttention(Module):
@@ -160,9 +156,9 @@ class ReconstructionStage(Module):
         self.hard_att = HardMaskedAttention(channels, rng)
         self.soft_unet = SoftGuidedUNet(channels, rng)
 
-    def forward(self, x_prev, y1, y2, sampler, signal, guidance, stage_map, z_prev):
+    def forward(self, x_prev, gram, back, signal, guidance, stage_map, z_prev):
         p = self.step_gen(signal, stage_map)
-        r = hgdm_step(x_prev, y1, y2, sampler, p)
+        r = hgdm_step(x_prev, gram, back, p)
         att = self.hard_att(r, guidance.hard_mask)
         x_next, z_next = self.soft_unet(att, z_prev, guidance.soft_map)
         return x_next, z_next, p

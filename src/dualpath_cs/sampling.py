@@ -3,6 +3,8 @@
 An image is split into non-overlapping BxB blocks (row-major); each block is
 flattened row-major and measured by two learnable per-block matrices whose row
 counts split the measurement budget round(gamma * B^2) in a configured ratio.
+Reconstruction uses them in Gram form: G = sum_i phi_iT phi_i and the
+back-projection b = sum_i phi_iT y_i, so a data-fidelity gradient is G x - b.
 """
 
 import math
@@ -81,6 +83,11 @@ class BlockSensingMatrix(Module):
         blocks = ops.matmul(y, self.weights.value)
         return unblockify(blocks, b, hw)
 
+    def gram(self):
+        """phiT phi [B*B, B*B]: the per-block normal operator."""
+        w = self.weights.value
+        return ops.matmul(ops.transpose(w, (1, 0)), w)
+
 
 class DualSampler(Module):
     """Pair of sensing matrices (phi1, phi2) sharing one block grid."""
@@ -90,10 +97,6 @@ class DualSampler(Module):
             raise ConfigError("phi1 and phi2 must share the block size")
         self.phi1 = phi1
         self.phi2 = phi2
-
-    @property
-    def block_size(self):
-        return self.phi1.block_size
 
 
 def split_rows(gamma, split, block_size):
@@ -129,15 +132,17 @@ def sample(sampler, x):
     return sampler.phi1.apply(x), sampler.phi2.apply(x)
 
 
-def data_grad(phi, x, y, hw=None):
-    """Data-fidelity gradient phiT(phi x - y) at the image x."""
-    hw = hw or (x.shape[2], x.shape[3])
-    residual = ops.sub(phi.apply(x), y)
-    return phi.adjoint(residual, hw)
+def data_grad(gram, x, back):
+    """sum_i phi_iT(phi_i x - y_i) as G x - b, given G = sum_i phi_iT phi_i and
+    back = sum_i phi_iT y_i; G is symmetric, so block rows multiply it on the right."""
+    b = math.isqrt(gram.shape[0])
+    blocks = ops.matmul(blockify(x, b), gram)
+    return ops.sub(unblockify(blocks, b, (x.shape[2], x.shape[3])), back)
 
 
 def initial_recon(sampler, y1, y2, fuse_conv, hw):
-    """Fuse the two adjoint back-projections into the initial estimate."""
+    """Fuse the two adjoint back-projections x1 = phi1T y1 and x2 = phi2T y2
+    into the initial estimate; returns (x0, x1, x2)."""
     x1 = sampler.phi1.adjoint(y1, hw)
     x2 = sampler.phi2.adjoint(y2, hw)
-    return fuse_conv(ops.concat([x1, x2], axis=1))
+    return fuse_conv(ops.concat([x1, x2], axis=1)), x1, x2

@@ -11,6 +11,7 @@ import numpy as np
 from dualpath_cs import ops
 from dualpath_cs.autograd import tensor
 from dualpath_cs.conv import conv2d, conv_transpose2x
+from dualpath_cs.sampling import BlockSensingMatrix, data_grad
 
 
 def _weighted(out_shape, rng):
@@ -157,6 +158,22 @@ def case_attention_multi_chunk(rng):
     q, k, v = (rng.standard_normal((5, 3)) for _ in range(3))
     reduce = _weighted((5, 3), rng)
     return lambda x, y, z: reduce(ops.scaled_dot_attention(x, y, z, chunk=2)), [q, k, v]
+
+
+def case_data_grad_gram(rng):
+    """G x - b with G = phi1T phi1 + phi2T phi2: each phi's gradient arrives
+    through both factors of its Gram matrix."""
+    x = rng.standard_normal((1, 1, 4, 6))
+    w1, w2 = rng.standard_normal((2, 4)), rng.standard_normal((1, 4))
+    back = rng.standard_normal((1, 1, 4, 6))
+    phi1, phi2 = BlockSensingMatrix(2, 2, w1), BlockSensingMatrix(1, 2, w2)
+    reduce = _weighted((1, 1, 4, 6), rng)
+
+    def build(xx, ww1, ww2, bb):
+        phi1.weights.value, phi2.weights.value = ww1, ww2
+        return reduce(data_grad(ops.add(phi1.gram(), phi2.gram()), xx, bb))
+
+    return build, [x, w1, w2, back]
 
 
 def case_conv2d(rng):

@@ -130,6 +130,11 @@ class TestBranch:
         branch = HyperpriorBranch(8, rho, np.random.default_rng(seed + 1))
         return branch, sampler
 
+    @staticmethod
+    def _run(branch, sampler, y1):
+        """The branch on the Gram-form inputs the model builds from y1 of an 8x8 image."""
+        return branch(sampler.phi1.adjoint(y1, (8, 8)), sampler.phi1.gram(), sampler.phi1.block_size)
+
     def test_zero_measurements_trivial_composition(self):
         branch, sampler = self._branch_and_sampler()
         for p in branch.parameters():
@@ -137,7 +142,7 @@ class TestBranch:
                 p.data = np.zeros_like(p.data)
         nb = 4
         y1 = tensor(np.zeros((nb, sampler.phi1.rows), dtype=np.float32))
-        signal, guidance = branch(y1, sampler, (8, 8))
+        signal, guidance = self._run(branch, sampler, y1)
         assert np.allclose(signal.grad_map.data, 0.0)
         assert np.allclose(guidance.soft_map.data, 1.5)
         mask = guidance.hard_mask.data[0, 0]
@@ -149,7 +154,7 @@ class TestBranch:
         for trial in range(50):
             x = tensor(rng.uniform(0, 1, (1, 1, 8, 8)).astype(np.float32))
             y1, _ = sample(sampler, x)
-            signal, guidance = branch(y1, sampler, (8, 8))
+            signal, guidance = self._run(branch, sampler, y1)
             mask = guidance.hard_mask.data[0, 0]
             tiles = mask.reshape(2, b, 2, b)
             assert np.all(tiles.min(axis=(1, 3)) == tiles.max(axis=(1, 3)))
@@ -162,7 +167,7 @@ class TestBranch:
         branch, sampler = self._branch_and_sampler(seed=5)
         x = tensor(rng.uniform(0, 1, (1, 1, 8, 8)).astype(np.float32))
         y1, _ = sample(sampler, x)
-        signal, guidance = branch(y1, sampler, (8, 8))
+        signal, guidance = self._run(branch, sampler, y1)
         scores = block_mean_abs_grad(signal.grad_map, 4)
         expect = brute_force_topk(scores, 2)
         mask_blocks = guidance.hard_mask.data[0, 0].reshape(2, 4, 2, 4).mean(axis=(1, 3))
@@ -176,12 +181,12 @@ class TestBranch:
             sampler = DualSampler(BlockSensingMatrix(4, 2, q), BlockSensingMatrix(1, 2, q[:1].copy()))
             branch = HyperpriorBranch(8, 0.5, np.random.default_rng(1))
             y1, _ = sample(sampler, tensor(rng.standard_normal((1, 1, 8, 8))))
-            signal, _ = branch(y1, sampler, (8, 8))
+            signal, _ = self._run(branch, sampler, y1)
             assert np.abs(signal.grad_map.data).max() > 1e-3
             # A zero tail makes the refined estimate the coarse one, which is consistent.
             branch.refiner.tail.weight.data = np.zeros_like(branch.refiner.tail.weight.data)
             branch.refiner.tail.bias.data = np.zeros_like(branch.refiner.tail.bias.data)
-            signal, _ = branch(y1, sampler, (8, 8))
+            signal, _ = self._run(branch, sampler, y1)
         assert signal.grad_map.dtype == np.float64
         assert np.allclose(signal.grad_map.data, 0.0, rtol=0, atol=1e-13)
 
@@ -189,7 +194,7 @@ class TestBranch:
         branch, sampler = self._branch_and_sampler(seed=7)
         x = tensor(rng.uniform(0, 1, (1, 1, 8, 8)).astype(np.float32))
         y1, _ = sample(sampler, x)
-        signal, guidance = branch(y1, sampler, (8, 8))
+        signal, guidance = self._run(branch, sampler, y1)
         loss = ops.add(ops.reduce_sum(guidance.soft_map), ops.reduce_sum(guidance.hard_mask))
         backward(loss)
         assert branch.refiner.head.weight.value.grad is not None

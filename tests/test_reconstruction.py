@@ -38,6 +38,21 @@ def orthonormal_dual_sampler(block_size, seed):
     )
 
 
+def gram_terms(sampler, y1, y2, hw):
+    """(G, b) = (phi1T phi1 + phi2T phi2, phi1T y1 + phi2T y2) for hgdm_step."""
+    gram = ops.add(sampler.phi1.gram(), sampler.phi2.gram())
+    back = ops.add(sampler.phi1.adjoint(y1, hw), sampler.phi2.adjoint(y2, hw))
+    return gram, back
+
+
+def two_stream_step(x, y1, y2, sampler, p):
+    """Oracle: x - p * (phi1T(phi1 x - y1) + phi2T(phi2 x - y2)), one stream at a time."""
+    hw = (x.shape[2], x.shape[3])
+    grads = [phi.adjoint(ops.sub(phi.apply(x), y), hw)
+             for phi, y in ((sampler.phi1, y1), (sampler.phi2, y2))]
+    return ops.sub(x, ops.mul(p, ops.add(grads[0], grads[1])))
+
+
 def stacked_residual_norm(sampler, x, y1, y2):
     s1, s2 = sample(sampler, x)
     r1 = s1.data - y1.data
@@ -106,7 +121,7 @@ class TestGradientStep:
             x = tensor(rng.standard_normal((1, 1, 4, 4)))
             y1, y2 = sample(sampler, x)
             p = tensor(np.zeros((1, 1, 4, 4)))
-            r = hgdm_step(x, y1, y2, sampler, p)
+            r = hgdm_step(x, *gram_terms(sampler, y1, y2, (4, 4)), p)
             assert np.array_equal(r.data, x.data)
 
     def test_consistent_point_is_fixed_for_any_step(self, rng):
@@ -115,7 +130,7 @@ class TestGradientStep:
             x = tensor(rng.standard_normal((1, 1, 4, 4)))
             y1, y2 = sample(sampler, x)
             p = tensor(rng.standard_normal((1, 1, 4, 4)))
-            r = hgdm_step(x, y1, y2, sampler, p)
+            r = hgdm_step(x, *gram_terms(sampler, y1, y2, (4, 4)), p)
             assert np.allclose(r.data, x.data, atol=1e-12)
 
     def test_matches_dense_matrix_oracle(self, rng):
@@ -133,11 +148,37 @@ class TestGradientStep:
             xt = tensor(x)
             y1, y2 = sample(sampler, xt)
             p = tensor(np.full((1, 1, 4, 4), alpha))
-            got = hgdm_step(xt, y1, y2, sampler, p).data.reshape(-1)
+            got = hgdm_step(xt, *gram_terms(sampler, y1, y2, (4, 4)), p).data.reshape(-1)
             xv = x.reshape(-1)
             expect = xv - alpha * (d1.T @ (d1 @ xv - y1.data.reshape(-1))
                                    + d2.T @ (d2 @ xv - y2.data.reshape(-1)))
-            assert np.allclose(got, expect, atol=1e-5)
+            assert np.allclose(got, expect, atol=1e-12)
+
+    def test_gram_form_matches_two_stream_oracle(self, rng):
+        # Value and gradients w.r.t. x, phi1 and phi2: phi reaches the Gram
+        # form through G = phiT phi (both factors) and through b = phiT y.
+        with precision("f64"):
+            sampler = DualSampler(BlockSensingMatrix(3, 4, rng.standard_normal((3, 16))),
+                                  BlockSensingMatrix(5, 4, rng.standard_normal((5, 16))))
+            y1, y2 = (tensor(y.data) for y in sample(sampler, tensor(rng.standard_normal((1, 1, 8, 12)))))
+            x = rng.standard_normal((1, 1, 8, 12))
+            p = tensor(rng.uniform(0.1, 0.9, (1, 1, 8, 12)))
+            weight = tensor(rng.standard_normal((1, 1, 8, 12)))
+            params = [sampler.phi1.weights.value, sampler.phi2.weights.value]
+
+            def run(step):
+                xt = tensor(x, requires_grad=True)
+                for w in params:
+                    w.grad = None
+                r = step(xt)
+                backward(ops.reduce_sum(ops.mul(r, weight)))
+                return [r.data, xt.grad] + [w.grad for w in params]
+
+            gram_form = run(lambda xt: hgdm_step(xt, *gram_terms(sampler, y1, y2, (8, 12)), p))
+            oracle = run(lambda xt: two_stream_step(xt, y1, y2, sampler, p))
+        for got, expect in zip(gram_form, oracle):
+            assert np.abs(expect).max() > 1e-3
+            assert np.allclose(got, expect, rtol=0, atol=1e-12)
 
     def test_classical_descent_oracle(self, rng):
         # constant scalar step, identity proximal, orthonormal full-rate sampler:
@@ -149,8 +190,9 @@ class TestGradientStep:
             x = tensor(np.zeros((1, 1, 16, 16)))
             p = tensor(np.full((1, 1, 16, 16), 0.5))
             norms = [stacked_residual_norm(sampler, x, y1, y2)]
+            gram, back = gram_terms(sampler, y1, y2, (16, 16))
             for _ in range(20):
-                x = hgdm_step(x, y1, y2, sampler, p)
+                x = hgdm_step(x, gram, back, p)
                 norms.append(stacked_residual_norm(sampler, x, y1, y2))
             assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
             assert norms[-1] < 1e-3 * norms[0]
@@ -301,13 +343,15 @@ class TestUnrolledModel:
         trace = model(x)
 
         y1, y2 = sample(model.sampler, x)
-        signal, guidance = model.hyperprior(y1, model.sampler, (16, 16))
-        x0 = initial_recon(model.sampler, y1, y2, model.fusion, (16, 16))
+        x0, back1, back2 = initial_recon(model.sampler, y1, y2, model.fusion, (16, 16))
+        gram1 = model.sampler.phi1.gram()
+        gram = ops.add(gram1, model.sampler.phi2.gram())
+        signal, guidance = model.hyperprior(back1, gram1, 4)
         stage = model.stages[0]
         p = stage.step_gen(signal, sf(1, 1, (16, 16)))
         from dualpath_cs.reconstruction import hgdm_step as step
 
-        r = step(x0, y1, y2, model.sampler, p)
+        r = step(x0, gram, ops.add(back1, back2), p)
         att = stage.hard_att(r, guidance.hard_mask)
         x1, _ = stage.soft_unet(att, model.initial_state((16, 16)), guidance.soft_map)
         assert np.array_equal(trace.output.data, x1.data)

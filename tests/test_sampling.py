@@ -167,7 +167,7 @@ class TestDataGrad:
             phi = BlockSensingMatrix(4, 2, np.eye(4))
             x = tensor(rng.standard_normal((1, 1, 4, 4)))
             y = phi.apply(x)
-            g = data_grad(phi, x, y)
+            g = data_grad(phi.gram(), x, phi.adjoint(y, (4, 4)))
             assert np.allclose(g.data, 0.0, atol=1e-12)
 
     def test_dense_oracle_with_zero_measurements(self, rng):
@@ -176,7 +176,7 @@ class TestDataGrad:
             dense = dense_block_operator(phi, (4, 4))
             x = rng.standard_normal((1, 1, 4, 4))
             y = tensor(np.zeros((4, 3)))
-            got = data_grad(phi, tensor(x), y).data.reshape(-1)
+            got = data_grad(phi.gram(), tensor(x), phi.adjoint(y, (4, 4))).data.reshape(-1)
             assert np.allclose(got, dense.T @ (dense @ x.reshape(-1)), atol=1e-12)
 
     def test_joint_linearity(self, rng):
@@ -184,8 +184,8 @@ class TestDataGrad:
             phi = BlockSensingMatrix(2, 2, rng.standard_normal((2, 4)))
             x = tensor(rng.standard_normal((1, 1, 4, 4)))
             y = tensor(rng.standard_normal((4, 2)))
-            full = data_grad(phi, x, y).data
-            no_y = data_grad(phi, x, tensor(np.zeros((4, 2)))).data
+            full = data_grad(phi.gram(), x, phi.adjoint(y, (4, 4))).data
+            no_y = data_grad(phi.gram(), x, phi.adjoint(tensor(np.zeros((4, 2))), (4, 4))).data
             adj = phi.adjoint(y, (4, 4)).data
             assert np.allclose(full, no_y - adj, atol=1e-12)
 
@@ -197,7 +197,7 @@ class TestInitialRecon:
         nb = 4
         y1 = tensor(np.zeros((nb, sampler.phi1.rows)))
         y2 = tensor(np.zeros((nb, sampler.phi2.rows)))
-        out = initial_recon(sampler, y1, y2, fuse, (8, 8))
+        out, _, _ = initial_recon(sampler, y1, y2, fuse, (8, 8))
         assert out.shape == (1, 1, 8, 8)
         assert np.allclose(out.data, 0.0)
 
@@ -206,7 +206,7 @@ class TestInitialRecon:
         fuse = Conv2d(2, 1, 3, np.random.default_rng(6))
         x = tensor(rng.standard_normal((1, 1, 12, 8)).astype(np.float32))
         y1, y2 = sample(sampler, x)
-        out = initial_recon(sampler, y1, y2, fuse, (12, 8))
+        out, _, _ = initial_recon(sampler, y1, y2, fuse, (12, 8))
         assert out.shape == (1, 1, 12, 8)
 
     def test_channel_copy_kernel_recovers_adjoint(self, rng):
@@ -216,9 +216,11 @@ class TestInitialRecon:
         fuse.bias.data = np.zeros(1, dtype=np.float32)
         x = tensor(rng.standard_normal((1, 1, 8, 8)).astype(np.float32))
         y1, y2 = sample(sampler, x)
-        out = initial_recon(sampler, y1, y2, fuse, (8, 8))
+        out, x1, x2 = initial_recon(sampler, y1, y2, fuse, (8, 8))
         expect = sampler.phi1.adjoint(y1, (8, 8))
         assert np.allclose(out.data, expect.data, atol=1e-6)
+        assert np.array_equal(x1.data, expect.data)
+        assert np.array_equal(x2.data, sampler.phi2.adjoint(y2, (8, 8)).data)
 
 
 class TestBlockViews:
