@@ -18,6 +18,7 @@ file can never leave a half-restored model.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -44,6 +45,8 @@ class _Reader:
         self.pos = 0
 
     def take(self, n):
+        if n < 0:
+            raise CheckpointFormatError(f"negative byte count {n} at offset {self.pos}")
         if self.pos + n > len(self.blob):
             raise CheckpointTruncatedError(
                 f"needed {n} bytes at offset {self.pos}, file has {len(self.blob)}"
@@ -158,11 +161,10 @@ def load_checkpoint(path):
         rank = reader.u8()
         code = reader.u8()
         if code not in _CODE_DTYPES:
-            raise CheckpointTruncatedError(f"unknown dtype code {code} for {name}")
+            raise CheckpointFormatError(f"unknown dtype code {code} for {name}")
         shape = struct.unpack(f"<{rank}I", reader.take(4 * rank)) if rank else ()
         dtype = _CODE_DTYPES[code]
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize if shape else dtype.itemsize
-        raw = reader.take(nbytes)
+        raw = reader.take(math.prod(shape) * dtype.itemsize)  # Python ints: no overflow
         tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
     return header, tensors
 

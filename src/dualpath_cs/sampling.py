@@ -28,10 +28,13 @@ def is_integer(value):
 
 
 def is_finite_real(value):
-    """A real number that is not a bool, NaN or infinite."""
-    if is_integer(value):
-        return True
-    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    """A real number, not a bool, that converts to a finite float (so 10**400 does not)."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
 
 
 def blockify(x, block_size):
@@ -106,13 +109,16 @@ def split_rows(gamma, split, block_size):
     if not (isinstance(split, (tuple, list)) and len(split) == 2
             and all(is_finite_real(s) and s > 0 for s in split)):
         raise ConfigError(f"split must be two positive numbers, got {split!r}")
-    s1, s2 = split
-    if not (is_integer(block_size) and block_size >= 2):
-        raise ConfigError(f"block size must be an integer >= 2, got {block_size!r}")
+    s1, s2 = (float(s) for s in split)
+    if not (is_integer(block_size) and block_size >= 2 and is_finite_real(block_size * block_size)):
+        raise ConfigError(f"block size must be an integer >= 2 with a finite square, got {block_size!r}")
     m_total = round_half_up(gamma * block_size * block_size)
     if m_total < 2:
         raise ConfigError(f"measurement budget {m_total} too small to split between two branches")
-    m1 = min(max(round_half_up(m_total * s1 / (s1 + s2)), 1), m_total - 1)
+    share = m_total * s1 / (s1 + s2)
+    if not math.isfinite(share):
+        raise ConfigError(f"split {split!r} overflows the share of a budget of {m_total}")
+    m1 = min(max(round_half_up(share), 1), m_total - 1)
     return m_total, m1, m_total - m1
 
 

@@ -63,7 +63,7 @@ class TrainConfig:
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(d) - known
         if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+            raise ConfigError(f"unknown config fields: {', '.join(sorted(map(repr, unknown)))}")
         return cls(**d)
 
 
@@ -96,10 +96,13 @@ def extract_patches(image, patch, stride=None, augment=False, seed=0):
     arr = np.asarray(image, dtype=np.float64)
     if arr.ndim != 2:
         raise IngestionError(f"expected a 2-d grayscale image, got shape {arr.shape}")
+    stride = patch if stride is None else stride
+    for name, value in (("patch", patch), ("stride", stride)):
+        if not (is_integer(value) and value >= 1):
+            raise ContractError(f"{name} must be an integer >= 1, got {value!r}")
     h, w = arr.shape
     if h < patch or w < patch:
         raise IngestionError(f"image {h}x{w} smaller than patch {patch}")
-    stride = stride or patch
     rng = np.random.default_rng(seed)
     patches = []
     for i in range(0, h - patch + 1, stride):

@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualpath_cs.autograd import no_grad, precision, tensor
 from dualpath_cs.checkpoint import load_checkpoint, restore_model, save_checkpoint
@@ -69,10 +71,44 @@ class TestTrainConfig:
         ("stages", 0), ("channels", 0), ("channels", -3), ("split", (1,)), ("seed", -1),
         ("gamma", "0.5"), ("block_size", 4.0), ("rho", float("nan")), ("betas", None),
         ("freeze_sampler", "no"),
+        pytest.param("block_size", 10**200, id="block_size-1e200"),
+        pytest.param("lr", 10**400, id="lr-1e400"),
+        pytest.param("split", (1e308, 1e308), id="split-overflowing-share"),
     ])
     def test_bad_field_rejected(self, field, value):
         with pytest.raises(ConfigError):
             tiny_config(**{field: value})
+
+    def test_unknown_fields_of_mixed_key_types_rejected(self):
+        with pytest.raises(ConfigError, match="unknown config fields: 'bogus', 1"):
+            TrainConfig.from_dict({"gamma": 0.25, "bogus": 1, 1: 0})
+
+
+# Values of every kind a JSON-ish config could carry, from valid ones through
+# NaN, infinities, huge integers and wrong types.
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3),
+    st.integers(min_value=-4, max_value=80), st.integers(),
+    st.sampled_from([10**200, 10**400, -10**400, 2**63]),
+    st.floats(allow_nan=True, allow_infinity=True), st.floats(min_value=0.0, max_value=1.0),
+    st.fractions(),
+)
+_CONFIG_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3), st.tuples(_SCALARS, _SCALARS))
+_FIELDS = sorted(TrainConfig.__dataclass_fields__)
+
+
+class TestTrainConfigFuzz:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(
+        st.dictionaries(st.sampled_from(_FIELDS), _CONFIG_VALUES),
+        st.dictionaries(st.one_of(st.text(max_size=4), st.integers()), _CONFIG_VALUES, min_size=1),
+    ))
+    def test_from_dict_raises_only_config_error(self, d):
+        try:
+            cfg = TrainConfig.from_dict(d)
+        except ConfigError:
+            return
+        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
 
 class TestExtractPatches:
@@ -94,6 +130,17 @@ class TestExtractPatches:
     def test_too_small_rejected(self, rng):
         with pytest.raises(IngestionError):
             extract_patches(rng.uniform(0, 1, (16, 16)), 32)
+
+    @pytest.mark.parametrize("patch,stride", [
+        (-4, None), (0, None), (4.0, None), (True, None), ("4", None),
+        (4, 0), (4, -4), (4, 2.5), (4, False),
+    ])
+    def test_bad_patch_or_stride_rejected(self, rng, patch, stride):
+        with pytest.raises(ContractError):
+            extract_patches(rng.uniform(0, 1, (16, 16)), patch, stride=stride)
+
+    def test_explicit_stride_overlaps(self, rng):
+        assert len(extract_patches(rng.uniform(0, 1, (16, 16)), 8, stride=4)) == 9
 
 
 class TestTrainStep:
@@ -353,6 +400,27 @@ class TestCheckpointFormat:
         blob, length = self._saved_blob(path)
         path.write_bytes(blob[:12] + struct.pack("<I", len(header)) + header + blob[16 + length:])
         with pytest.raises(CheckpointFormatError):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _one_tensor_file(path, rank, code, extents):
+        """A checkpoint with one tensor entry and no payload after its extents."""
+        header, name = b'{"config":{},"epoch":0,"steps":{}}', b"w"
+        path.write_bytes(b"DPHDUNCK" + struct.pack("<II", 1, len(header)) + header
+                         + struct.pack("<II", 1, len(name)) + name
+                         + struct.pack(f"<BB{rank}I", rank, code, *extents))
+
+    def test_oversized_extents_are_truncation(self, tmp_path):
+        # Their byte count exceeds int64 and must not wrap to a negative read length.
+        path = tmp_path / "m.ckpt"
+        self._one_tensor_file(path, 2, 0, (0xFFFFFFFF, 0xFFFFFFFF))
+        with pytest.raises(CheckpointTruncatedError):
+            load_checkpoint(path)
+
+    def test_unknown_dtype_code_is_a_format_error(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        self._one_tensor_file(path, 1, 7, (1,))
+        with pytest.raises(CheckpointFormatError, match="dtype code 7"):
             load_checkpoint(path)
 
     def test_tensor_name_not_utf8(self, tmp_path):
