@@ -48,7 +48,7 @@ class DualPathModel(Module):
 
     def initial_state(self, hw):
         h, w = hw
-        shapes = [(1, self.channels << s, h >> s, w >> s) for s in range(3)]
+        shapes = [(1, self.channels * 2**s, h // 2**s, w // 2**s) for s in range(3)]
         return tuple(Tensor(np.zeros(shape, dtype=default_dtype())) for shape in shapes)
 
     def reconstruct(self, y1, y2, hw):

@@ -143,7 +143,7 @@ def data_grad(gram, x, back):
     back = sum_i phi_iT y_i; G is symmetric, so block rows multiply it on the right."""
     b = math.isqrt(gram.shape[0])
     blocks = ops.matmul(blockify(x, b), gram)
-    return ops.sub(unblockify(blocks, b, (x.shape[2], x.shape[3])), back)
+    return ops.sub(unblockify(blocks, b, x.shape[2:]), back)
 
 
 def initial_recon(sampler, y1, y2, fuse_conv, hw):
