@@ -2,14 +2,18 @@
 
 Tensors are immutable after creation except for gradient accumulation, which
 happens only inside :func:`backward`. Each differentiable op records its
-parents and a closure that maps the output gradient to per-parent gradients.
+parents, a closure that maps the output gradient to per-parent gradients, and
+a creation number. Backward consumes this tape: each node drops its closure,
+and with it every array the closure saved, once it has run.
 
 Precision is a process-global switch: float32 for training/inference and a
 float64 mode for gradient verification (finite differences in float32 are too
 noisy to check against).
 """
 
+import heapq
 from contextlib import contextmanager
+from itertools import count
 
 import numpy as np
 
@@ -20,6 +24,7 @@ _DTYPES = {"f32": np.float32, "f64": np.float64}
 _default_dtype = np.float32
 _grad_enabled = True
 _check_finite = False
+_creation = count()
 
 
 def set_default_dtype(mode):
@@ -73,7 +78,7 @@ def finite_checks(enabled=True):
 class Tensor:
     """Dense n-dimensional array with optional gradient tracking."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_seq")
 
     def __init__(self, data, requires_grad=False):
         if not isinstance(data, np.ndarray):
@@ -133,51 +138,43 @@ def make(data, parents, backward_fn):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
+        out._seq = next(_creation)
     return out
 
 
-def _toposort(root):
-    order = []
-    visited = set()
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in visited:
-                stack.append((p, False))
-    return order
+def _consumed(grad_out):
+    raise ContractError("backward through a graph that an earlier backward consumed")
+
+
+def _send(queue, node, g):
+    if node._backward_fn is _consumed:
+        _consumed(g)
+    if node.grad is None and node._backward_fn is not None:
+        heapq.heappush(queue, (-node._seq, node))
+    node.grad = g if node.grad is None else node.grad + g
 
 
 def backward(loss):
     """Accumulate d(loss)/d(t) into t.grad for every reachable requires_grad tensor.
 
-    Gradients of tensors not reachable from `loss` are left untouched. Repeated
-    calls accumulate (a sum of two losses equals two separate backward passes).
+    Nodes run newest first, after all of their consumers. The pass consumes the
+    graph, even if it raises: intermediates keep their .grad, but a later pass
+    that reaches one raises ContractError. Leaves accumulate across calls.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         return
-    order = _toposort(loss)
-    grads = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node.requires_grad:
-            node.grad = g if node.grad is None else node.grad + g
-        if node._backward_fn is None:
-            continue
-        parent_grads = node._backward_fn(g)
-        for parent, pg in zip(node._parents, parent_grads):
-            if pg is None or not parent.requires_grad:
-                continue
-            acc = grads.get(id(parent))
-            grads[id(parent)] = pg if acc is None else acc + pg
+    queue = []
+    _send(queue, loss, np.ones_like(loss.data))
+    try:
+        while queue:
+            node = heapq.heappop(queue)[1]
+            fn, parents = node._backward_fn, node._parents
+            node._backward_fn, node._parents = _consumed, ()
+            for parent, g in zip(parents, fn(node.grad)):
+                if g is not None and parent.requires_grad:
+                    _send(queue, parent, g)
+    finally:
+        for _, node in queue:
+            node._backward_fn, node._parents = _consumed, ()
