@@ -65,7 +65,7 @@ def no_grad():
 
 @contextmanager
 def finite_checks(enabled=True):
-    """Check every op output for NaN/Inf (slow; meant for tests)."""
+    """Check every op output and backward gradient for NaN/Inf (slow; meant for tests)."""
     global _check_finite
     saved = _check_finite
     _check_finite = enabled
@@ -121,8 +121,7 @@ class Tensor:
 
 def tensor(data, requires_grad=False, dtype=None):
     """Create a leaf tensor, cast to the global (or given) precision."""
-    arr = np.asarray(data, dtype=dtype or _default_dtype)
-    return Tensor(arr, requires_grad=requires_grad)
+    return Tensor(np.asarray(data, dtype=dtype or _default_dtype), requires_grad=requires_grad)
 
 
 def make(data, parents, backward_fn):
@@ -172,7 +171,10 @@ def backward(loss):
             node = heapq.heappop(queue)[1]
             fn, parents = node._backward_fn, node._parents
             node._backward_fn, node._parents = _consumed, ()
-            for parent, g in zip(parents, fn(node.grad)):
+            grads = fn(node.grad)
+            if _check_finite and not all(g is None or np.all(np.isfinite(g)) for g in grads):
+                raise NumericsError(f"non-finite gradient in the backward of {fn.__qualname__.split('.')[0]}")
+            for parent, g in zip(parents, grads):
                 if g is not None and parent.requires_grad:
                     _send(queue, parent, g)
     finally:

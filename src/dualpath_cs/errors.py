@@ -1,4 +1,20 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the number predicates its checks use."""
+
+import math
+from numbers import Integral, Real
+
+
+def is_integer(value):
+    """An integral number that is not a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def is_finite_real(value):
+    """A real number, not a bool, that converts to a finite float (so 10**400 does not)."""
+    try:
+        return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(float(value))
+    except OverflowError:
+        return False
 
 
 class DualPathError(Exception):
@@ -26,7 +42,7 @@ class ResourceError(DualPathError):
 
 
 class NumericsError(DualPathError):
-    """A forward value became non-finite."""
+    """A forward value or a backward gradient became non-finite."""
 
 
 class IngestionError(DualPathError):

@@ -5,7 +5,7 @@ import numpy as np
 from . import ops
 from .autograd import Tensor, default_dtype
 from .conv import conv2d, conv_transpose2x
-from .errors import ContractError
+from .errors import ConfigError, ContractError, is_finite_real
 
 ADAM_EPS = 1e-8
 
@@ -140,14 +140,22 @@ class ChannelGate(Module):
         return ops.mul(x, gate)
 
 
+def adam_settings(lr, betas):
+    """(lr, beta1, beta2) as floats; ConfigError unless, as floats, lr >= 0 and both betas lie in [0, 1)."""
+    if not (is_finite_real(lr) and float(lr) >= 0.0):
+        raise ConfigError(f"lr must be a finite number >= 0, got {lr!r}")
+    if not (isinstance(betas, (tuple, list)) and len(betas) == 2
+            and all(is_finite_real(b) and 0.0 <= float(b) < 1.0 for b in betas)):
+        raise ConfigError(f"betas must be two numbers in [0, 1), got {betas!r}")
+    return float(lr), float(betas[0]), float(betas[1])
+
+
 class Adam:
-    """Adam with bias correction; clears gradients after each step."""
+    """Adam with bias correction; clears gradients after each step. lr=0 updates nothing."""
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999):
         self.params = list(params)
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
+        self.lr, self.beta1, self.beta2 = adam_settings(lr, (beta1, beta2))
 
     def step(self):
         """Update every parameter, or none: a missing gradient raises before any update."""

@@ -8,33 +8,17 @@ back-projection b = sum_i phi_iT y_i, so a data-fidelity gradient is G x - b.
 """
 
 import math
-from numbers import Integral, Real
 
 import numpy as np
 
 from . import ops
 from .autograd import default_dtype
-from .errors import ConfigError, DimensionError, GeometryError
+from .errors import ConfigError, DimensionError, GeometryError, is_finite_real, is_integer
 from .nn import Module, Parameter
 
 
 def round_half_up(x):
     return int(np.floor(x + 0.5))
-
-
-def is_integer(value):
-    """An integral number that is not a bool."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
-
-
-def is_finite_real(value):
-    """A real number, not a bool, that converts to a finite float (so 10**400 does not)."""
-    if not isinstance(value, Real) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(float(value))
-    except OverflowError:
-        return False
 
 
 def blockify(x, block_size):

@@ -6,11 +6,11 @@ import numpy as np
 
 from . import ops
 from .autograd import no_grad, tensor
-from .errors import ConfigError, ContractError, IngestionError, TrainingDivergenceError
+from .errors import ConfigError, ContractError, IngestionError, TrainingDivergenceError, is_finite_real, is_integer
 from .metrics import psnr
 from .model import DualPathModel
-from .nn import Adam
-from .sampling import is_finite_real, is_integer, split_rows
+from .nn import Adam, adam_settings
+from .sampling import split_rows
 
 
 @dataclass
@@ -41,11 +41,8 @@ class TrainConfig:
             raise ConfigError(f"patch size {self.patch_size} must be divisible by 4*block_size={align}")
         if not (is_finite_real(self.rho) and 0.0 < self.rho <= 1.0):
             raise ConfigError(f"rho must lie in (0, 1], got {self.rho!r}")
-        if not (is_finite_real(self.lr) and self.lr > 0):
-            raise ConfigError(f"lr must be a positive finite number, got {self.lr!r}")
-        if not (isinstance(self.betas, (tuple, list)) and len(self.betas) == 2
-                and all(is_finite_real(b) and 0.0 <= b < 1.0 for b in self.betas)):
-            raise ConfigError(f"betas must be two numbers in [0, 1), got {self.betas!r}")
+        if adam_settings(self.lr, self.betas)[0] == 0.0:
+            raise ConfigError(f"lr must be positive as a float, got {self.lr!r}")
         self.betas = tuple(self.betas)
         if not isinstance(self.freeze_sampler, bool):
             raise ConfigError(f"freeze_sampler must be a bool, got {self.freeze_sampler!r}")
@@ -126,6 +123,8 @@ def train_step(batch, model, optimizer):
     raises ContractError before the forward pass. Every model parameter ends
     the step with no gradient, whether the step succeeds or raises, so a frozen
     parameter or a failed step leaves nothing for the next backward to add to.
+    The backward pass consumes the tape, so the returned traces hold values but
+    no tape: no closure or saved array, and no backward can run through them.
     """
     params = model.parameters()
     owned = {id(p) for p in params}

@@ -1,11 +1,14 @@
 """Tape mechanics: backward contract, accumulation, precision, Adam."""
 
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from dualpath_cs import ops
 from dualpath_cs.autograd import backward, finite_checks, no_grad, precision, tensor
-from dualpath_cs.errors import ContractError, NumericsError
+from dualpath_cs.errors import ConfigError, ContractError, NumericsError
 from dualpath_cs.nn import Adam, Parameter
 
 
@@ -62,6 +65,53 @@ class TestBackward:
         backward(loss)
         assert np.allclose(x.grad, frozen.data)
 
+    def test_second_backward_through_a_graph_raises(self):
+        x = tensor([2.0], requires_grad=True)
+        loss = ops.reduce_sum(ops.mul(x, x))
+        backward(loss)
+        with pytest.raises(ContractError, match="consumed"):
+            backward(loss)
+        assert np.allclose(x.grad, [4.0])
+
+    def test_new_loss_on_a_consumed_intermediate_raises(self):
+        x = tensor([2.0], requires_grad=True)
+        mid = ops.mul(x, 3.0)
+        backward(ops.reduce_sum(ops.mul(mid, mid)))
+        with pytest.raises(ContractError, match="consumed"):
+            backward(ops.reduce_sum(ops.mul(mid, 2.0)))
+
+    def test_early_node_feeding_a_late_op_gets_every_contribution(self):
+        # a = x^2 feeds both the start of a chain and its last op, so it must
+        # run after the whole chain: L = sum((2a + 1)^2 * a).
+        with precision("f64"):
+            x = tensor([0.5, -1.5, 2.0], requires_grad=True)
+            a = ops.mul(x, x)
+            chain = ops.add(ops.mul(a, 2.0), 1.0)
+            backward(ops.reduce_sum(ops.mul(ops.mul(chain, chain), a)))
+        ad = x.data * x.data
+        da = (2 * ad + 1) * (6 * ad + 1)
+        assert np.allclose(a.grad, da, rtol=1e-12)
+        assert np.allclose(x.grad, da * 2 * x.data, rtol=1e-12)
+
+    def test_backward_frees_the_tape_as_it_runs(self):
+        def chain_loss(x):
+            y = x
+            for _ in range(16):
+                y = ops.mul(y, 1.0)
+            return ops.reduce_sum(y)
+
+        x = tensor(np.ones(1 << 18), requires_grad=True)  # 1 MB of float32
+        tracemalloc.start()
+        try:
+            loss = chain_loss(x)
+            tracemalloc.reset_peak()
+            after_forward = tracemalloc.get_traced_memory()[0]
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - after_forward < 4 * x.data.nbytes
+
 
 class TestModes:
     def test_no_grad_suppresses_tape(self):
@@ -80,6 +130,27 @@ class TestModes:
         with np.errstate(over="ignore"), finite_checks():
             with pytest.raises(NumericsError):
                 ops.mul(x, 1e10)
+
+    @staticmethod
+    def _overflowing_gradient_loss():
+        # Finite forward values (a*b = 1, then 1e30), but dL/da = 1e30 * b is inf in float32.
+        a = tensor([1e-30], requires_grad=True)
+        b = tensor([1e30], requires_grad=True)
+        return a, ops.reduce_sum(ops.mul(ops.mul(a, b), 1e30))
+
+    def test_finite_check_covers_backward_and_names_the_op(self):
+        with np.errstate(over="ignore"), finite_checks():
+            _, loss = self._overflowing_gradient_loss()
+            with pytest.raises(NumericsError, match="backward of mul"):
+                backward(loss)
+        with pytest.raises(ContractError, match="consumed"):
+            backward(loss)
+
+    def test_backward_gradients_unchecked_when_switched_off(self):
+        a, loss = self._overflowing_gradient_loss()
+        with np.errstate(over="ignore"):
+            backward(loss)
+        assert np.isinf(a.grad).all()
 
 
 class TestAdam:
@@ -124,3 +195,14 @@ class TestAdam:
         assert np.array_equal(a.data, [1.0])
         assert np.array_equal(a.adam_m, [0.0]) and np.array_equal(a.adam_v, [0.0])
         assert a.step_count == 0
+
+    @pytest.mark.parametrize("lr", [10**400, -1.0, float("nan")], ids=["1e400", "negative", "nan"])
+    def test_lr_that_cannot_train_rejected(self, lr):
+        with pytest.raises(ConfigError, match="lr"):
+            Adam([Parameter(np.array([1.0]))], lr=lr)
+
+    @pytest.mark.parametrize("betas", [(1.0, 0.999), (0.9, -0.5), (0.9, Fraction(10**400 - 1, 10**400))],
+                             ids=["one", "negative", "rounds-to-one"])
+    def test_beta_outside_unit_interval_rejected(self, betas):
+        with pytest.raises(ConfigError, match="betas"):
+            Adam([Parameter(np.array([1.0]))], lr=0.1, beta1=betas[0], beta2=betas[1])

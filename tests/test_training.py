@@ -1,6 +1,7 @@
 """Training loop mechanics, determinism, and checkpoint persistence."""
 
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -78,6 +79,11 @@ class TestTrainConfig:
     def test_bad_field_rejected(self, field, value):
         with pytest.raises(ConfigError):
             tiny_config(**{field: value})
+
+    def test_lr_that_rounds_to_zero_rejected(self):
+        # Positive as a Fraction, but 0.0 as the float Adam computes with.
+        with pytest.raises(ConfigError, match="lr"):
+            tiny_config(lr=Fraction(1, 10**400))
 
     def test_unknown_fields_of_mixed_key_types_rejected(self):
         with pytest.raises(ConfigError, match="unknown config fields: 'bogus', 1"):
