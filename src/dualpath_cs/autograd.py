@@ -121,7 +121,8 @@ class Tensor:
 
 def tensor(data, requires_grad=False, dtype=None):
     """Create a leaf tensor, cast to the global (or given) precision."""
-    return Tensor(np.asarray(data, dtype=dtype or _default_dtype), requires_grad=requires_grad)
+    arr = np.asarray(data, dtype=dtype or _default_dtype)
+    return Tensor(arr, requires_grad=requires_grad)
 
 
 def make(data, parents, backward_fn):

@@ -11,8 +11,10 @@ def is_integer(value):
 
 def is_finite_real(value):
     """A real number, not a bool, that converts to a finite float (so 10**400 does not)."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        return False
     try:
-        return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(float(value))
+        return math.isfinite(float(value))
     except OverflowError:
         return False
 

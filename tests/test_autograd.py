@@ -140,11 +140,13 @@ class TestModes:
 
     def test_finite_check_covers_backward_and_names_the_op(self):
         with np.errstate(over="ignore"), finite_checks():
+            early = ops.mul(tensor([2.0], requires_grad=True), 3.0)
             _, loss = self._overflowing_gradient_loss()
             with pytest.raises(NumericsError, match="backward of mul"):
-                backward(loss)
+                backward(ops.add(loss, ops.reduce_sum(early)))
+        # `early` was still queued when the pass raised; the pass consumed it too.
         with pytest.raises(ContractError, match="consumed"):
-            backward(loss)
+            backward(ops.reduce_sum(early))
 
     def test_backward_gradients_unchecked_when_switched_off(self):
         a, loss = self._overflowing_gradient_loss()
