@@ -125,6 +125,11 @@ def tensor(data, requires_grad=False, dtype=None):
     return Tensor(arr, requires_grad=requires_grad)
 
 
+def _op_name(backward_fn):
+    """The op that defined a backward closure, e.g. 'mul' for 'mul.<locals>.bwd'."""
+    return backward_fn.__qualname__.split(".")[0]
+
+
 def make(data, parents, backward_fn):
     """Wrap an op result, recording tape structure when gradients are on.
 
@@ -132,7 +137,7 @@ def make(data, parents, backward_fn):
     per parent, aligned with `parents`.
     """
     if _check_finite and not np.all(np.isfinite(data)):
-        raise NumericsError("non-finite value in forward op output")
+        raise NumericsError(f"non-finite value in the forward of {_op_name(backward_fn)}")
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -174,7 +179,7 @@ def backward(loss):
             node._backward_fn, node._parents = _consumed, ()
             grads = fn(node.grad)
             if _check_finite and not all(g is None or np.all(np.isfinite(g)) for g in grads):
-                raise NumericsError(f"non-finite gradient in the backward of {fn.__qualname__.split('.')[0]}")
+                raise NumericsError(f"non-finite gradient in the backward of {_op_name(fn)}")
             for parent, g in zip(parents, grads):
                 if g is not None and parent.requires_grad:
                     _send(queue, parent, g)

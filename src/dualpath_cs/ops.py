@@ -5,7 +5,9 @@ producing per-parent gradients. Numerical-stability conventions: softmax
 subtracts the row max, sigmoid never exponentiates a positive argument, and
 the half-size bilinear resize is the 2x2 block mean it equals. Attention
 keeps only a per-row log-sum-exp for its backward pass and recomputes the
-probabilities chunk by chunk, so its memory is linear in the token count.
+probabilities chunk by chunk, so its memory is linear in the token count; it
+takes a key mask and skips the dropped keys' values in its value gemms. A
+parent with requires_grad=False gets None from the backward closure.
 """
 
 import math
@@ -42,9 +44,11 @@ def add(a, b):
     a = _as_tensor(a, b)
     b = _as_tensor(b, a)
     out = a.data + b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if need_a else None,
+                _unbroadcast(g, b.shape) if need_b else None)
 
     return make(out, (a, b), bwd)
 
@@ -53,9 +57,11 @@ def sub(a, b):
     a = _as_tensor(a, b)
     b = _as_tensor(b, a)
     out = a.data - b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), -_unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if need_a else None,
+                -_unbroadcast(g, b.shape) if need_b else None)
 
     return make(out, (a, b), bwd)
 
@@ -65,9 +71,11 @@ def mul(a, b):
     b = _as_tensor(b, a)
     out = a.data * b.data
     ad, bd = a.data, b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bwd(g):
-        return _unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape)
+        return (_unbroadcast(g * bd, a.shape) if need_a else None,
+                _unbroadcast(g * ad, b.shape) if need_b else None)
 
     return make(out, (a, b), bwd)
 
@@ -296,8 +304,15 @@ def mse(pred, target):
     return make(out, (pred, target), bwd)
 
 
-def scaled_dot_attention(q, k, v, chunk=64):
-    """softmax(q kᵀ / sqrt(d)) v for [T,d] token matrices, single head.
+def scaled_dot_attention(q, k, v, keep, chunk=64):
+    """softmax(q kᵀ / sqrt(d)) (keep ⊙ v) for [T,d] token matrices, single head.
+
+    `keep` is a constant key mask (any array or Tensor with T elements; no
+    gradient reaches it). The softmax denominator spans every key, but a
+    dropped key's value is zero, so the kept keys are permuted to the front
+    and only their columns enter the value gemms: E·V forward (a ones column
+    under the values also gives the kept part of each row sum), dv and dp
+    backward, where a dropped column of dp is exactly -rowdot.
 
     Memory-linear: rows are processed `chunk` at a time through one reused
     chunk×T score buffer, and only the per-row log-sum-exp is kept for the
@@ -311,53 +326,67 @@ def scaled_dot_attention(q, k, v, chunk=64):
         raise DimensionError(f"attention shapes inconsistent: {q.shape}, {k.shape}, {v.shape}")
     t, d = q.shape
     dt = q.dtype
+    mask = np.asarray(keep.data if isinstance(keep, Tensor) else keep, dtype=dt).reshape(-1)
+    if mask.size != t:
+        raise DimensionError(f"attention key mask has {mask.size} elements for {t} tokens")
+    kept = np.flatnonzero(mask)
+    nk = kept.size
+    order = np.concatenate([kept, np.flatnonzero(mask == 0)])
+    weight = mask[kept, None]
     scale = np.asarray(1.0 / np.sqrt(d), dtype=dt)
     # Row-major copies: the per-chunk dk and dv sums then add contiguous rows.
     qs = np.ascontiguousarray(q.data * scale)
-    kd, vd = np.ascontiguousarray(k.data), np.ascontiguousarray(v.data)
-    kt = np.ascontiguousarray(kd.T)
+    kp = np.ascontiguousarray(k.data[order])
+    # A ones row under kᵀ (backward) and a ones column beside the kept values.
+    k_one = np.vstack([kp.T, np.ones((1, t), dtype=dt)])
+    v_one = np.hstack([v.data[kept] * weight, np.ones((nk, 1), dtype=dt)])
+    ones = np.ones(t - nk, dtype=dt)
     out = np.empty((t, v.shape[1]), dtype=dt)
     lse = np.empty((t, 1), dtype=dt)
     buf = np.empty((min(chunk, t), t), dtype=dt)
     for i0 in range(0, t, chunk):
         i1 = min(i0 + chunk, t)
         e = buf[:i1 - i0]
-        np.matmul(qs[i0:i1], kt, out=e)
+        np.matmul(qs[i0:i1], k_one[:d], out=e)
         row_max = e.max(axis=1, keepdims=True)
         e -= row_max
         np.exp(e, out=e)
-        row_sum = e.sum(axis=1, keepdims=True)
-        np.matmul(e, vd, out=out[i0:i1])
-        out[i0:i1] /= row_sum
+        num = e[:, :nk] @ v_one
+        # A matrix-vector product sums the dropped columns faster than ndarray.sum.
+        row_sum = num[:, -1:] + (e[:, nk:] @ ones)[:, None]
+        np.divide(num[:, :-1], row_sum, out=out[i0:i1])
         lse[i0:i1] = row_max + np.log(row_sum)
 
     def bwd(g):
         # rowsum(P ⊙ (g vᵀ)) = rowsum(g ⊙ out): O(T·d) instead of a T×T product.
         g = np.ascontiguousarray(g)
         rowdot = (g * out).sum(axis=1, keepdims=True)
-        # A ones row under kᵀ and vᵀ folds the -lse and -rowdot shifts into the gemms.
-        ones = np.ones((1, t), dtype=dt)
+        # The ones row of k_one and column of v_one fold the -lse and -rowdot shifts into the gemms.
         q_lse = np.hstack([qs, -lse])
-        k_one = np.vstack([kt, ones])
         g_dot = np.hstack([g, -rowdot])
-        v_one = np.vstack([vd.T, ones])
         p_buf = np.empty((min(chunk, t), t), dtype=dt)
-        dp_buf = np.empty_like(p_buf)
+        dp_buf = np.empty((min(chunk, t), nk), dtype=dt)
         dq = np.empty_like(qs)
-        dk = np.zeros_like(kd)
-        dv = np.zeros_like(vd)
+        dkp = np.zeros_like(kp)
+        dvk = np.zeros((nk, out.shape[1]), dtype=dt)
         for i0 in range(0, t, chunk):
             i1 = min(i0 + chunk, t)
             p = p_buf[:i1 - i0]
             np.matmul(q_lse[i0:i1], k_one, out=p)
             np.exp(p, out=p)
-            dv += p.T @ g[i0:i1]
+            pk = p[:, :nk]
+            dvk += pk.T @ g[i0:i1]
             dp = dp_buf[:i1 - i0]
-            np.matmul(g_dot[i0:i1], v_one, out=dp)
-            p *= dp
-            dq[i0:i1] = p @ kd
-            dk += p.T @ qs[i0:i1]
+            np.matmul(g_dot[i0:i1], v_one.T, out=dp)
+            pk *= dp
+            p[:, nk:] *= g_dot[i0:i1, -1:]
+            dq[i0:i1] = p @ kp
+            dkp += p.T @ qs[i0:i1]
         dq *= scale
+        dk = np.empty_like(dkp)
+        dk[order] = dkp
+        dv = np.zeros_like(out)
+        dv[kept] = dvk * weight
         return dq, dk, dv
 
     return make(out, (q, k, v), bwd)

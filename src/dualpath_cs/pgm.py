@@ -32,10 +32,10 @@ def read_pgm(path):
     fields = []
     for _ in range(3):
         token, pos = _read_token(blob, pos)
-        try:
-            fields.append(int(token))
-        except ValueError as exc:
-            raise IngestionError(f"bad PGM header token {token!r}") from exc
+        # ASCII decimal digits only: int() also takes b"+2" and b"1_0". Nine digits bound any real extent.
+        if not token.isdigit() or len(token) > 9:
+            raise IngestionError(f"bad PGM header token {token!r}")
+        fields.append(int(token))
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise IngestionError(f"bad PGM extents {width}x{height}")

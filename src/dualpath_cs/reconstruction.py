@@ -53,11 +53,12 @@ def hgdm_step(x_prev, gram, back, p):
 class HardMaskedAttention(Module):
     """Pixel-token attention whose value features are gated by the hard mask.
 
-    Tokens are pixels of the C-channel projection of r (single head, d = C);
-    the block mask multiplies V so masked-out pixels contribute nothing to any
-    aggregation. The key projection has no bias: a shift b of every key adds
-    q_i . b to the whole score row i, which softmax ignores, so such a bias
-    would get a zero gradient. Attention memory is linear in the token count;
+    Tokens are pixels of the C-channel projection of r (single head, d = C).
+    Every pixel is a key of the softmax, but only the pixels the block mask
+    keeps contribute values: the op takes the mask and skips the dropped
+    keys' values in its value gemms, forward and backward. The key projection
+    has no bias: a shift b of every key adds q_i . b to the whole score row i,
+    which softmax ignores, so such a bias would get a zero gradient. Attention memory is linear in the token count;
     its time is quadratic, and `TOKEN_CAP` bounds that time.
     """
 
@@ -81,9 +82,7 @@ class HardMaskedAttention(Module):
         q = to_tokens(self.to_q(feats))
         k = to_tokens(nn.conv2d(feats, self.to_k.value))
         v = to_tokens(self.to_v(feats))
-        mask_col = ops.reshape(hard_mask, (tokens, 1))
-        v_masked = ops.mul(v, mask_col)
-        att = ops.scaled_dot_attention(q, k, v_masked)
+        att = ops.scaled_dot_attention(q, k, v, hard_mask)
         att_map = ops.reshape(ops.transpose(att, (1, 0)), (1, self.channels, h, w))
         return ops.add(att_map, feats)
 

@@ -131,6 +131,15 @@ class TestModes:
             with pytest.raises(NumericsError):
                 ops.mul(x, 1e10)
 
+    @pytest.mark.parametrize("name, apply", [
+        ("add", lambda x: ops.add(x, 1.0)),
+        ("mul", lambda x: ops.mul(x, 2.0)),
+        ("gelu", ops.gelu),
+    ], ids=["add", "mul", "gelu"])
+    def test_forward_finite_check_names_the_op(self, name, apply):
+        with finite_checks(), pytest.raises(NumericsError, match=f"forward of {name}$"):
+            apply(tensor([1.0, np.inf], dtype=np.float32))
+
     @staticmethod
     def _overflowing_gradient_loss():
         # Finite forward values (a*b = 1, then 1e30), but dL/da = 1e30 * b is inf in float32.

@@ -65,6 +65,17 @@ class TestElementwise:
         b = tensor(np.full(4, 0.5))
         assert np.isclose(ops.mse(a, b).item(), 0.25)
 
+    @pytest.mark.parametrize("constant", [0, 1])
+    @pytest.mark.parametrize("op", [ops.add, ops.sub, ops.mul])
+    def test_constant_parent_gets_none(self, rng, op, constant):
+        arrays = [rng.standard_normal((2, 3, 4)).astype(np.float32), rng.standard_normal((3, 1)).astype(np.float32)]
+        g = rng.standard_normal((2, 3, 4)).astype(np.float32)
+        full = op(*(tensor(a, requires_grad=True) for a in arrays))._backward_fn(g)
+        parents = [tensor(a, requires_grad=i != constant) for i, a in enumerate(arrays)]
+        skipped = op(*parents)._backward_fn(g)
+        assert skipped[constant] is None
+        assert np.array_equal(skipped[1 - constant], full[1 - constant])
+
 
 class TestPooling:
     def test_gap_mean(self):
@@ -108,7 +119,7 @@ class TestAttention:
     def test_matches_op_composition(self, rng):
         with precision("f64"):
             q, k, v = (tensor(rng.standard_normal((7, 3))) for _ in range(3))
-            fused = ops.scaled_dot_attention(q, k, v)
+            fused = ops.scaled_dot_attention(q, k, v, np.ones(7))
             scores = ops.mul(ops.matmul(q, ops.transpose(k, (1, 0))), 1.0 / np.sqrt(3))
             composed = ops.matmul(ops.softmax(scores, axis=1), v)
             assert np.allclose(fused.data, composed.data, atol=1e-12)
@@ -118,15 +129,15 @@ class TestAttention:
         with precision("f64"):
             q, k, v = (rng.standard_normal((9, 4)) for _ in range(3))
             shift = rng.standard_normal((1, 4))
-            base = ops.scaled_dot_attention(tensor(q), tensor(k), tensor(v))
-            shifted = ops.scaled_dot_attention(tensor(q), tensor(k + shift), tensor(v))
+            base = ops.scaled_dot_attention(tensor(q), tensor(k), tensor(v), np.ones(9))
+            shifted = ops.scaled_dot_attention(tensor(q), tensor(k + shift), tensor(v), np.ones(9))
             assert np.allclose(shifted.data, base.data, rtol=0, atol=1e-12)
 
     def test_chunking_invariance(self, rng):
         with precision("f64"):
             q, k, v = (tensor(rng.standard_normal((9, 4))) for _ in range(3))
-            a = ops.scaled_dot_attention(q, k, v, chunk=3)
-            b = ops.scaled_dot_attention(q, k, v, chunk=512)
+            a = ops.scaled_dot_attention(q, k, v, np.ones(9), chunk=3)
+            b = ops.scaled_dot_attention(q, k, v, np.ones(9), chunk=512)
             assert np.allclose(a.data, b.data, atol=1e-14)
 
     @staticmethod
@@ -145,7 +156,7 @@ class TestAttention:
         with precision("f64"):
             arrays = [2.0 * rng.standard_normal((t, 3)) for _ in range(3)]
             weight = rng.standard_normal((t, 3))
-            fused = self._gradients(ops.scaled_dot_attention, arrays, weight)
+            fused = self._gradients(lambda q, k, v: ops.scaled_dot_attention(q, k, v, np.ones(t)), arrays, weight)
             reference = self._gradients(composed, arrays, weight)
         for got, expect in zip(fused, reference):
             assert np.allclose(got, expect, rtol=0, atol=1e-12)
@@ -154,18 +165,56 @@ class TestAttention:
         with precision("f64"):
             arrays = [rng.standard_normal((70, 4)) for _ in range(3)]
             weight = rng.standard_normal((70, 4))
-            small = self._gradients(lambda q, k, v: ops.scaled_dot_attention(q, k, v, chunk=3), arrays, weight)
-            default = self._gradients(ops.scaled_dot_attention, arrays, weight)
+            keep = np.ones(70)
+            small = self._gradients(lambda q, k, v: ops.scaled_dot_attention(q, k, v, keep, chunk=3), arrays, weight)
+            default = self._gradients(lambda q, k, v: ops.scaled_dot_attention(q, k, v, keep), arrays, weight)
         for a, b in zip(small, default):
             assert np.allclose(a, b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("t", [5, 64, 70, 130])
+    def test_masked_matches_op_composition(self, rng, t, fraction):
+        # Every key stays in the softmax denominator; only kept keys' values reach the output.
+        self._check_masked(rng, (rng.permutation(t) < round(fraction * t)).astype(np.float64))
+
+    def test_weighted_keep_scales_values(self, rng):
+        keep = rng.uniform(0.5, 2.0, 70) * (rng.permutation(70) < 30)
+        self._check_masked(rng, keep)
+
+    def _check_masked(self, rng, keep):
+        t = keep.size
+
+        def masked(q, k, v):
+            return ops.scaled_dot_attention(q, k, v, keep)
+
+        def composed(q, k, v):
+            scores = ops.mul(ops.matmul(q, ops.transpose(k, (1, 0))), 1.0 / np.sqrt(3))
+            return ops.matmul(ops.softmax(scores, axis=1), ops.mul(v, tensor(keep[:, None])))
+
+        with precision("f64"):
+            arrays = [2.0 * rng.standard_normal((t, 3)) for _ in range(3)]
+            weight = rng.standard_normal((t, 3))
+            q, k, v = (tensor(a) for a in arrays)
+            values = masked(q, k, v).data, composed(q, k, v).data
+            fused = self._gradients(masked, arrays, weight)
+            reference = self._gradients(composed, arrays, weight)
+        for got, expect in zip((values[0],) + fused, (values[1],) + reference):
+            assert np.allclose(got, expect, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("size", [4, 6])
+    def test_keep_size_must_match_tokens(self, rng, size):
+        q, k, v = (tensor(rng.standard_normal((5, 2))) for _ in range(3))
+        with pytest.raises(DimensionError):
+            ops.scaled_dot_attention(q, k, v, np.ones(size))
 
     def test_memory_linear_in_tokens(self, rng):
         t, d = 4096, 16
         q, k, v = (tensor(rng.standard_normal((t, d)).astype(np.float32), requires_grad=True) for _ in range(3))
         weight = tensor(rng.standard_normal((t, d)).astype(np.float32))
+        keep = np.arange(t) < t // 2
         tracemalloc.start()
         try:
-            backward(ops.reduce_sum(ops.mul(ops.scaled_dot_attention(q, k, v), weight)))
+            backward(ops.reduce_sum(ops.mul(ops.scaled_dot_attention(q, k, v, keep), weight)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

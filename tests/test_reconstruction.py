@@ -214,7 +214,7 @@ class TestHardMaskedAttention:
         feats = att.proj(r)
         tok = lambda t: ops.transpose(ops.reshape(t, (att.channels, h * w)), (1, 0))
         q, k, v = tok(att.to_q(feats)), tok(conv2d(feats, att.to_k.value)), tok(att.to_v(feats))
-        unmasked = ops.scaled_dot_attention(q, k, v)
+        unmasked = ops.scaled_dot_attention(q, k, v, np.ones(h * w))
         reference = ops.add(ops.reshape(ops.transpose(unmasked, (1, 0)), (1, att.channels, h, w)), feats)
         assert out_masked.data.tobytes() == reference.data.tobytes()
 
@@ -233,7 +233,7 @@ class TestHardMaskedAttention:
         v = np.array([[2.0, -1.0], [0.5, 3.0]])
         got = ops.scaled_dot_attention(tensor(q, dtype=np.float64),
                                        tensor(k, dtype=np.float64),
-                                       tensor(v, dtype=np.float64)).data
+                                       tensor(v, dtype=np.float64), np.ones(2)).data
         inv_sqrt2 = 1.0 / np.sqrt(2.0)
         scores = np.array([[inv_sqrt2, 0.0], [0.0, inv_sqrt2]])
         expect = np.zeros((2, 2))

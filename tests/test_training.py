@@ -104,7 +104,7 @@ _FIELDS = sorted(TrainConfig.__dataclass_fields__)
 
 
 class TestTrainConfigFuzz:
-    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=400)
     @given(st.one_of(
         st.dictionaries(st.sampled_from(_FIELDS), _CONFIG_VALUES),
         st.dictionaries(st.one_of(st.text(max_size=4), st.integers()), _CONFIG_VALUES, min_size=1),
