@@ -24,6 +24,7 @@ import struct
 import numpy as np
 
 from .errors import (
+    CheckpointError,
     CheckpointFormatError,
     CheckpointMagicError,
     CheckpointMismatchError,
@@ -140,8 +141,11 @@ def save_checkpoint(path, model, epoch=0, config=None):
 
 def load_checkpoint(path):
     """Parse a checkpoint into (header dict, {name: array}); no model mutation."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as err:
+        raise CheckpointError(f"cannot read checkpoint {path}: {err}") from err
     reader = _Reader(blob)
     magic = reader.take(8)
     if magic != MAGIC:

@@ -87,22 +87,21 @@ class SoftMapNet(Module):
 
 
 def block_mean_abs_grad(grad_map, block_size):
-    """Mean absolute gradient per block, row-major block order (plain array).
+    """Mean absolute gradient per block of [N,1,H,W]: N*num_blocks scores as blockify orders them.
 
     Feeds only the non-differentiable mask path, so it works on raw values.
     """
     arr = grad_map.data if isinstance(grad_map, Tensor) else np.asarray(grad_map)
-    arr = arr.reshape(arr.shape[-2], arr.shape[-1])
-    h, w = arr.shape
+    h, w = arr.shape[-2:]
     b = block_size
     if h % b or w % b:
         raise GeometryError(f"extents {h}x{w} not divisible by block size {b}")
-    tiles = np.abs(arr).reshape(h // b, b, w // b, b)
-    return tiles.mean(axis=(1, 3)).reshape(-1)
+    tiles = np.abs(arr).reshape(-1, h // b, b, w // b, b)
+    return tiles.mean(axis=(2, 4)).reshape(-1)
 
 
 def build_hard_mask(block_scores, rho, block_size, hw):
-    """Binary pixel mask selecting ceil(rho * num_blocks) top-scoring blocks.
+    """Binary [N,1,H,W] mask of each sample's ceil(rho * num_blocks) top-scoring blocks.
 
     Ties break toward the lower block index (stable ordering); the result is
     constant within each block and constant to the tape.
@@ -110,14 +109,14 @@ def build_hard_mask(block_scores, rho, block_size, hw):
     h, w = hw
     nb_h, nb_w = h // block_size, w // block_size
     nb = nb_h * nb_w
-    if block_scores.shape != (nb,):
-        raise GeometryError(f"expected {nb} block scores for {h}x{w}, got {block_scores.shape}")
+    if block_scores.ndim != 1 or block_scores.size % nb or not block_scores.size:
+        raise GeometryError(f"expected N*{nb} block scores for {h}x{w}, got {block_scores.shape}")
+    scores = block_scores.reshape(-1, nb)
     k = int(np.ceil(rho * nb))
-    order = np.argsort(-block_scores, kind="stable")
-    flags = np.zeros(nb, dtype=block_scores.dtype)
-    flags[order[:k]] = 1.0
-    mask = np.kron(flags.reshape(nb_h, nb_w), np.ones((block_size, block_size), dtype=flags.dtype))
-    return Tensor(mask.reshape(1, 1, h, w))
+    order = np.argsort(-scores, axis=1, kind="stable")
+    flags = np.zeros_like(scores)
+    np.put_along_axis(flags, order[:, :k], 1.0, axis=1)
+    return Tensor(flags.reshape(-1, 1, nb_h, nb_w).repeat(block_size, axis=2).repeat(block_size, axis=3))
 
 
 class HyperpriorBranch(Module):

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .autograd import Tensor, default_dtype
+from .autograd import Tensor
 from .errors import GeometryError
 from .hyperprior import GuidanceBundle, HyperpriorBranch, HyperpriorSignal
 from .nn import Conv2d, Module
@@ -24,6 +24,17 @@ class ReconstructionTrace:
     step_maps: list = field(default_factory=list)
     measurements: tuple = None
 
+    def split(self, n):
+        """One trace per sample of a forward over n samples, as constant tensors."""
+        def part(t, i):
+            return Tensor(np.split(t.data, n)[i])
+        return [ReconstructionTrace(
+            part(self.output, i), [part(s, i) for s in self.stages],
+            HyperpriorSignal(part(self.signal.features, i), part(self.signal.grad_map, i)),
+            GuidanceBundle(part(self.guidance.hard_mask, i), part(self.guidance.soft_map, i)),
+            [part(p, i) for p in self.step_maps], tuple(part(y, i) for y in self.measurements))
+            for i in range(n)]
+
 
 class DualPathModel(Module):
     """End-to-end sampler + reconstructor with jointly learnable weights."""
@@ -31,7 +42,6 @@ class DualPathModel(Module):
     def __init__(self, gamma, split, block_size, stages, channels, rho, seed):
         self.block_size = block_size
         self.num_stages = stages
-        self.channels = channels
 
         rng = np.random.default_rng(seed)
         self.sampler = build_dual_sampler(gamma, split, block_size, seed)
@@ -46,11 +56,6 @@ class DualPathModel(Module):
         if h % 4 or w % 4:
             raise GeometryError(f"extents {h}x{w} not divisible by 4 (scale pyramid)")
 
-    def initial_state(self, hw):
-        h, w = hw
-        shapes = [(1, self.channels * 2**s, h // 2**s, w // 2**s) for s in range(3)]
-        return tuple(Tensor(np.zeros(shape, dtype=default_dtype())) for shape in shapes)
-
     def reconstruct(self, y1, y2, hw):
         """Run the hyperprior branch and all K stages on given measurements; the
         Gram-form data terms (x1, G1 = phi1T phi1, G and b) are built once here."""
@@ -64,9 +69,9 @@ class DualPathModel(Module):
         trace = ReconstructionTrace(output=x, signal=signal, guidance=guidance,
                                     measurements=(y1, y2))
         trace.stages.append(x)
-        z = self.initial_state(hw)
+        z = (0.0,) * 3  # stage 1 carries no U-Net features: a zero at every scale
         for k, stage in enumerate(self.stages, start=1):
-            m_stage = stage_factor(k, self.num_stages, hw, dtype=x.dtype)
+            m_stage = stage_factor(k, self.num_stages, x.shape, dtype=x.dtype)
             x, z, p = stage(x, gram, back, signal, guidance, m_stage, z)
             trace.stages.append(x)
             trace.step_maps.append(p)
@@ -74,7 +79,7 @@ class DualPathModel(Module):
         return trace
 
     def forward(self, image):
-        """Sample an image and reconstruct it; returns the full trace."""
+        """Sample [N,1,H,W] images and reconstruct them; returns the full trace."""
         y1, y2 = sample(self.sampler, image)
         return self.reconstruct(y1, y2, image.shape[2:])
 

@@ -127,7 +127,8 @@ class SpatialGate(Module):
 
 
 class ChannelGate(Module):
-    """Squeeze-excite channel attention with reduction 4 and a sigmoid gate."""
+    """Squeeze-excite channel attention with reduction 4 and a sigmoid gate. Its 1x1 convs run as
+    [N,1,1,C] @ [C,h] matmuls, one product per sample: as convs their rounding would vary with N."""
 
     def __init__(self, channels, rng):
         hidden = max(1, channels // 4)
@@ -135,9 +136,10 @@ class ChannelGate(Module):
         self.up = Conv2d(hidden, channels, 1, rng)
 
     def forward(self, x):
-        squeezed = ops.global_avg_pool(x)
-        gate = ops.sigmoid(self.up(ops.gelu(self.down(squeezed))))
-        return ops.mul(x, gate)
+        gate = ops.transpose(ops.global_avg_pool(x), (0, 2, 3, 1))
+        for conv, act in ((self.down, ops.gelu), (self.up, ops.sigmoid)):
+            gate = act(ops.add(ops.matmul(gate, ops.transpose(conv.weight.value, (2, 3, 1, 0))), conv.bias.value))
+        return ops.mul(x, ops.transpose(gate, (0, 3, 1, 2)))
 
 
 def adam_settings(lr, betas):

@@ -305,10 +305,11 @@ def mse(pred, target):
 
 
 def scaled_dot_attention(q, k, v, keep, chunk=64):
-    """softmax(q kᵀ / sqrt(d)) (keep ⊙ v) for [T,d] token matrices, single head.
+    """softmax(q kᵀ / sqrt(d)) (keep ⊙ v) for [N*T,d] token matrices, single head.
 
-    `keep` is a constant key mask (any array or Tensor with T elements; no
-    gradient reaches it). The softmax denominator spans every key, but a
+    The N samples' T tokens are stacked, and each sample attends only to its own keys, with the
+    gemms it would run alone. `keep` is a constant key mask [N, ...] with T elements per sample
+    (any array or Tensor; no gradient reaches it). The softmax denominator spans every key, but a
     dropped key's value is zero, so the kept keys are permuted to the front
     and only their columns enter the value gemms: E·V forward (a ones column
     under the values also gives the kept part of each row sum), dv and dp
@@ -318,30 +319,43 @@ def scaled_dot_attention(q, k, v, keep, chunk=64):
     chunk×T score buffer, and only the per-row log-sum-exp is kept for the
     backward pass, which rebuilds each chunk of probabilities from it
     (recomputation as in Rabe & Staats 2021 and FlashAttention, Dao et al.
-    2022). Peak extra memory is O(chunk·T + T·d) in both passes.
+    2022). Peak extra memory is O(chunk·T + N·T·d) in both passes.
     """
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise DimensionError("attention operands must be [T,d]")
+        raise DimensionError("attention operands must be [N*T,d]")
     if q.shape != k.shape or k.shape[0] != v.shape[0]:
         raise DimensionError(f"attention shapes inconsistent: {q.shape}, {k.shape}, {v.shape}")
+    mask = np.asarray(keep.data if isinstance(keep, Tensor) else keep, dtype=q.dtype)
+    if mask.ndim < 2 or mask.size != q.shape[0]:
+        raise DimensionError(f"attention key mask of shape {mask.shape} is not [N, ...] for {q.shape[0]} tokens")
+    n = mask.shape[0]
+    out = np.empty(v.shape, dtype=q.dtype)
+    samples = zip(*(np.split(a, n) for a in (q.data, k.data, v.data, out)), mask.reshape(n, -1))
+    backs = [_attend(*sample, chunk) for sample in samples]
+
+    def bwd(g):
+        grads = zip(*(back(g_s) for back, g_s in zip(backs, np.split(g, n))))
+        return tuple(np.concatenate(parts) for parts in grads)
+
+    return make(out, (q, k, v), bwd)
+
+
+def _attend(q, k, v, out, mask, chunk):
+    """One sample of `scaled_dot_attention` into `out`; returns its backward pass."""
     t, d = q.shape
     dt = q.dtype
-    mask = np.asarray(keep.data if isinstance(keep, Tensor) else keep, dtype=dt).reshape(-1)
-    if mask.size != t:
-        raise DimensionError(f"attention key mask has {mask.size} elements for {t} tokens")
     kept = np.flatnonzero(mask)
     nk = kept.size
     order = np.concatenate([kept, np.flatnonzero(mask == 0)])
     weight = mask[kept, None]
     scale = np.asarray(1.0 / np.sqrt(d), dtype=dt)
     # Row-major copies: the per-chunk dk and dv sums then add contiguous rows.
-    qs = np.ascontiguousarray(q.data * scale)
-    kp = np.ascontiguousarray(k.data[order])
+    qs = np.ascontiguousarray(q * scale)
+    kp = np.ascontiguousarray(k[order])
     # A ones row under kᵀ (backward) and a ones column beside the kept values.
     k_one = np.vstack([kp.T, np.ones((1, t), dtype=dt)])
-    v_one = np.hstack([v.data[kept] * weight, np.ones((nk, 1), dtype=dt)])
+    v_one = np.hstack([v[kept] * weight, np.ones((nk, 1), dtype=dt)])
     ones = np.ones(t - nk, dtype=dt)
-    out = np.empty((t, v.shape[1]), dtype=dt)
     lse = np.empty((t, 1), dtype=dt)
     buf = np.empty((min(chunk, t), t), dtype=dt)
     for i0 in range(0, t, chunk):
@@ -389,4 +403,4 @@ def scaled_dot_attention(q, k, v, keep, chunk=64):
         dv[kept] = dvk * weight
         return dq, dk, dv
 
-    return make(out, (q, k, v), bwd)
+    return bwd

@@ -24,8 +24,11 @@ def _read_token(blob, pos):
 
 def read_pgm(path):
     """Read a P5 grayscale image as a float64 [H,W] array in [0, 1] (pixel / maxval)."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as err:
+        raise IngestionError(f"cannot read PGM file {path}: {err}") from err
     magic, pos = _read_token(blob, 0)
     if magic != b"P5":
         raise IngestionError(f"not a binary PGM (P5) file: magic {magic!r}")

@@ -19,12 +19,11 @@ from .sampling import data_grad
 TOKEN_CAP = 16384  # attention tokens (pixels) per stage, 128x128: bounds the quadratic time; memory is linear
 
 
-def stage_factor(k, total, hw, dtype=None):
-    """Constant map k/total: the relative progress of stage k of `total`."""
+def stage_factor(k, total, shape, dtype=None):
+    """Constant map k/total of the given shape: the relative progress of stage k of `total`."""
     if not 1 <= k <= total:
         raise ContractError(f"stage index {k} outside [1, {total}]")
-    value = k / total
-    return Tensor(np.full((1, 1) + tuple(hw), value, dtype=dtype or default_dtype()))
+    return Tensor(np.full(shape, k / total, dtype=dtype or default_dtype()))
 
 
 class StepSizeGenerator(Module):
@@ -54,12 +53,14 @@ class HardMaskedAttention(Module):
     """Pixel-token attention whose value features are gated by the hard mask.
 
     Tokens are pixels of the C-channel projection of r (single head, d = C).
-    Every pixel is a key of the softmax, but only the pixels the block mask
-    keeps contribute values: the op takes the mask and skips the dropped
+    The N samples' tokens are stacked as one [N*H*W, C] matrix, and each
+    sample's pixels attend only to that sample's pixels. Every pixel is a key
+    of its sample's softmax, but only the pixels the block mask keeps
+    contribute values: the op takes the [N,1,H,W] mask and skips the dropped
     keys' values in its value gemms, forward and backward. The key projection
     has no bias: a shift b of every key adds q_i . b to the whole score row i,
     which softmax ignores, so such a bias would get a zero gradient. Attention memory is linear in the token count;
-    its time is quadratic, and `TOKEN_CAP` bounds that time.
+    its time is quadratic in the tokens per sample, and `TOKEN_CAP` bounds that time.
     """
 
     def __init__(self, channels, rng):
@@ -70,20 +71,19 @@ class HardMaskedAttention(Module):
         self.to_v = Conv2d(channels, channels, 1, rng)
 
     def forward(self, r, hard_mask):
-        _, _, h, w = r.shape
-        tokens = h * w
-        if tokens > TOKEN_CAP:
-            raise ResourceError(f"{tokens} attention tokens exceed the cap {TOKEN_CAP}")
+        n, _, h, w = r.shape
+        if h * w > TOKEN_CAP:
+            raise ResourceError(f"{h * w} attention tokens exceed the cap {TOKEN_CAP}")
         feats = self.proj(r)
 
         def to_tokens(t):
-            return ops.transpose(ops.reshape(t, (self.channels, tokens)), (1, 0))
+            return ops.reshape(ops.transpose(t, (0, 2, 3, 1)), (n * h * w, self.channels))
 
         q = to_tokens(self.to_q(feats))
         k = to_tokens(nn.conv2d(feats, self.to_k.value))
         v = to_tokens(self.to_v(feats))
         att = ops.scaled_dot_attention(q, k, v, hard_mask)
-        att_map = ops.reshape(ops.transpose(att, (1, 0)), (1, self.channels, h, w))
+        att_map = ops.transpose(ops.reshape(att, (n, h, w, self.channels)), (0, 3, 1, 2))
         return ops.add(att_map, feats)
 
 
@@ -110,7 +110,7 @@ class SoftGuidedUNet(Module):
 
     Scale widths are (C, 2C, 4C); the soft map is halved per level by bilinear
     resizing; each scale entry adds the carried features from the previous
-    stage; decoder levels merge encoder skips through 1x1 convs. The carried
+    stage (zero for the first); decoder levels merge skips through 1x1 convs. The carried
     state for the next stage is the decoder feature triple (before the final
     image conv).
     """

@@ -3,6 +3,7 @@
 An image is split into non-overlapping BxB blocks (row-major); each block is
 flattened row-major and measured by two learnable per-block matrices whose row
 counts split the measurement budget round(gamma * B^2) in a configured ratio.
+A batch [N,1,H,W] stacks its samples' blocks as rows: measurements are [N*num_blocks, rows].
 Reconstruction uses them in Gram form: G = sum_i phi_iT phi_i and the
 back-projection b = sum_i phi_iT y_i, so a data-fidelity gradient is G x - b.
 """
@@ -22,28 +23,28 @@ def round_half_up(x):
 
 
 def blockify(x, block_size):
-    """[1,1,H,W] -> [num_blocks, B*B], blocks in row-major order (differentiable)."""
-    if x.ndim != 4 or x.shape[0] != 1 or x.shape[1] != 1:
-        raise DimensionError(f"blockify expects [1,1,H,W], got {x.shape}")
-    _, _, h, w = x.shape
+    """[N,1,H,W] -> [N*num_blocks, B*B], sample by sample, blocks in row-major order (differentiable)."""
+    if x.ndim != 4 or x.shape[1] != 1:
+        raise DimensionError(f"blockify expects [N,1,H,W], got {x.shape}")
+    n, _, h, w = x.shape
     b = block_size
     if h % b or w % b:
         raise GeometryError(f"extents {h}x{w} not divisible by block size {b}")
-    grid = ops.reshape(x, (h // b, b, w // b, b))
-    grid = ops.transpose(grid, (0, 2, 1, 3))
-    return ops.reshape(grid, ((h // b) * (w // b), b * b))
+    grid = ops.reshape(x, (n, h // b, b, w // b, b))
+    grid = ops.transpose(grid, (0, 1, 3, 2, 4))
+    return ops.reshape(grid, (n * (h // b) * (w // b), b * b))
 
 
 def unblockify(blocks, block_size, hw):
-    """Inverse of :func:`blockify` for a target (H, W)."""
+    """Inverse of :func:`blockify` for a target (H, W): [N*num_blocks, B*B] -> [N,1,H,W]."""
     h, w = hw
     b = block_size
     nb = (h // b) * (w // b)
-    if blocks.shape != (nb, b * b):
-        raise DimensionError(f"expected [{nb},{b * b}] blocks for {h}x{w}, got {blocks.shape}")
-    grid = ops.reshape(blocks, (h // b, w // b, b, b))
-    grid = ops.transpose(grid, (0, 2, 1, 3))
-    return ops.reshape(grid, (1, 1, h, w))
+    if blocks.ndim != 2 or blocks.shape[1] != b * b or blocks.shape[0] % nb or not blocks.shape[0]:
+        raise DimensionError(f"expected [N*{nb},{b * b}] blocks for {h}x{w}, got {blocks.shape}")
+    grid = ops.reshape(blocks, (-1, h // b, w // b, b, b))
+    grid = ops.transpose(grid, (0, 1, 3, 2, 4))
+    return ops.reshape(grid, (-1, 1, h, w))
 
 
 class BlockSensingMatrix(Module):
@@ -57,18 +58,13 @@ class BlockSensingMatrix(Module):
         self.weights = Parameter(weights)
 
     def apply(self, x):
-        """Measure an image: returns per-block measurement vectors [num_blocks, rows]."""
+        """Measure [N,1,H,W] images: per-block measurement vectors [N*num_blocks, rows]."""
         blocks = blockify(x, self.block_size)
         return ops.matmul(blocks, ops.transpose(self.weights.value, (1, 0)))
 
     def adjoint(self, y, hw):
-        """Transpose-apply measurements back to an image of shape (H, W)."""
-        b = self.block_size
-        nb = (hw[0] // b) * (hw[1] // b)
-        if y.ndim != 2 or y.shape != (nb, self.rows):
-            raise DimensionError(f"adjoint expected measurements [{nb},{self.rows}], got {y.shape}")
-        blocks = ops.matmul(y, self.weights.value)
-        return unblockify(blocks, b, hw)
+        """Transpose-apply measurements [N*num_blocks, rows] back to [N,1,H,W] images."""
+        return unblockify(ops.matmul(y, self.weights.value), self.block_size, hw)
 
     def gram(self):
         """phiT phi [B*B, B*B]: the per-block normal operator."""

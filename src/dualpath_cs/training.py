@@ -6,7 +6,7 @@ import numpy as np
 
 from . import ops
 from .autograd import no_grad, tensor
-from .errors import ConfigError, ContractError, IngestionError, TrainingDivergenceError, is_finite_real, is_integer
+from .errors import ConfigError, ContractError, DimensionError, IngestionError, TrainingDivergenceError, is_finite_real, is_integer
 from .metrics import psnr
 from .model import DualPathModel
 from .nn import Adam, adam_settings
@@ -117,42 +117,40 @@ def extract_patches(image, patch, stride=None, augment=False, seed=0):
 
 
 def train_step(batch, model, optimizer):
-    """One optimizer step on a batch of [1,1,H,W] patches; returns (loss, traces).
+    """One optimizer step on N [1,1,H,W] patches; returns (loss, one trace per patch).
 
-    The optimizer must update parameters of `model` only; a foreign parameter
-    raises ContractError before the forward pass. Every model parameter ends
-    the step with no gradient, whether the step succeeds or raises, so a frozen
+    The patches run stacked as one [N,1,H,W] batch through one forward and one
+    backward of the MSE over all of them. An empty batch, or an optimizer with a
+    parameter not of `model`, raises ContractError, and patches not all [1,1,H,W]
+    of one extent raise DimensionError, each before the forward pass. Every model
+    parameter ends the step with no gradient, whether the step succeeds or raises, so a frozen
     parameter or a failed step leaves nothing for the next backward to add to.
     The backward pass consumes the tape, so the returned traces hold values but
     no tape: no closure or saved array, and no backward can run through them.
     """
+    if len(batch) == 0:
+        raise ContractError("train_step needs a batch of at least one patch")
+    shapes = sorted({np.shape(item) for item in batch})
+    if len(shapes) != 1 or len(shapes[0]) != 4 or shapes[0][:2] != (1, 1):
+        raise DimensionError(f"train_step expects [1,1,H,W] patches of one extent, got {shapes}")
     params = model.parameters()
     owned = {id(p) for p in params}
     for p in optimizer.params:
         if id(p) not in owned:
             raise ContractError(f"optimizer parameter {p.name or '?'} is not a parameter of the model")
-    losses = []
-    traces = []
-    for item in batch:
-        target = tensor(item)
-        trace = model(target)
-        losses.append(ops.mse(trace.output, target))
-        traces.append(trace)
-    total = losses[0]
-    for extra in losses[1:]:
-        total = ops.add(total, extra)
-    if len(losses) > 1:
-        total = ops.mul(total, 1.0 / len(losses))
-    loss_value = total.item()
+    target = tensor(np.concatenate(batch))
+    trace = model(target)
+    loss = ops.mse(trace.output, target)
+    loss_value = loss.item()
     if not np.isfinite(loss_value):
         raise TrainingDivergenceError(f"non-finite loss {loss_value}")
     try:
-        total.backward()
+        loss.backward()
         optimizer.step()
     finally:
         for p in params:
             p.value.grad = None
-    return loss_value, traces
+    return loss_value, trace.split(len(batch))
 
 
 @dataclass
@@ -182,11 +180,10 @@ def overfit_single_image(image, config, steps, progress=None):
         result.initial_psnr_x0 = psnr(model(tensor(arr)).stages[0].data[0, 0], gt)
     for step in range(steps):
         try:
-            loss, traces = train_step([arr], model, optimizer)
+            loss, (trace,) = train_step([arr], model, optimizer)
         except TrainingDivergenceError as err:
             err.history = list(zip(result.losses, result.psnrs))
             raise
-        trace = traces[0]
         result.losses.append(loss)
         result.psnrs.append(psnr(trace.output.data[0, 0], gt))
         if progress is not None:

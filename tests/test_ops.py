@@ -119,7 +119,7 @@ class TestAttention:
     def test_matches_op_composition(self, rng):
         with precision("f64"):
             q, k, v = (tensor(rng.standard_normal((7, 3))) for _ in range(3))
-            fused = ops.scaled_dot_attention(q, k, v, np.ones(7))
+            fused = ops.scaled_dot_attention(q, k, v, np.ones((1, 7)))
             scores = ops.mul(ops.matmul(q, ops.transpose(k, (1, 0))), 1.0 / np.sqrt(3))
             composed = ops.matmul(ops.softmax(scores, axis=1), v)
             assert np.allclose(fused.data, composed.data, atol=1e-12)
@@ -129,15 +129,15 @@ class TestAttention:
         with precision("f64"):
             q, k, v = (rng.standard_normal((9, 4)) for _ in range(3))
             shift = rng.standard_normal((1, 4))
-            base = ops.scaled_dot_attention(tensor(q), tensor(k), tensor(v), np.ones(9))
-            shifted = ops.scaled_dot_attention(tensor(q), tensor(k + shift), tensor(v), np.ones(9))
+            base = ops.scaled_dot_attention(tensor(q), tensor(k), tensor(v), np.ones((1, 9)))
+            shifted = ops.scaled_dot_attention(tensor(q), tensor(k + shift), tensor(v), np.ones((1, 9)))
             assert np.allclose(shifted.data, base.data, rtol=0, atol=1e-12)
 
     def test_chunking_invariance(self, rng):
         with precision("f64"):
             q, k, v = (tensor(rng.standard_normal((9, 4))) for _ in range(3))
-            a = ops.scaled_dot_attention(q, k, v, np.ones(9), chunk=3)
-            b = ops.scaled_dot_attention(q, k, v, np.ones(9), chunk=512)
+            a = ops.scaled_dot_attention(q, k, v, np.ones((1, 9)), chunk=3)
+            b = ops.scaled_dot_attention(q, k, v, np.ones((1, 9)), chunk=512)
             assert np.allclose(a.data, b.data, atol=1e-14)
 
     @staticmethod
@@ -156,7 +156,7 @@ class TestAttention:
         with precision("f64"):
             arrays = [2.0 * rng.standard_normal((t, 3)) for _ in range(3)]
             weight = rng.standard_normal((t, 3))
-            fused = self._gradients(lambda q, k, v: ops.scaled_dot_attention(q, k, v, np.ones(t)), arrays, weight)
+            fused = self._gradients(lambda q, k, v: ops.scaled_dot_attention(q, k, v, np.ones((1, t))), arrays, weight)
             reference = self._gradients(composed, arrays, weight)
         for got, expect in zip(fused, reference):
             assert np.allclose(got, expect, rtol=0, atol=1e-12)
@@ -165,7 +165,7 @@ class TestAttention:
         with precision("f64"):
             arrays = [rng.standard_normal((70, 4)) for _ in range(3)]
             weight = rng.standard_normal((70, 4))
-            keep = np.ones(70)
+            keep = np.ones((1, 70))
             small = self._gradients(lambda q, k, v: ops.scaled_dot_attention(q, k, v, keep, chunk=3), arrays, weight)
             default = self._gradients(lambda q, k, v: ops.scaled_dot_attention(q, k, v, keep), arrays, weight)
         for a, b in zip(small, default):
@@ -185,7 +185,7 @@ class TestAttention:
         t = keep.size
 
         def masked(q, k, v):
-            return ops.scaled_dot_attention(q, k, v, keep)
+            return ops.scaled_dot_attention(q, k, v, keep[None])
 
         def composed(q, k, v):
             scores = ops.mul(ops.matmul(q, ops.transpose(k, (1, 0))), 1.0 / np.sqrt(3))
@@ -201,17 +201,37 @@ class TestAttention:
         for got, expect in zip((values[0],) + fused, (values[1],) + reference):
             assert np.allclose(got, expect, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("size", [4, 6])
-    def test_keep_size_must_match_tokens(self, rng, size):
+    @pytest.mark.parametrize("shape", [(1, 4), (1, 6), (5,)], ids=["4", "6", "no-sample-axis"])
+    def test_keep_size_must_match_tokens(self, rng, shape):
+        # A 1-d mask has no sample axis, even with one element per token.
         q, k, v = (tensor(rng.standard_normal((5, 2))) for _ in range(3))
         with pytest.raises(DimensionError):
-            ops.scaled_dot_attention(q, k, v, np.ones(size))
+            ops.scaled_dot_attention(q, k, v, np.ones(shape))
+
+    def test_samples_attend_only_to_their_own_keys(self, rng):
+        # Three samples of 70 tokens (two chunks each) stacked: output and
+        # gradients equal each sample's own attention, bit for bit.
+        keep = (rng.random((3, 1, 7, 10)) < 0.6).astype(np.float64)
+        with precision("f64"):
+            arrays = [rng.standard_normal((210, 4)) for _ in range(3)]
+            weight = rng.standard_normal((210, 4))
+
+            def run(mask, rows):
+                part = [a[rows] for a in arrays]
+                attend = lambda q, k, v: ops.scaled_dot_attention(q, k, v, mask)
+                return (attend(*(tensor(a) for a in part)).data,) + self._gradients(attend, part, weight[rows])
+
+            stacked = run(keep, slice(None))
+            for s in range(3):
+                rows = slice(70 * s, 70 * (s + 1))
+                for got, expect in zip(stacked, run(keep[s], rows)):
+                    assert np.array_equal(got[rows], expect)
 
     def test_memory_linear_in_tokens(self, rng):
         t, d = 4096, 16
         q, k, v = (tensor(rng.standard_normal((t, d)).astype(np.float32), requires_grad=True) for _ in range(3))
         weight = tensor(rng.standard_normal((t, d)).astype(np.float32))
-        keep = np.arange(t) < t // 2
+        keep = (np.arange(t) < t // 2)[None]
         tracemalloc.start()
         try:
             backward(ops.reduce_sum(ops.mul(ops.scaled_dot_attention(q, k, v, keep), weight)))

@@ -53,6 +53,12 @@ class TestMalformed:
         with pytest.raises(IngestionError):
             read_pgm(write_bytes(tmp_path, blob))
 
+    @pytest.mark.parametrize("name", ["missing.pgm", "."])
+    def test_unreadable_path_rejected_with_ingestion_error(self, tmp_path, name):
+        with pytest.raises(IngestionError) as err:
+            read_pgm(tmp_path / name)
+        assert isinstance(err.value.__cause__, OSError)
+
 
 _TOKENS = st.one_of(
     st.integers(min_value=-3, max_value=300).map(lambda n: str(n).encode()),

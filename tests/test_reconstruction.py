@@ -62,21 +62,21 @@ def stacked_residual_norm(sampler, x, y1, y2):
 
 class TestStageFactor:
     def test_final_stage_is_one(self):
-        assert np.all(stage_factor(10, 10, (4, 4)).data == 1.0)
+        assert np.all(stage_factor(10, 10, (1, 1, 4, 4)).data == 1.0)
 
     def test_first_of_ten(self):
-        m = stage_factor(1, 10, (8, 8))
+        m = stage_factor(1, 10, (1, 1, 8, 8))
         assert m.shape == (1, 1, 8, 8)
         assert np.allclose(m.data, 0.1)
 
     def test_midpoint(self):
-        assert np.allclose(stage_factor(5, 10, (4, 4)).data, 0.5)
+        assert np.allclose(stage_factor(5, 10, (1, 1, 4, 4)).data, 0.5)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ContractError):
-            stage_factor(0, 10, (4, 4))
+            stage_factor(0, 10, (1, 1, 4, 4))
         with pytest.raises(ContractError):
-            stage_factor(11, 10, (4, 4))
+            stage_factor(11, 10, (1, 1, 4, 4))
 
 
 def make_signal(rng, channels, hw, dtype=np.float32):
@@ -91,14 +91,14 @@ class TestStepSizeGenerator:
     def test_output_shape(self, rng):
         gen = StepSizeGenerator(8, np.random.default_rng(0))
         signal = make_signal(rng, 8, (8, 8))
-        p = gen(signal, stage_factor(1, 4, (8, 8)))
+        p = gen(signal, stage_factor(1, 4, (1, 1, 8, 8)))
         assert p.shape == (1, 1, 8, 8)
 
     def test_zeroed_output_conv_gives_constant_bias(self, rng):
         gen = StepSizeGenerator(8, np.random.default_rng(0))
         gen.out.weight.data = np.zeros_like(gen.out.weight.data)
         gen.out.bias.data = np.full_like(gen.out.bias.data, 0.37)
-        p = gen(make_signal(rng, 8, (8, 8)), stage_factor(2, 4, (8, 8)))
+        p = gen(make_signal(rng, 8, (8, 8)), stage_factor(2, 4, (1, 1, 8, 8)))
         assert np.allclose(p.data, 0.37)
 
     def test_zero_gate_logits_halve_features(self, rng):
@@ -106,7 +106,7 @@ class TestStepSizeGenerator:
         gen.gate.up.weight.data = np.zeros_like(gen.gate.up.weight.data)
         gen.gate.up.bias.data = np.zeros_like(gen.gate.up.bias.data)
         signal = make_signal(rng, 8, (8, 8))
-        m = stage_factor(1, 4, (8, 8))
+        m = stage_factor(1, 4, (1, 1, 8, 8))
         f_in = ops.concat([signal.grad_map, signal.features, m], axis=1)
         gate = ops.sigmoid(gen.gate.up(ops.gelu(gen.gate.down(ops.global_avg_pool(f_in)))))
         assert np.all(gate.data == 0.5)
@@ -214,7 +214,7 @@ class TestHardMaskedAttention:
         feats = att.proj(r)
         tok = lambda t: ops.transpose(ops.reshape(t, (att.channels, h * w)), (1, 0))
         q, k, v = tok(att.to_q(feats)), tok(conv2d(feats, att.to_k.value)), tok(att.to_v(feats))
-        unmasked = ops.scaled_dot_attention(q, k, v, np.ones(h * w))
+        unmasked = ops.scaled_dot_attention(q, k, v, np.ones((1, h * w)))
         reference = ops.add(ops.reshape(ops.transpose(unmasked, (1, 0)), (1, att.channels, h, w)), feats)
         assert out_masked.data.tobytes() == reference.data.tobytes()
 
@@ -233,7 +233,7 @@ class TestHardMaskedAttention:
         v = np.array([[2.0, -1.0], [0.5, 3.0]])
         got = ops.scaled_dot_attention(tensor(q, dtype=np.float64),
                                        tensor(k, dtype=np.float64),
-                                       tensor(v, dtype=np.float64), np.ones(2)).data
+                                       tensor(v, dtype=np.float64), np.ones((1, 2))).data
         inv_sqrt2 = 1.0 / np.sqrt(2.0)
         scores = np.array([[inv_sqrt2, 0.0], [0.0, inv_sqrt2]])
         expect = np.zeros((2, 2))
@@ -348,12 +348,12 @@ class TestUnrolledModel:
         gram = ops.add(gram1, model.sampler.phi2.gram())
         signal, guidance = model.hyperprior(back1, gram1, 4)
         stage = model.stages[0]
-        p = stage.step_gen(signal, sf(1, 1, (16, 16)))
+        p = stage.step_gen(signal, sf(1, 1, (1, 1, 16, 16)))
         from dualpath_cs.reconstruction import hgdm_step as step
 
         r = step(x0, gram, ops.add(back1, back2), p)
         att = stage.hard_att(r, guidance.hard_mask)
-        x1, _ = stage.soft_unet(att, model.initial_state((16, 16)), guidance.soft_map)
+        x1, _ = stage.soft_unet(att, (0.0,) * 3, guidance.soft_map)
         assert np.array_equal(trace.output.data, x1.data)
 
     def test_extent_checks(self, rng):
@@ -363,13 +363,15 @@ class TestUnrolledModel:
 
 
 class TestEndToEndGradient:
-    def test_single_pixel_finite_difference(self):
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_single_pixel_finite_difference(self, n):
+        # n = 2 runs two distinct images as one batch and probes the second.
         with precision("f64"):
             rng = np.random.default_rng(5)
             model = DualPathModel(gamma=0.5, split=(1, 2), block_size=4, stages=2,
                                   channels=8, rho=0.5, seed=33)
-            base = rng.uniform(0.2, 0.8, (1, 1, 16, 16))
-            target = tensor(rng.uniform(0, 1, (1, 1, 16, 16)))
+            base = rng.uniform(0.2, 0.8, (n, 1, 16, 16))
+            target = tensor(rng.uniform(0, 1, (n, 1, 16, 16)))
 
             def loss_value(arr):
                 out = model(tensor(arr)).output
@@ -383,12 +385,12 @@ class TestEndToEndGradient:
             from dualpath_cs.hyperprior import block_mean_abs_grad
 
             trace = model(tensor(base))
-            scores = np.sort(block_mean_abs_grad(trace.signal.grad_map, 4))
-            k = int(np.ceil(0.5 * scores.size))
-            assert scores[-k] - scores[-k - 1] > 1e-4, "tie margin too small for FD"
+            for scores in np.sort(block_mean_abs_grad(trace.signal.grad_map, 4).reshape(n, -1)):
+                k = int(np.ceil(0.5 * scores.size))
+                assert scores[-k] - scores[-k - 1] > 1e-4, "tie margin too small for FD"
 
             h = 1e-4
-            pixel = (0, 0, 7, 9)
+            pixel = (n - 1, 0, 7, 9)
             up = base.copy(); up[pixel] += h
             down = base.copy(); down[pixel] -= h
             numeric = (loss_value(up) - loss_value(down)) / (2 * h)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dualpath_cs.autograd import no_grad, precision, tensor
 from dualpath_cs.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from dualpath_cs.errors import (
+    CheckpointError,
     CheckpointFormatError,
     CheckpointMagicError,
     CheckpointMismatchError,
@@ -18,6 +19,7 @@ from dualpath_cs.errors import (
     CheckpointVersionError,
     ConfigError,
     ContractError,
+    DimensionError,
     IngestionError,
     TrainingDivergenceError,
 )
@@ -169,6 +171,68 @@ class TestTrainStep:
         model = build_model(cfg)
         loss_double, _ = train_step([img, img], model, build_optimizer(model, cfg))
         assert loss_single == loss_double
+
+    @pytest.mark.parametrize("shapes,error", [
+        ([], ContractError),
+        ([(1, 16, 16)], DimensionError),
+        ([(2, 1, 16, 16)], DimensionError),
+        ([(1, 2, 16, 16)], DimensionError),
+        ([(1, 1, 16, 16), (1, 1, 32, 32)], DimensionError),
+    ], ids=["empty", "rank-3", "two-samples", "two-channels", "mixed-extents"])
+    def test_bad_batch_rejected_before_forward(self, rng, shapes, error):
+        cfg = tiny_config()
+        model = build_model(cfg)
+        optimizer = build_optimizer(model, cfg)
+        model.forward = lambda *args: pytest.fail("forward ran on a bad batch")
+        marker = np.ones(1)
+        for param in model.parameters():
+            param.value.grad = marker
+        with pytest.raises(error):
+            train_step([rng.uniform(0, 1, s) for s in shapes], model, optimizer)
+        assert all(param.grad is marker for param in model.parameters())
+
+    def test_each_trace_matches_its_own_forward(self, rng):
+        images = [random_image(rng).reshape(1, 1, 16, 16) for _ in range(3)]
+        cfg = tiny_config()
+        model = build_model(cfg)
+        with no_grad():
+            alone = [model(tensor(img)) for img in images]
+        _, traces = train_step(images, model, build_optimizer(model, cfg))
+        assert len(traces) == 3
+        nb = (16 // cfg.block_size) ** 2
+        for trace, ref in zip(traces, alone):
+            for got, expect in zip([trace.output] + trace.stages, [ref.output] + ref.stages):
+                assert got.shape == (1, 1, 16, 16)
+                assert np.allclose(got.data, expect.data, rtol=1e-5, atol=1e-6)
+            assert np.array_equal(trace.guidance.hard_mask.data, ref.guidance.hard_mask.data)
+            for y, y_ref, phi in zip(trace.measurements, ref.measurements, (model.sampler.phi1, model.sampler.phi2)):
+                assert y.shape == (nb, phi.rows)
+                assert np.allclose(y.data, y_ref.data, rtol=1e-5, atol=1e-6)
+
+    def test_batch_loss_and_gradients_are_sample_means(self, rng):
+        class GradientRecorder:
+            def __init__(self, params):
+                self.params = params
+                self.grads = None
+
+            def step(self):
+                self.grads = [p.grad.copy() for p in self.params]
+
+        images = [random_image(rng).reshape(1, 1, 16, 16) for _ in range(3)]
+        with precision("f64"):
+            model = build_model(tiny_config())
+
+            def run(batch):
+                recorder = GradientRecorder(model.parameters())
+                loss, _ = train_step(batch, model, recorder)
+                return loss, recorder.grads
+
+            batch_loss, batch_grads = run(images)
+            single = [run([img]) for img in images]
+        assert batch_loss == pytest.approx(np.mean([loss for loss, _ in single]), rel=1e-12, abs=0)
+        for i, got in enumerate(batch_grads):
+            mean = np.mean([grads[i] for _, grads in single], axis=0)
+            assert np.max(np.abs(got - mean)) <= 1e-9 * np.max(np.abs(mean))
 
     def test_foreign_optimizer_rejected_before_forward(self, rng):
         cfg = tiny_config()
@@ -331,6 +395,12 @@ class TestCheckpoint:
                 loss, _ = train_step([arr], resumed, opt2)
                 resumed_losses.append(loss)
         assert direct_losses == resumed_losses
+
+    @pytest.mark.parametrize("name", ["missing.ckpt", "."])
+    def test_unreadable_path_rejected_with_checkpoint_error(self, tmp_path, name):
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(tmp_path / name)
+        assert isinstance(err.value.__cause__, OSError)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
