@@ -1,8 +1,8 @@
 """Convolutions as sums of shifted-tap gemms, with no column matrix.
 
-`conv2d` pads its input once into a [Cin, N*Hp*Wp + kw-1] buffer: each channel
-is one flat row holding the N padded planes end to end, then kw-1 zeros. Kernel
-tap (i, j) reads the contiguous window of every row that starts at i*Wp + j, so
+`conv2d` pads its input once into a wide buffer: each channel is one flat row
+holding the N padded planes end to end, then zeros. Kernel tap (i, j) reads the
+contiguous window of every row that starts at i*Wp + j, so
 the stride-1 output, laid out Wp wide with the N planes end to end, is the sum
 of kh*kw gemms `w[:, :, i, j] @ window`. The columns and rows of that layout
 whose window wraps into the next row or plane are dropped, and a strided conv
@@ -12,6 +12,10 @@ dropped place, and runs the same windows: `g_wide @ window.T` is the weight
 gradient of a tap, and `w[:, :, i, j].T @ g_wide`, added into a padded buffer,
 the input gradient. Only the padded input stays on the tape. Backward returns
 None for a constant parent (one with `requires_grad=False`) and skips its gemms.
+A channel extent of 1 is padded with a zero channel, so that no tap gemm
+contracts over a single channel. The windows are whole blocks of 16 columns:
+BLAS computes a last, narrower block with another kernel, whose rounding would
+make a sample's output depend on the batch size.
 """
 
 import numpy as np
@@ -44,34 +48,39 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     cout = w.shape[0]
     hp, wp = h + 2 * padding, wdt + 2 * padding
     plane = hp * wp
-    span = (n - 1) * plane + (hp - kh + 1) * wp  # window length: to the end of the last plane's output rows
+    # Window length: to the end of the last plane's output rows, rounded up to whole 16-column blocks.
+    span = -(-((n - 1) * plane + (hp - kh + 1) * wp) // 16) * 16
+    cols = (kh - 1) * wp + kw - 1 + span  # every wide buffer's row: to the end of the last window
     offsets = [(i, j, i * wp + j) for i in range(kh) for j in range(kw)]
-    keep = (slice(None), slice(None), slice(None, hp - kh + 1, stride), slice(None, wp - kw + 1, stride))
-    inner = (slice(None), slice(None), slice(padding, padding + h), slice(padding, padding + wdt))
+    keep = (slice(cout), slice(None), slice(None, hp - kh + 1, stride), slice(None, wp - kw + 1, stride))
+    inner = (slice(cin), slice(None), slice(padding, padding + h), slice(padding, padding + wdt))
+    # Zero channels pad Cin in xp and taps (forward gemms) and Cout in g_wide and taps (dx gemms).
+    cin2, cout2 = max(cin, 2), max(cout, 2)
 
     def planes(flat):
         return flat[:, :n * plane].reshape(flat.shape[0], n, hp, wp)
 
-    xp = np.zeros((cin, n * plane + kw - 1), dtype=x.dtype)
+    xp = np.zeros((cin2, cols), dtype=x.dtype)
     planes(xp)[inner] = x.data.transpose(1, 0, 2, 3)
-    taps = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1))  # [kh, kw, Cout, Cin]
-    out_wide = np.zeros((cout, n * plane), dtype=x.dtype)
+    taps = np.zeros((kh, kw, cout2, cin2), dtype=w.dtype)
+    taps[:, :, :cout, :cin] = w.data.transpose(2, 3, 0, 1)
+    out_wide = np.zeros((cout, cols), dtype=x.dtype)
     for i, j, off in offsets:
-        out_wide[:, :span] += taps[i, j] @ xp[:, off:off + span]
+        out_wide[:, :span] += taps[i, j, :cout] @ xp[:, off:off + span]
     out = np.ascontiguousarray(planes(out_wide)[keep].transpose(1, 0, 2, 3))
     if b is not None:
         out += b.data[:, None, None]
     need_x, need_w = x.requires_grad, w.requires_grad
 
     def bwd(g):
-        g_wide = np.zeros((cout, n * plane), dtype=g.dtype)
+        g_wide = np.zeros((cout2, cols), dtype=g.dtype)
         planes(g_wide)[keep] = g.transpose(1, 0, 2, 3)
         g_wide = g_wide[:, :span]
         dw = dx = None
         if need_w:
             dw = np.empty_like(w.data)
             for i, j, off in offsets:
-                dw[:, :, i, j] = g_wide @ xp[:, off:off + span].T
+                dw[:, :, i, j] = g_wide[:cout] @ xp[:cin, off:off + span].T
         if need_x:
             dxp = np.zeros_like(xp)
             for i, j, off in offsets:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from .autograd import Tensor
-from .errors import ConfigError, DimensionError, GeometryError
+from .errors import ConfigError, DimensionError, GeometryError, is_finite_real
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -72,8 +72,8 @@ def ssim(a, b):
 
 def add_gaussian_noise(y, sigma, seed):
     """y + N(0, sigma^2) elementwise, seeded; sigma 0 returns y unchanged."""
-    if sigma < 0:
-        raise ConfigError(f"noise sigma must be >= 0, got {sigma}")
+    if not is_finite_real(sigma) or sigma < 0:
+        raise ConfigError(f"noise sigma must be a finite real >= 0, got {sigma!r}")
     arr = _as_array(y)
     if sigma == 0:
         return Tensor(arr.copy()) if isinstance(y, Tensor) else arr.copy()

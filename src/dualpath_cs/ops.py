@@ -2,12 +2,15 @@
 
 Every op computes its forward value with numpy/BLAS and registers a closure
 producing per-parent gradients. Numerical-stability conventions: softmax
-subtracts the row max, sigmoid never exponentiates a positive argument, and
-the half-size bilinear resize is the 2x2 block mean it equals. Attention
-keeps only a per-row log-sum-exp for its backward pass and recomputes the
-probabilities chunk by chunk, so its memory is linear in the token count; it
-takes a key mask and skips the dropped keys' values in its value gemms. A
-parent with requires_grad=False gets None from the backward closure.
+subtracts the row max; attention shifts each score row by a Cauchy-Schwarz
+bound on it, folded into the score gemm, and by the exact row max only where
+that bound is too loose to keep the largest exp term in range; sigmoid never
+exponentiates a positive argument; and the half-size bilinear resize is the
+2x2 block mean it equals. Attention keeps only a per-row log-sum-exp for its
+backward pass and recomputes the probabilities chunk by chunk, so its memory is
+linear in the token count; it takes a key mask and skips the dropped keys'
+values in its value gemms. A parent with requires_grad=False gets None from
+the backward closure.
 """
 
 import math
@@ -315,6 +318,14 @@ def scaled_dot_attention(q, k, v, keep, chunk=64):
     under the values also gives the kept part of each row sum), dv and dp
     backward, where a dropped column of dp is exactly -rowdot.
 
+    Softmax gives the same result for any per-row shift m_i, and the row max is only one that
+    keeps exp in range (Milakov & Gimelshein 2018). This op shifts row i by the Cauchy-Schwarz
+    bound m_i = |q_i/sqrt(d)| max_j |k_j|, which no score exceeds. It writes -m_i into an extra
+    last column of the scaled queries, so one gemm against kᵀ with a ones row under it gives the
+    shifted scores, with no max-and-subtract pass. A row whose bound is above ln(1/tiny)/4
+    (21.8 in float32, 177 in float64) could underflow its largest term and shifts by its exact
+    max instead, found in a pre-pass over only those rows.
+
     Memory-linear: rows are processed `chunk` at a time through one reused
     chunk×T score buffer, and only the per-row log-sum-exp is kept for the
     backward pass, which rebuilds each chunk of probabilities from it
@@ -349,44 +360,55 @@ def _attend(q, k, v, out, mask, chunk):
     order = np.concatenate([kept, np.flatnonzero(mask == 0)])
     weight = mask[kept, None]
     scale = np.asarray(1.0 / np.sqrt(d), dtype=dt)
-    # Row-major copies: the per-chunk dk and dv sums then add contiguous rows.
-    qs = np.ascontiguousarray(q * scale)
-    kp = np.ascontiguousarray(k[order])
-    # A ones row under kᵀ (backward) and a ones column beside the kept values.
+    # The scaled queries with a last column of minus each row's softmax shift: against the ones
+    # row under kᵀ, one gemm gives the shifted scores.
+    q_one = np.empty((t, d + 1), dtype=dt)
+    qs = q_one[:, :d]
+    np.multiply(q, scale, out=qs)
+    kp = np.ascontiguousarray(k[order])  # row-major: the per-chunk dk sums add contiguous rows
     k_one = np.vstack([kp.T, np.ones((1, t), dtype=dt)])
     v_one = np.hstack([v[kept] * weight, np.ones((nk, 1), dtype=dt)])
     ones = np.ones(t - nk, dtype=dt)
-    lse = np.empty((t, 1), dtype=dt)
     buf = np.empty((min(chunk, t), t), dtype=dt)
+    # Cauchy-Schwarz: |q_i·k_j| <= |q_i| max_j |k_j| = bound_i, so no shifted score is above 0
+    # and the largest is at least -2 bound_i. Up to `safe`, the row's largest exp term is then at
+    # least sqrt(tiny), far from underflow; a row with a larger bound shifts by its exact max instead.
+    bound = np.sqrt(np.einsum("ij,ij->i", qs, qs) * np.einsum("ij,ij->i", kp, kp).max())
+    q_one[:, d] = -bound
+    safe = -np.log(np.finfo(dt).tiny) / 4
+    wide = np.flatnonzero(~(bound <= safe))  # NaN too: 0·inf from an overflowed key norm
+    for r0 in range(0, wide.size, chunk):
+        rows = wide[r0:r0 + chunk]
+        s = buf[:rows.size]
+        np.matmul(qs[rows], k_one[:d], out=s)
+        q_one[rows, d] = -s.max(axis=1)
     for i0 in range(0, t, chunk):
         i1 = min(i0 + chunk, t)
         e = buf[:i1 - i0]
-        np.matmul(qs[i0:i1], k_one[:d], out=e)
-        row_max = e.max(axis=1, keepdims=True)
-        e -= row_max
+        np.matmul(q_one[i0:i1], k_one, out=e)
         np.exp(e, out=e)
         num = e[:, :nk] @ v_one
         # A matrix-vector product sums the dropped columns faster than ndarray.sum.
         row_sum = num[:, -1:] + (e[:, nk:] @ ones)[:, None]
         np.divide(num[:, :-1], row_sum, out=out[i0:i1])
-        lse[i0:i1] = row_max + np.log(row_sum)
+        # The shift column becomes -lse: the backward rebuilds probabilities as exp(s - lse).
+        q_one[i0:i1, d:] -= np.log(row_sum)
 
     def bwd(g):
         # rowsum(P ⊙ (g vᵀ)) = rowsum(g ⊙ out): O(T·d) instead of a T×T product.
         g = np.ascontiguousarray(g)
         rowdot = (g * out).sum(axis=1, keepdims=True)
         # The ones row of k_one and column of v_one fold the -lse and -rowdot shifts into the gemms.
-        q_lse = np.hstack([qs, -lse])
         g_dot = np.hstack([g, -rowdot])
         p_buf = np.empty((min(chunk, t), t), dtype=dt)
         dp_buf = np.empty((min(chunk, t), nk), dtype=dt)
-        dq = np.empty_like(qs)
+        dq = np.empty((t, d), dtype=dt)
         dkp = np.zeros_like(kp)
         dvk = np.zeros((nk, out.shape[1]), dtype=dt)
         for i0 in range(0, t, chunk):
             i1 = min(i0 + chunk, t)
             p = p_buf[:i1 - i0]
-            np.matmul(q_lse[i0:i1], k_one, out=p)
+            np.matmul(q_one[i0:i1], k_one, out=p)
             np.exp(p, out=p)
             pk = p[:, :nk]
             dvk += pk.T @ g[i0:i1]

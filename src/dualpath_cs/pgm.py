@@ -55,11 +55,13 @@ def read_pgm(path):
 
 
 def write_pgm(path, image):
-    """Write an [H,W] array in [0, 1] as an 8-bit P5 file (values clipped)."""
+    """Write an [H,W] array in [0, 1] as an 8-bit P5 file (finite values clipped)."""
     arr = np.asarray(image, dtype=np.float64)
     arr = np.squeeze(arr)
     if arr.ndim != 2:
         raise IngestionError(f"expected a 2-d image, got shape {np.asarray(image).shape}")
+    if not np.isfinite(arr).all():
+        raise IngestionError("cannot write a non-finite pixel (NaN or inf) to PGM")
     data = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
     h, w = data.shape
     with open(path, "wb") as fh:

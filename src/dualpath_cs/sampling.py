@@ -39,6 +39,8 @@ def unblockify(blocks, block_size, hw):
     """Inverse of :func:`blockify` for a target (H, W): [N*num_blocks, B*B] -> [N,1,H,W]."""
     h, w = hw
     b = block_size
+    if h % b or w % b:
+        raise GeometryError(f"extents {h}x{w} not divisible by block size {b}")
     nb = (h // b) * (w // b)
     if blocks.ndim != 2 or blocks.shape[1] != b * b or blocks.shape[0] % nb or not blocks.shape[0]:
         raise DimensionError(f"expected [N*{nb},{b * b}] blocks for {h}x{w}, got {blocks.shape}")

@@ -162,7 +162,7 @@ class TestFloat32Accuracy:
     (2**-24), the typical rounding of the longest sum here, dw's 64*64 = 4096
     terms; the measured worst case is 4.9e-7, and a misplaced tap is off by O(1)."""
 
-    @pytest.mark.parametrize("cin,cout,k,stride", [(16, 16, 3, 1), (2, 1, 7, 1), (16, 32, 3, 2)])
+    @pytest.mark.parametrize("cin,cout,k,stride", [(16, 16, 3, 1), (2, 1, 7, 1), (16, 32, 3, 2), (1, 16, 3, 1), (16, 1, 3, 1)])
     def test_matches_float64(self, rng, cin, cout, k, stride):
         x = rng.standard_normal((1, cin, 64, 64)).astype(np.float32)
         w = (rng.standard_normal((cout, cin, k, k)) / np.sqrt(cin * k * k)).astype(np.float32)
@@ -174,6 +174,22 @@ class TestFloat32Accuracy:
             assert got.dtype == np.float32 and got.shape == ref.shape
             rel = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
             assert rel <= 4e-6, rel
+
+
+class TestBatchInvariance:
+    @pytest.mark.parametrize("cin,cout,size", [(32, 32, 4), (32, 64, 4), (64, 32, 4), (32, 16, 8), (16, 16, 16)])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_sample_gets_the_same_bits_in_any_batch(self, rng, cin, cout, size, n):
+        x = rng.standard_normal((1, cin, size, size)).astype(np.float32)
+        w = tensor(rng.standard_normal((cout, cin, 3, 3)).astype(np.float32))
+        g = rng.standard_normal((1, cout, size, size)).astype(np.float32)
+        single = conv2d(tensor(x, requires_grad=True), w, padding=1)
+        batch = conv2d(tensor(np.concatenate([x] * n), requires_grad=True), w, padding=1)
+        dx_single = single._backward_fn(g)[0]
+        dx_batch = batch._backward_fn(np.concatenate([g] * n))[0]
+        for s in range(n):
+            assert np.array_equal(batch.data[s], single.data[0])
+            assert np.array_equal(dx_batch[s], dx_single[0])
 
 
 class TestTapeMemory:

@@ -66,3 +66,9 @@ class TestGaussianNoise:
     def test_negative_sigma_rejected(self):
         with pytest.raises(ConfigError):
             add_gaussian_noise(np.zeros(4), -0.1, seed=0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf, "0.1", True, None])
+    def test_sigma_not_a_finite_real_rejected(self, sigma):
+        # nan and inf would give non-finite measurements; True is not the number 1.
+        with pytest.raises(ConfigError):
+            add_gaussian_noise(np.zeros(4), sigma, seed=0)

@@ -141,23 +141,37 @@ class TestAttention:
             assert np.allclose(a.data, b.data, atol=1e-14)
 
     @staticmethod
-    def _gradients(attend, arrays, weight):
+    def _forward_backward(attend, arrays, weight):
+        """Output, then the gradients of q, k and v, of sum(weight ⊙ attend(q, k, v))."""
         q, k, v = (tensor(a, requires_grad=True) for a in arrays)
-        backward(ops.reduce_sum(ops.mul(attend(q, k, v), tensor(weight))))
-        return q.grad, k.grad, v.grad
+        out = attend(q, k, v)
+        backward(ops.reduce_sum(ops.mul(out, tensor(weight))))
+        return out.data, q.grad, k.grad, v.grad
+
+    @staticmethod
+    def _composed(keep, d):
+        def attend(q, k, v):
+            scores = ops.mul(ops.matmul(q, ops.transpose(k, (1, 0))), 1.0 / np.sqrt(d))
+            return ops.matmul(ops.softmax(scores, axis=1), ops.mul(v, tensor(keep[:, None])))
+
+        return attend
+
+    @staticmethod
+    def _wide_rows(q, k, dtype):
+        """"none", "some" or "all": which rows have a softmax shift bound |q_i| max_j |k_j| / sqrt(d)
+        past the op's safe limit, and so shift by their exact max."""
+        bound = np.linalg.norm(q, axis=1) * np.linalg.norm(k, axis=1).max() / np.sqrt(q.shape[1])
+        over = bound > -np.log(np.finfo(dtype).tiny) / 4
+        return "all" if over.all() else "some" if over.any() else "none"
 
     @pytest.mark.parametrize("t", [5, 64, 70, 130])
     def test_gradients_match_op_composition(self, rng, t):
         # 70 and 130 tokens span two and three default chunks.
-        def composed(q, k, v):
-            scores = ops.mul(ops.matmul(q, ops.transpose(k, (1, 0))), 1.0 / np.sqrt(3))
-            return ops.matmul(ops.softmax(scores, axis=1), v)
-
         with precision("f64"):
             arrays = [2.0 * rng.standard_normal((t, 3)) for _ in range(3)]
             weight = rng.standard_normal((t, 3))
-            fused = self._gradients(lambda q, k, v: ops.scaled_dot_attention(q, k, v, np.ones((1, t))), arrays, weight)
-            reference = self._gradients(composed, arrays, weight)
+            fused = self._forward_backward(lambda q, k, v: ops.scaled_dot_attention(q, k, v, np.ones((1, t))), arrays, weight)
+            reference = self._forward_backward(self._composed(np.ones(t), 3), arrays, weight)
         for got, expect in zip(fused, reference):
             assert np.allclose(got, expect, rtol=0, atol=1e-12)
 
@@ -166,8 +180,8 @@ class TestAttention:
             arrays = [rng.standard_normal((70, 4)) for _ in range(3)]
             weight = rng.standard_normal((70, 4))
             keep = np.ones((1, 70))
-            small = self._gradients(lambda q, k, v: ops.scaled_dot_attention(q, k, v, keep, chunk=3), arrays, weight)
-            default = self._gradients(lambda q, k, v: ops.scaled_dot_attention(q, k, v, keep), arrays, weight)
+            small = self._forward_backward(lambda q, k, v: ops.scaled_dot_attention(q, k, v, keep, chunk=3), arrays, weight)
+            default = self._forward_backward(lambda q, k, v: ops.scaled_dot_attention(q, k, v, keep), arrays, weight)
         for a, b in zip(small, default):
             assert np.allclose(a, b, rtol=0, atol=1e-12)
 
@@ -181,25 +195,43 @@ class TestAttention:
         keep = rng.uniform(0.5, 2.0, 70) * (rng.permutation(70) < 30)
         self._check_masked(rng, keep)
 
-    def _check_masked(self, rng, keep):
+    @pytest.mark.parametrize("scale, wide", [(6.0, "some"), (20.0, "all")])
+    def test_wide_rows_match_op_composition(self, rng, scale, wide):
+        # Rows whose shift bound passes 177 (f64) shift by their exact max, the others by the bound.
+        q, k, _ = self._check_masked(rng, (rng.permutation(70) < 30).astype(np.float64), scale)
+        assert self._wide_rows(q, k, np.float64) == wide
+
+    def _check_masked(self, rng, keep, scale=2.0):
         t = keep.size
-
-        def masked(q, k, v):
-            return ops.scaled_dot_attention(q, k, v, keep[None])
-
-        def composed(q, k, v):
-            scores = ops.mul(ops.matmul(q, ops.transpose(k, (1, 0))), 1.0 / np.sqrt(3))
-            return ops.matmul(ops.softmax(scores, axis=1), ops.mul(v, tensor(keep[:, None])))
-
-        with precision("f64"):
-            arrays = [2.0 * rng.standard_normal((t, 3)) for _ in range(3)]
+        with precision("f64"), np.errstate(over="raise", divide="raise", invalid="raise"):
+            arrays = [scale * rng.standard_normal((t, 3)) for _ in range(3)]
             weight = rng.standard_normal((t, 3))
-            q, k, v = (tensor(a) for a in arrays)
-            values = masked(q, k, v).data, composed(q, k, v).data
-            fused = self._gradients(masked, arrays, weight)
-            reference = self._gradients(composed, arrays, weight)
-        for got, expect in zip((values[0],) + fused, (values[1],) + reference):
-            assert np.allclose(got, expect, rtol=0, atol=1e-12)
+            fused = self._forward_backward(lambda q, k, v: ops.scaled_dot_attention(q, k, v, keep[None]), arrays, weight)
+            reference = self._forward_backward(self._composed(keep, 3), arrays, weight)
+        # Scores, and with them their rounding, grow as scale squared.
+        for got, expect in zip(fused, reference):
+            assert np.allclose(got, expect, rtol=0, atol=1e-12 * (scale / 2) ** 2)
+        return arrays
+
+    # Large scores cost float32 digits whatever the shift: a rounding of s in a score s - m moves a
+    # probability by |s| float32 roundoffs. So each bound is about twice the error, relative to the
+    # largest magnitude, that the row-max form of this op had on the same inputs (measured there:
+    # 4.2e-7, 7.1e-7 and 1.5e-4); a bad shift would lose digits beyond it or overflow.
+    @pytest.mark.parametrize("scale, wide, bound", [(0.5, "none", 1e-6), (2.0, "some", 1.5e-6), (30.0, "all", 3e-4)])
+    def test_float32_matches_float64(self, rng, scale, wide, bound):
+        t, d = 300, 8
+        keep = (rng.permutation(t) < 120).astype(np.float64)
+        arrays = [scale * rng.standard_normal((t, d)) for _ in range(3)]
+        weight = rng.standard_normal((t, d))
+        with precision("f32"), np.errstate(over="raise", divide="raise", invalid="raise"):
+            fused = self._forward_backward(lambda q, k, v: ops.scaled_dot_attention(q, k, v, keep[None]), arrays, weight)
+        with precision("f64"):
+            reference = self._forward_backward(self._composed(keep, d), arrays, weight)
+        assert self._wide_rows(arrays[0].astype(np.float32), arrays[1].astype(np.float32), np.float32) == wide
+        for got, expect in zip(fused, reference):
+            assert got.dtype == np.float32
+            rel = np.max(np.abs(got - expect)) / np.max(np.abs(expect))
+            assert rel <= bound, rel
 
     @pytest.mark.parametrize("shape", [(1, 4), (1, 6), (5,)], ids=["4", "6", "no-sample-axis"])
     def test_keep_size_must_match_tokens(self, rng, shape):
@@ -217,9 +249,8 @@ class TestAttention:
             weight = rng.standard_normal((210, 4))
 
             def run(mask, rows):
-                part = [a[rows] for a in arrays]
                 attend = lambda q, k, v: ops.scaled_dot_attention(q, k, v, mask)
-                return (attend(*(tensor(a) for a in part)).data,) + self._gradients(attend, part, weight[rows])
+                return self._forward_backward(attend, [a[rows] for a in arrays], weight[rows])
 
             stacked = run(keep, slice(None))
             for s in range(3):

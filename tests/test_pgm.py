@@ -53,6 +53,15 @@ class TestMalformed:
         with pytest.raises(IngestionError):
             read_pgm(write_bytes(tmp_path, blob))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_refused_before_the_file_is_made(self, tmp_path, bad):
+        image = np.full((3, 4), 0.5)
+        image[1, 2] = bad
+        path = tmp_path / "bad.pgm"
+        with pytest.raises(IngestionError):
+            write_pgm(path, image)
+        assert not path.exists()
+
     @pytest.mark.parametrize("name", ["missing.pgm", "."])
     def test_unreadable_path_rejected_with_ingestion_error(self, tmp_path, name):
         with pytest.raises(IngestionError) as err:

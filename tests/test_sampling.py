@@ -160,6 +160,12 @@ class TestSampleAdjoint:
         with pytest.raises(DimensionError):
             phi.adjoint(tensor(np.zeros((3, 2))), (4, 4))
 
+    def test_adjoint_to_indivisible_extents_rejected(self):
+        # Six rows are no whole number of 4-row blocks.
+        phi = BlockSensingMatrix(2, 4, np.zeros((2, 16), dtype=np.float32))
+        with pytest.raises(GeometryError):
+            phi.adjoint(tensor(np.zeros((1, 2))), (6, 4))
+
 
 class TestDataGrad:
     def test_consistent_estimate_zero_gradient(self, rng):
