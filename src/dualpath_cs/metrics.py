@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from .autograd import Tensor
-from .errors import ConfigError, DimensionError, GeometryError, is_finite_real
+from .errors import ConfigError, ContractError, DimensionError, GeometryError, is_finite_real, is_integer
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -71,10 +71,17 @@ def ssim(a, b):
 
 
 def add_gaussian_noise(y, sigma, seed):
-    """y + N(0, sigma^2) elementwise, seeded; sigma 0 returns y unchanged."""
+    """y + N(0, sigma^2) elementwise, seeded; sigma 0 returns y unchanged.
+
+    y must be a floating array or Tensor: noise cast to an integer dtype would round away.
+    """
     if not is_finite_real(sigma) or sigma < 0:
         raise ConfigError(f"noise sigma must be a finite real >= 0, got {sigma!r}")
+    if not (is_integer(seed) and seed >= 0):
+        raise ConfigError(f"noise seed must be an integer >= 0, got {seed!r}")
     arr = _as_array(y)
+    if not np.issubdtype(arr.dtype, np.floating):
+        raise ContractError(f"noise needs a floating-point input, got dtype {arr.dtype}")
     if sigma == 0:
         return Tensor(arr.copy()) if isinstance(y, Tensor) else arr.copy()
     rng = np.random.default_rng(seed)

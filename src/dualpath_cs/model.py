@@ -43,8 +43,8 @@ class DualPathModel(Module):
         self.block_size = block_size
         self.num_stages = stages
 
+        self.sampler = build_dual_sampler(gamma, split, block_size, seed)  # first: it refuses a bad seed
         rng = np.random.default_rng(seed)
-        self.sampler = build_dual_sampler(gamma, split, block_size, seed)
         self.fusion = Conv2d(2, 1, 3, rng)
         self.hyperprior = HyperpriorBranch(channels, rho, rng)
         self.stages = [ReconstructionStage(channels, rng) for _ in range(stages)]

@@ -6,11 +6,11 @@ subtracts the row max; attention shifts each score row by a Cauchy-Schwarz
 bound on it, folded into the score gemm, and by the exact row max only where
 that bound is too loose to keep the largest exp term in range; sigmoid never
 exponentiates a positive argument; and the half-size bilinear resize is the
-2x2 block mean it equals. Attention keeps only a per-row log-sum-exp for its
-backward pass and recomputes the probabilities chunk by chunk, so its memory is
-linear in the token count; it takes a key mask and skips the dropped keys'
-values in its value gemms. A parent with requires_grad=False gets None from
-the backward closure.
+2x2 block mean it equals. Attention keeps only a per-query log-sum-exp for its
+backward pass and recomputes the probabilities a chunk of queries at a time in
+one reused T×chunk buffer, so its memory is linear in the token count; it takes
+a key mask and skips the dropped keys' values in its value gemms. A parent with
+requires_grad=False gets None from the backward closure.
 """
 
 import math
@@ -314,23 +314,27 @@ def scaled_dot_attention(q, k, v, keep, chunk=64):
     gemms it would run alone. `keep` is a constant key mask [N, ...] with T elements per sample
     (any array or Tensor; no gradient reaches it). The softmax denominator spans every key, but a
     dropped key's value is zero, so the kept keys are permuted to the front
-    and only their columns enter the value gemms: E·V forward (a ones column
-    under the values also gives the kept part of each row sum), dv and dp
-    backward, where a dropped column of dp is exactly -rowdot.
+    and only their rows of the score buffer enter the value gemms: E·V forward
+    (a ones column beside the values also gives the kept part of each query's
+    sum), dv and dp backward, where a dropped key's dp is exactly -rowdot.
 
     Softmax gives the same result for any per-row shift m_i, and the row max is only one that
     keeps exp in range (Milakov & Gimelshein 2018). This op shifts row i by the Cauchy-Schwarz
     bound m_i = |q_i/sqrt(d)| max_j |k_j|, which no score exceeds. It writes -m_i into an extra
-    last column of the scaled queries, so one gemm against kᵀ with a ones row under it gives the
-    shifted scores, with no max-and-subtract pass. A row whose bound is above ln(1/tiny)/4
-    (21.8 in float32, 177 in float64) could underflow its largest term and shifts by its exact
-    max instead, found in a pre-pass over only those rows.
+    last column of the scaled queries, so one gemm of the keys, with a ones column beside them,
+    gives the shifted scores, with no max-and-subtract pass. A row whose bound is above
+    ln(1/tiny)/4 (21.8 in float32, 177 in float64) could underflow its largest term and shifts by
+    its exact max instead, found in a pre-pass over only those rows.
 
-    Memory-linear: rows are processed `chunk` at a time through one reused
-    chunk×T score buffer, and only the per-row log-sum-exp is kept for the
-    backward pass, which rebuilds each chunk of probabilities from it
-    (recomputation as in Rabe & Staats 2021 and FlashAttention, Dao et al.
-    2022). Peak extra memory is O(chunk·T + N·T·d) in both passes.
+    Memory-linear: queries are processed `chunk` at a time through one reused
+    key-major T×chunk score buffer (a row per key, kept keys first, so the kept
+    and the dropped keys are two contiguous row blocks), and only the per-query
+    log-sum-exp is kept for the backward pass, which rebuilds each chunk of
+    probabilities from it (recomputation as in Rabe & Staats 2021 and
+    FlashAttention, Dao et al. 2022). Peak extra memory is O(chunk·T + N·T·d)
+    in both passes. Key-major chunks keep the per-chunk elementwise passes on
+    contiguous memory, a point FlashAttention-2 (Dao 2023) makes about work
+    partitioning and non-matmul work once the gemms are tight.
     """
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
         raise DimensionError("attention operands must be [N*T,d]")
@@ -361,63 +365,64 @@ def _attend(q, k, v, out, mask, chunk):
     weight = mask[kept, None]
     scale = np.asarray(1.0 / np.sqrt(d), dtype=dt)
     # The scaled queries with a last column of minus each row's softmax shift: against the ones
-    # row under kᵀ, one gemm gives the shifted scores.
+    # column beside the keys, one gemm gives the shifted scores.
     q_one = np.empty((t, d + 1), dtype=dt)
     qs = q_one[:, :d]
     np.multiply(q, scale, out=qs)
-    kp = np.ascontiguousarray(k[order])  # row-major: the per-chunk dk sums add contiguous rows
-    k_one = np.vstack([kp.T, np.ones((1, t), dtype=dt)])
+    k_one = np.hstack([k[order], np.ones((t, 1), dtype=dt)])
+    kp = k_one[:, :d]
     v_one = np.hstack([v[kept] * weight, np.ones((nk, 1), dtype=dt)])
     ones = np.ones(t - nk, dtype=dt)
-    buf = np.empty((min(chunk, t), t), dtype=dt)
+    buf = np.empty((t, min(chunk, t)), dtype=dt)
     # Cauchy-Schwarz: |q_i·k_j| <= |q_i| max_j |k_j| = bound_i, so no shifted score is above 0
-    # and the largest is at least -2 bound_i. Up to `safe`, the row's largest exp term is then at
-    # least sqrt(tiny), far from underflow; a row with a larger bound shifts by its exact max instead.
+    # and the largest is at least -2 bound_i. Up to `safe`, the query's largest exp term is then at
+    # least sqrt(tiny), far from underflow; a query with a larger bound shifts by its exact max instead.
     bound = np.sqrt(np.einsum("ij,ij->i", qs, qs) * np.einsum("ij,ij->i", kp, kp).max())
     q_one[:, d] = -bound
     safe = -np.log(np.finfo(dt).tiny) / 4
     wide = np.flatnonzero(~(bound <= safe))  # NaN too: 0·inf from an overflowed key norm
     for r0 in range(0, wide.size, chunk):
         rows = wide[r0:r0 + chunk]
-        s = buf[:rows.size]
-        np.matmul(qs[rows], k_one[:d], out=s)
-        q_one[rows, d] = -s.max(axis=1)
+        s = buf[:, :rows.size]
+        np.matmul(kp, qs[rows].T, out=s)
+        q_one[rows, d] = -s.max(axis=0)
     for i0 in range(0, t, chunk):
         i1 = min(i0 + chunk, t)
-        e = buf[:i1 - i0]
-        np.matmul(q_one[i0:i1], k_one, out=e)
+        e = buf[:, :i1 - i0]
+        np.matmul(k_one, q_one[i0:i1].T, out=e)
         np.exp(e, out=e)
-        num = e[:, :nk] @ v_one
-        # A matrix-vector product sums the dropped columns faster than ndarray.sum.
-        row_sum = num[:, -1:] + (e[:, nk:] @ ones)[:, None]
-        np.divide(num[:, :-1], row_sum, out=out[i0:i1])
+        num = e[:nk].T @ v_one
+        # A matrix-vector product sums the dropped keys faster than ndarray.sum.
+        row_sum = num[:, -1] + ones @ e[nk:]
+        np.divide(num[:, :-1], row_sum[:, None], out=out[i0:i1])
         # The shift column becomes -lse: the backward rebuilds probabilities as exp(s - lse).
-        q_one[i0:i1, d:] -= np.log(row_sum)
+        q_one[i0:i1, d] -= np.log(row_sum)
 
     def bwd(g):
         # rowsum(P ⊙ (g vᵀ)) = rowsum(g ⊙ out): O(T·d) instead of a T×T product.
         g = np.ascontiguousarray(g)
-        rowdot = (g * out).sum(axis=1, keepdims=True)
-        # The ones row of k_one and column of v_one fold the -lse and -rowdot shifts into the gemms.
-        g_dot = np.hstack([g, -rowdot])
-        p_buf = np.empty((min(chunk, t), t), dtype=dt)
-        dp_buf = np.empty((min(chunk, t), nk), dtype=dt)
+        neg_rowdot = -(g * out).sum(axis=1)
+        # The ones columns of k_one and v_one fold the -lse and -rowdot shifts into the gemms.
+        g_dot = np.hstack([g, neg_rowdot[:, None]])
+        p_buf = np.empty((t, min(chunk, t)), dtype=dt)
+        dp_buf = np.empty((nk, min(chunk, t)), dtype=dt)
         dq = np.empty((t, d), dtype=dt)
-        dkp = np.zeros_like(kp)
+        dkp = np.zeros((t, d), dtype=dt)
         dvk = np.zeros((nk, out.shape[1]), dtype=dt)
         for i0 in range(0, t, chunk):
             i1 = min(i0 + chunk, t)
-            p = p_buf[:i1 - i0]
-            np.matmul(q_one[i0:i1], k_one, out=p)
+            p = p_buf[:, :i1 - i0]
+            np.matmul(k_one, q_one[i0:i1].T, out=p)
             np.exp(p, out=p)
-            pk = p[:, :nk]
-            dvk += pk.T @ g[i0:i1]
-            dp = dp_buf[:i1 - i0]
-            np.matmul(g_dot[i0:i1], v_one.T, out=dp)
+            pk = p[:nk]
+            dvk += pk @ g[i0:i1]
+            dp = dp_buf[:, :i1 - i0]
+            np.matmul(v_one, g_dot[i0:i1].T, out=dp)
             pk *= dp
-            p[:, nk:] *= g_dot[i0:i1, -1:]
-            dq[i0:i1] = p @ kp
-            dkp += p.T @ qs[i0:i1]
+            # A dropped key's value is zero, so its dp is exactly -rowdot.
+            p[nk:] *= neg_rowdot[i0:i1]
+            np.matmul(p.T, kp, out=dq[i0:i1])
+            dkp += p @ qs[i0:i1]
         dq *= scale
         dk = np.empty_like(dkp)
         dk[order] = dkp

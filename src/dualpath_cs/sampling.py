@@ -106,6 +106,8 @@ def split_rows(gamma, split, block_size):
 
 def build_dual_sampler(gamma, split, block_size, seed):
     """Gaussian-initialized dual sampler; same seed gives bit-identical weights."""
+    if not (is_integer(seed) and seed >= 0):
+        raise ConfigError(f"sampler seed must be an integer >= 0, got {seed!r}")
     m_total, m1, m2 = split_rows(gamma, split, block_size)
     rng = np.random.default_rng(seed)
     sigma = 1.0 / block_size

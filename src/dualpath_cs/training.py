@@ -94,9 +94,9 @@ def extract_patches(image, patch, stride=None, augment=False, seed=0):
     if arr.ndim != 2:
         raise IngestionError(f"expected a 2-d grayscale image, got shape {arr.shape}")
     stride = patch if stride is None else stride
-    for name, value in (("patch", patch), ("stride", stride)):
-        if not (is_integer(value) and value >= 1):
-            raise ContractError(f"{name} must be an integer >= 1, got {value!r}")
+    for name, value, least in (("patch", patch, 1), ("stride", stride, 1), ("seed", seed, 0)):
+        if not (is_integer(value) and value >= least):
+            raise ContractError(f"{name} must be an integer >= {least}, got {value!r}")
     h, w = arr.shape
     if h < patch or w < patch:
         raise IngestionError(f"image {h}x{w} smaller than patch {patch}")

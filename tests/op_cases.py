@@ -95,6 +95,17 @@ def case_sigmoid(rng):
     return lambda x: reduce(ops.sigmoid(x)), [a]
 
 
+def case_clip(rng):
+    """Values below, inside and above [-0.5, 0.5], each at least 0.2 from both ends
+    (the clamp's kinks), so finite differences never straddle one."""
+    lo, hi = -0.5, 0.5
+    bounds = ((-1.5, lo - 0.2), (lo + 0.2, hi - 0.2), (hi + 0.2, 1.5))  # below, inside, above
+    region = rng.permutation(np.arange(12) % 3).reshape(3, 4)  # four values in each
+    a = np.choose(region, [rng.uniform(u, v, (3, 4)) for u, v in bounds])
+    reduce = _weighted((3, 4), rng)
+    return lambda x: reduce(ops.clip(x, lo, hi)), [a]
+
+
 def case_softmax(rng):
     shape = (int(rng.integers(2, 5)), int(rng.integers(2, 6)))
     a = 2.0 * rng.standard_normal(shape)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dualpath_cs.autograd import Tensor
-from dualpath_cs.errors import ConfigError, DimensionError, GeometryError
+from dualpath_cs.errors import ConfigError, ContractError, DimensionError, GeometryError
 from dualpath_cs.metrics import SSIM_K1, add_gaussian_noise, psnr, ssim
 
 
@@ -72,3 +72,16 @@ class TestGaussianNoise:
         # nan and inf would give non-finite measurements; True is not the number 1.
         with pytest.raises(ConfigError):
             add_gaussian_noise(np.zeros(4), sigma, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_seed_not_a_natural_number_rejected(self, seed):
+        # numpy would raise a bare ValueError or TypeError, or take True or None as a seed.
+        with pytest.raises(ConfigError):
+            add_gaussian_noise(np.zeros(4), 0.1, seed=seed)
+
+    @pytest.mark.parametrize("y", [np.zeros(3, np.uint8), np.zeros(3, np.int64), np.zeros(3, bool),
+                                   Tensor(np.zeros(3, np.int32))], ids=["uint8", "int64", "bool", "int-tensor"])
+    def test_integer_input_rejected(self, y):
+        # Noise cast to an integer dtype rounds to zero: the result would be y, silently.
+        with pytest.raises(ContractError):
+            add_gaussian_noise(y, 0.4, seed=0)

@@ -1,13 +1,14 @@
 """Primitive-op semantics plus finite-difference verification of every case."""
 
+import inspect
 import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
-from dualpath_cs import ops
-from dualpath_cs.autograd import backward, precision, tensor
+from dualpath_cs import conv, ops
+from dualpath_cs.autograd import _op_name, backward, precision, tensor
 from dualpath_cs.errors import DimensionError
 from gradcheck import max_gradient_error
 from op_cases import ALL_CASES
@@ -233,6 +234,27 @@ class TestAttention:
             rel = np.max(np.abs(got - expect)) / np.max(np.abs(expect))
             assert rel <= bound, rel
 
+    def test_float32_matches_float64_at_1024_tokens(self, rng):
+        # A 32x32 image's token count in 16 default chunks, half the keys kept, and no row on the
+        # exact max: each output and gradient sums 1024 float32 terms. The f64 op is the reference;
+        # the tests above hold it to the op composition. The bound is about twice the largest error,
+        # relative to the largest magnitude, that the earlier query-major layout of this op (a row
+        # per query in each chunk buffer) had on such inputs: 9.5e-7 over seeds 0-2.
+        t, d = 1024, 16
+        keep = (rng.permutation(t) < t // 2).astype(np.float64)
+        arrays = [rng.standard_normal((t, d)) for _ in range(3)]
+        weight = rng.standard_normal((t, d))
+        attend = lambda q, k, v: ops.scaled_dot_attention(q, k, v, keep[None])
+        with precision("f32"), np.errstate(over="raise", divide="raise", invalid="raise"):
+            fused = self._forward_backward(attend, arrays, weight)
+        with precision("f64"):
+            reference = self._forward_backward(attend, arrays, weight)
+        assert self._wide_rows(arrays[0].astype(np.float32), arrays[1].astype(np.float32), np.float32) == "none"
+        for got, expect in zip(fused, reference):
+            assert got.dtype == np.float32
+            rel = np.max(np.abs(got - expect)) / np.max(np.abs(expect))
+            assert rel <= 2e-6, rel
+
     @pytest.mark.parametrize("shape", [(1, 4), (1, 6), (5,)], ids=["4", "6", "no-sample-axis"])
     def test_keep_size_must_match_tokens(self, rng, shape):
         # A 1-d mask has no sample axis, even with one element per token.
@@ -308,3 +330,29 @@ class TestGradients:
             build, arrays = ALL_CASES[name](rng)
             err = max_gradient_error(build, arrays)
         assert err < 1e-4, f"{name}: max relative gradient error {err:.3e}"
+
+    def test_cases_reach_every_op(self):
+        # An op records its own tape node when it calls make; one that only composes others
+        # (global_avg_pool is reduce_mean) is covered through them.
+        public = {
+            name for module in (ops, conv) for name, fn in inspect.getmembers(module, inspect.isfunction)
+            if fn.__module__ == module.__name__ and not name.startswith("_") and "make" in fn.__code__.co_names
+        }
+        # neg has no caller in the package. It is deleted together with its entry in the benchmark
+        # tracer's OP_GROUPS, whose lookup would fail without it; until then no case covers it.
+        exempt = {"neg"}
+        reached = set()
+        with precision("f64"):
+            for name, case in ALL_CASES.items():
+                build, arrays = case(np.random.default_rng(zlib.crc32(name.encode())))
+                stack = [build(*(tensor(a, requires_grad=True) for a in arrays))]
+                seen = set()
+                while stack:
+                    node = stack.pop()
+                    if id(node) in seen or node._backward_fn is None:
+                        continue
+                    seen.add(id(node))
+                    reached.add(_op_name(node._backward_fn))
+                    stack.extend(node._parents)
+        assert public - exempt <= reached, sorted(public - exempt - reached)
+        assert exempt.isdisjoint(reached), "an exempt op is covered now: drop its exemption"

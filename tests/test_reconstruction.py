@@ -8,7 +8,7 @@ import pytest
 from dualpath_cs import ops
 from dualpath_cs.autograd import Tensor, backward, no_grad, precision, tensor
 from dualpath_cs.conv import conv2d
-from dualpath_cs.errors import ContractError, GeometryError, ResourceError
+from dualpath_cs.errors import ConfigError, ContractError, GeometryError, ResourceError
 from dualpath_cs.hyperprior import GuidanceBundle, HyperpriorSignal
 from dualpath_cs.model import DualPathModel
 from dualpath_cs.reconstruction import (
@@ -360,6 +360,11 @@ class TestUnrolledModel:
         model = self._model()
         with pytest.raises(GeometryError):
             model(tensor(np.zeros((1, 1, 18, 16), dtype=np.float32)))
+
+    @pytest.mark.parametrize("seed", [-3, 2.5])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ConfigError):
+            self._model(seed=seed)
 
 
 class TestEndToEndGradient:

@@ -86,6 +86,11 @@ class TestDeterminism:
         s2 = build_dual_sampler(0.25, (1, 4), 8, seed=2)
         assert not np.array_equal(s1.phi1.weights.data, s2.phi1.weights.data)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ConfigError):
+            build_dual_sampler(0.25, (1, 4), 8, seed=seed)
+
 
 class TestSampleAdjoint:
     def test_zero_image_zero_measurements(self):

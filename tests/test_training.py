@@ -150,6 +150,12 @@ class TestExtractPatches:
     def test_explicit_stride_overlaps(self, rng):
         assert len(extract_patches(rng.uniform(0, 1, (16, 16)), 8, stride=4)) == 9
 
+    @pytest.mark.parametrize("augment", [False, True])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "5", None])
+    def test_bad_seed_rejected(self, rng, seed, augment):
+        with pytest.raises(ContractError):
+            extract_patches(rng.uniform(0, 1, (16, 16)), 8, augment=augment, seed=seed)
+
 
 class TestTrainStep:
     def test_zero_lr_leaves_parameters_bit_identical(self, rng):
