@@ -14,7 +14,8 @@ Layout (all integers little-endian):
         raw      values, little-endian, C order
 
 Loading parses the whole file before touching any model state, so a malformed
-file can never leave a half-restored model.
+file can never leave a half-restored model. A tensor name that appears twice, or
+any byte after the last tensor, is a format error.
 """
 
 import json
@@ -162,6 +163,8 @@ def load_checkpoint(path):
     tensors = {}
     for _ in range(count):
         name = reader.text("tensor name")
+        if name in tensors:
+            raise CheckpointFormatError(f"tensor {name!r} appears twice")
         rank = reader.u8()
         code = reader.u8()
         if code not in _CODE_DTYPES:
@@ -170,6 +173,8 @@ def load_checkpoint(path):
         dtype = _CODE_DTYPES[code]
         raw = reader.take(math.prod(shape) * dtype.itemsize)  # Python ints: no overflow
         tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    if reader.pos != len(blob):
+        raise CheckpointFormatError(f"{len(blob) - reader.pos} bytes after the last tensor")
     return header, tensors
 
 

@@ -1,21 +1,27 @@
 """Convolutions as sums of shifted-tap gemms, with no column matrix.
 
-`conv2d` pads its input once into a wide buffer: each channel is one flat row
-holding the N padded planes end to end, then zeros. Kernel tap (i, j) reads the
-contiguous window of every row that starts at i*Wp + j, so
-the stride-1 output, laid out Wp wide with the N planes end to end, is the sum
-of kh*kw gemms `w[:, :, i, j] @ window`. The columns and rows of that layout
-whose window wraps into the next row or plane are dropped, and a strided conv
-also keeps only every stride-th row and column of what remains. Backward
-scatters the output gradient into the same wide layout, with zeros in every
-dropped place, and runs the same windows: `g_wide @ window.T` is the weight
-gradient of a tap, and `w[:, :, i, j].T @ g_wide`, added into a padded buffer,
-the input gradient. Only the padded input stays on the tape. Backward returns
-None for a constant parent (one with `requires_grad=False`) and skips its gemms.
-A channel extent of 1 is padded with a zero channel, so that no tap gemm
-contracts over a single channel. The windows are whole blocks of 16 columns:
-BLAS computes a last, narrower block with another kernel, whose rounding would
-make a sample's output depend on the batch size.
+`conv2d` pads its input once into a wide buffer of phase planes. A stride s
+splits the padded planes into s*s phases: phase (a, c) holds padded rows a,
+a+s, ... and columns c, c+s, ..., zero-filled to one ceil(Hp/s) x ceil(Wp/s)
+extent Hq x Wq. Each channel is one flat row of the buffer: the phases one after
+another, each the N phase planes end to end, then zeros. Kernel tap (i, j)
+reads phase (i mod s, j mod s) in the contiguous window of every row that
+starts (i//s)*Wq + j//s into that phase, so the strided output, laid out Wq
+wide with the N planes end to end, is the sum of kh*kw gemms
+`w[:, :, i, j] @ window`, and a strided conv computes none of the stride-1
+outputs it would drop. Stride 1 is the one-phase case. The columns and rows of
+that layout whose window wraps into the next row, plane or phase are dropped.
+Backward scatters the output gradient into the same wide layout, with zeros in
+every dropped place, and runs the same windows: `g_wide @ window.T` is the
+weight gradient of a tap, and `w[:, :, i, j].T @ g_wide`, added into a buffer
+laid out like the input's, the input gradient, whose phases are written
+straight into the [N, Cin, H, W] result. Only the phase buffer, about the size
+of the padded input, stays on the tape. Backward returns None for a constant
+parent (one with `requires_grad=False`) and skips its gemms. A channel extent
+of 1 is padded with a zero channel, so that no tap gemm contracts over a single
+channel. The windows are whole blocks of 16 columns: BLAS computes a last,
+narrower block with another kernel, whose rounding would make a sample's output
+depend on the batch size.
 """
 
 import numpy as np
@@ -47,25 +53,34 @@ def conv2d(x, w, b=None, stride=1, padding=0):
 
     cout = w.shape[0]
     hp, wp = h + 2 * padding, wdt + 2 * padding
-    plane = hp * wp
+    # Phase (a, c) holds the padded rows a, a+s, ... and columns c, c+s, ..., zero-filled to one
+    # hq x wq extent, so every phase plane has the same layout; a phase's n planes are phase_cols long.
+    s = stride
+    hq, wq = -(-hp // s), -(-wp // s)
+    plane = hq * wq
+    phase_cols = n * plane
     # Window length: to the end of the last plane's output rows, rounded up to whole 16-column blocks.
-    span = -(-((n - 1) * plane + (hp - kh + 1) * wp) // 16) * 16
-    cols = (kh - 1) * wp + kw - 1 + span  # every wide buffer's row: to the end of the last window
-    offsets = [(i, j, i * wp + j) for i in range(kh) for j in range(kw)]
-    keep = (slice(cout), slice(None), slice(None, hp - kh + 1, stride), slice(None, wp - kw + 1, stride))
-    inner = (slice(cin), slice(None), slice(padding, padding + h), slice(padding, padding + wdt))
+    span = -(-((n - 1) * plane + ho * wq) // 16) * 16
+    # The input buffer's row: to the end of the last phase's last window, and at least all phases.
+    cols = max(s * s * phase_cols, (s * s - 1) * phase_cols + (kh - 1) // s * wq + (kw - 1) // s + span)
+    width = max(phase_cols, span)  # the output's wide row: a window, and at least the n planes
+    taps_at = [(i, j, ((i % s) * s + j % s) * phase_cols + i // s * wq + j // s)
+               for i in range(kh) for j in range(kw)]
+    keep = (slice(cout), slice(None), slice(ho), slice(wo))
     # Zero channels pad Cin in xp and taps (forward gemms) and Cout in g_wide and taps (dx gemms).
     cin2, cout2 = max(cin, 2), max(cout, 2)
 
-    def planes(flat):
-        return flat[:, :n * plane].reshape(flat.shape[0], n, hp, wp)
+    def planes(flat, ph=0):
+        return flat[:, ph * phase_cols:(ph + 1) * phase_cols].reshape(flat.shape[0], n, hq, wq)
 
     xp = np.zeros((cin2, cols), dtype=x.dtype)
-    planes(xp)[inner] = x.data.transpose(1, 0, 2, 3)
+    x_cn = x.data.transpose(1, 0, 2, 3)
+    for ph, (ys, ry), (xs, rx) in _phases(h, wdt, padding, s):
+        planes(xp, ph)[:cin, :, ry, rx] = x_cn[:, :, ys, xs]
     taps = np.zeros((kh, kw, cout2, cin2), dtype=w.dtype)
     taps[:, :, :cout, :cin] = w.data.transpose(2, 3, 0, 1)
-    out_wide = np.zeros((cout, cols), dtype=x.dtype)
-    for i, j, off in offsets:
+    out_wide = np.zeros((cout, width), dtype=x.dtype)
+    for i, j, off in taps_at:
         out_wide[:, :span] += taps[i, j, :cout] @ xp[:, off:off + span]
     out = np.ascontiguousarray(planes(out_wide)[keep].transpose(1, 0, 2, 3))
     if b is not None:
@@ -73,25 +88,45 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     need_x, need_w = x.requires_grad, w.requires_grad
 
     def bwd(g):
-        g_wide = np.zeros((cout2, cols), dtype=g.dtype)
+        g_wide = np.zeros((cout2, width), dtype=g.dtype)
         planes(g_wide)[keep] = g.transpose(1, 0, 2, 3)
         g_wide = g_wide[:, :span]
         dw = dx = None
         if need_w:
             dw = np.empty_like(w.data)
-            for i, j, off in offsets:
+            for i, j, off in taps_at:
                 dw[:, :, i, j] = g_wide[:cout] @ xp[:cin, off:off + span].T
         if need_x:
             dxp = np.zeros_like(xp)
-            for i, j, off in offsets:
+            for i, j, off in taps_at:
                 dxp[:, off:off + span] += taps[i, j].T @ g_wide
-            dx = np.ascontiguousarray(planes(dxp)[inner].transpose(1, 0, 2, 3))
+            dx = np.empty((n, cin, h, wdt), dtype=xp.dtype)
+            for ph, (ys, ry), (xs, rx) in _phases(h, wdt, padding, s):
+                dx[:, :, ys, xs] = planes(dxp, ph)[:cin, :, ry, rx].transpose(1, 0, 2, 3)
         if b is None:
             return dx, dw
         return dx, dw, g.sum(axis=(0, 2, 3))
 
     parents = (x, w) if b is None else (x, w, b)
     return make(out, parents, bwd)
+
+
+def _phases(h, wdt, padding, s):
+    """(phase index, (input rows, phase rows), (input columns, phase columns)) of each phase.
+
+    Input row y is padded row padding + y, which phase (padding + y) mod s holds as its row
+    (padding + y) // s, so phase a's first input row is (a - padding) mod s; likewise for the
+    columns. Rebuilt where needed rather than kept on the tape.
+    """
+    axes = []
+    for extent in (h, wdt):
+        axis = []
+        for a in range(s):
+            y0 = (a - padding) % s
+            start = (padding + y0) // s
+            axis.append((slice(y0, extent, s), slice(start, start + len(range(y0, extent, s)))))
+        axes.append(axis)
+    return [(a * s + c, axes[0][a], axes[1][c]) for a in range(s) for c in range(s)]
 
 
 def conv_transpose2x(x, w, b=None):

@@ -2,15 +2,19 @@
 
 Every op computes its forward value with numpy/BLAS and registers a closure
 producing per-parent gradients. Numerical-stability conventions: softmax
-subtracts the row max; attention shifts each score row by a Cauchy-Schwarz
-bound on it, folded into the score gemm, and by the exact row max only where
-that bound is too loose to keep the largest exp term in range; sigmoid never
+subtracts the row max; attention runs its softmax in base 2 (log2 e folded into
+the query scale, so scores are in bits and exp2 replaces exp) and shifts each
+score row by a Cauchy-Schwarz bound on it, folded into the score gemm, and by
+the exact row max only where that bound is past 31.5 bits in float32 (255.5 in
+float64) and so too loose to keep the largest exp2 term in range; sigmoid never
 exponentiates a positive argument; and the half-size bilinear resize is the
-2x2 block mean it equals. Attention keeps only a per-query log-sum-exp for its
-backward pass and recomputes the probabilities a chunk of queries at a time in
-one reused T×chunk buffer, so its memory is linear in the token count; it takes
-a key mask and skips the dropped keys' values in its value gemms. A parent with
-requires_grad=False gets None from the backward closure.
+2x2 block mean it equals. Attention keeps only a per-query base-2 log-sum-exp
+for its backward pass and recomputes the probabilities a chunk of queries at a
+time in one reused T×chunk buffer, so its memory is linear in the token count;
+it takes a key mask and skips the dropped keys' values in its value gemms, and
+its backward splits the dq and dk gemms at the kept keys, scaling the small
+side of the dropped-key ones by -rowdot. A parent with requires_grad=False gets
+None from the backward closure.
 """
 
 import math
@@ -23,6 +27,8 @@ from .errors import DimensionError
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
+_LOG2E = 1.4426950408889634
+_LN2 = 0.6931471805599453
 LAYER_NORM_EPS = 1e-5
 
 
@@ -318,23 +324,30 @@ def scaled_dot_attention(q, k, v, keep, chunk=64):
     (a ones column beside the values also gives the kept part of each query's
     sum), dv and dp backward, where a dropped key's dp is exactly -rowdot.
 
-    Softmax gives the same result for any per-row shift m_i, and the row max is only one that
-    keeps exp in range (Milakov & Gimelshein 2018). This op shifts row i by the Cauchy-Schwarz
-    bound m_i = |q_i/sqrt(d)| max_j |k_j|, which no score exceeds. It writes -m_i into an extra
-    last column of the scaled queries, so one gemm of the keys, with a ones column beside them,
-    gives the shifted scores, with no max-and-subtract pass. A row whose bound is above
-    ln(1/tiny)/4 (21.8 in float32, 177 in float64) could underflow its largest term and shifts by
-    its exact max instead, found in a pre-pass over only those rows.
+    Softmax gives the same result for any per-row shift m_i and in any base, and the row max is
+    only one shift that keeps exp in range (Milakov & Gimelshein 2018). This op scales the queries
+    by log2(e)/sqrt(d), so the scores are in bits and numpy's exp2, faster and more accurate than
+    its exp, gives the same probabilities, as in FlashAttention-2's kernels (Dao 2023). It shifts
+    row i by the Cauchy-Schwarz bound m_i = |q_i log2(e)/sqrt(d)| max_j |k_j|, which no score
+    exceeds. It writes -m_i into an extra last column of the scaled queries, so one gemm of the
+    keys, with a ones column beside them, gives the shifted scores, with no max-and-subtract pass.
+    A row whose bound is above log2(1/tiny)/4 (31.5 bits in float32, 255.5 in float64; the same
+    limit as 21.8 and 177 nats) could underflow its largest term and shifts by its exact max
+    instead, found in a pre-pass over only those rows.
 
     Memory-linear: queries are processed `chunk` at a time through one reused
     key-major T×chunk score buffer (a row per key, kept keys first, so the kept
     and the dropped keys are two contiguous row blocks), and only the per-query
-    log-sum-exp is kept for the backward pass, which rebuilds each chunk of
-    probabilities from it (recomputation as in Rabe & Staats 2021 and
+    base-2 log-sum-exp is kept for the backward pass, which rebuilds each chunk
+    of probabilities from it (recomputation as in Rabe & Staats 2021 and
     FlashAttention, Dao et al. 2022). Peak extra memory is O(chunk·T + N·T·d)
     in both passes. Key-major chunks keep the per-chunk elementwise passes on
     contiguous memory, a point FlashAttention-2 (Dao 2023) makes about work
-    partitioning and non-matmul work once the gemms are tight.
+    partitioning and non-matmul work once the gemms are tight. For the same
+    reason the backward never scales the dropped rows of a chunk by -rowdot:
+    it splits the dq and dk gemms at the kept keys and scales the small side
+    of the dropped-key ones instead, the chunk's rows of dq after its gemm and
+    its queries before theirs.
     """
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
         raise DimensionError("attention operands must be [N*T,d]")
@@ -364,22 +377,23 @@ def _attend(q, k, v, out, mask, chunk):
     order = np.concatenate([kept, np.flatnonzero(mask == 0)])
     weight = mask[kept, None]
     scale = np.asarray(1.0 / np.sqrt(d), dtype=dt)
-    # The scaled queries with a last column of minus each row's softmax shift: against the ones
-    # column beside the keys, one gemm gives the shifted scores.
+    # The queries scaled by log2(e)/sqrt(d), so the scores are in bits, with a last column of minus
+    # each row's softmax shift: against the ones column beside the keys, one gemm gives the
+    # shifted scores.
     q_one = np.empty((t, d + 1), dtype=dt)
     qs = q_one[:, :d]
-    np.multiply(q, scale, out=qs)
+    np.multiply(q, np.asarray(_LOG2E / np.sqrt(d), dtype=dt), out=qs)
     k_one = np.hstack([k[order], np.ones((t, 1), dtype=dt)])
     kp = k_one[:, :d]
     v_one = np.hstack([v[kept] * weight, np.ones((nk, 1), dtype=dt)])
     ones = np.ones(t - nk, dtype=dt)
     buf = np.empty((t, min(chunk, t)), dtype=dt)
     # Cauchy-Schwarz: |q_i·k_j| <= |q_i| max_j |k_j| = bound_i, so no shifted score is above 0
-    # and the largest is at least -2 bound_i. Up to `safe`, the query's largest exp term is then at
+    # and the largest is at least -2 bound_i. Up to `safe`, the query's largest exp2 term is then at
     # least sqrt(tiny), far from underflow; a query with a larger bound shifts by its exact max instead.
     bound = np.sqrt(np.einsum("ij,ij->i", qs, qs) * np.einsum("ij,ij->i", kp, kp).max())
     q_one[:, d] = -bound
-    safe = -np.log(np.finfo(dt).tiny) / 4
+    safe = -np.log2(np.finfo(dt).tiny) / 4
     wide = np.flatnonzero(~(bound <= safe))  # NaN too: 0·inf from an overflowed key norm
     for r0 in range(0, wide.size, chunk):
         rows = wide[r0:r0 + chunk]
@@ -390,19 +404,19 @@ def _attend(q, k, v, out, mask, chunk):
         i1 = min(i0 + chunk, t)
         e = buf[:, :i1 - i0]
         np.matmul(k_one, q_one[i0:i1].T, out=e)
-        np.exp(e, out=e)
+        np.exp2(e, out=e)
         num = e[:nk].T @ v_one
         # A matrix-vector product sums the dropped keys faster than ndarray.sum.
         row_sum = num[:, -1] + ones @ e[nk:]
         np.divide(num[:, :-1], row_sum[:, None], out=out[i0:i1])
-        # The shift column becomes -lse: the backward rebuilds probabilities as exp(s - lse).
-        q_one[i0:i1, d] -= np.log(row_sum)
+        # The shift column becomes -lse2: the backward rebuilds probabilities as exp2(s - lse2).
+        q_one[i0:i1, d] -= np.log2(row_sum)
 
     def bwd(g):
         # rowsum(P ⊙ (g vᵀ)) = rowsum(g ⊙ out): O(T·d) instead of a T×T product.
         g = np.ascontiguousarray(g)
         neg_rowdot = -(g * out).sum(axis=1)
-        # The ones columns of k_one and v_one fold the -lse and -rowdot shifts into the gemms.
+        # The ones columns of k_one and v_one fold the -lse2 and -rowdot shifts into the gemms.
         g_dot = np.hstack([g, neg_rowdot[:, None]])
         p_buf = np.empty((t, min(chunk, t)), dtype=dt)
         dp_buf = np.empty((nk, min(chunk, t)), dtype=dt)
@@ -413,17 +427,21 @@ def _attend(q, k, v, out, mask, chunk):
             i1 = min(i0 + chunk, t)
             p = p_buf[:, :i1 - i0]
             np.matmul(k_one, q_one[i0:i1].T, out=p)
-            np.exp(p, out=p)
-            pk = p[:nk]
+            np.exp2(p, out=p)
+            pk, pd = p[:nk], p[nk:]
             dvk += pk @ g[i0:i1]
             dp = dp_buf[:, :i1 - i0]
             np.matmul(v_one, g_dot[i0:i1].T, out=dp)
             pk *= dp
-            # A dropped key's value is zero, so its dp is exactly -rowdot.
-            p[nk:] *= neg_rowdot[i0:i1]
-            np.matmul(p.T, kp, out=dq[i0:i1])
-            dkp += p @ qs[i0:i1]
+            # A dropped key's value is zero, so its dp is exactly -rowdot: scale the small side of
+            # each dropped-key gemm by it rather than the dropped rows of p.
+            nr = neg_rowdot[i0:i1, None]
+            np.matmul(pk.T, kp[:nk], out=dq[i0:i1])
+            dq[i0:i1] += nr * (pd.T @ kp[nk:])
+            dkp[:nk] += pk @ qs[i0:i1]
+            dkp[nk:] += pd @ (qs[i0:i1] * nr)
         dq *= scale
+        dkp *= np.asarray(_LN2, dtype=dt)  # the log2(e) that qs carries
         dk = np.empty_like(dkp)
         dk[order] = dkp
         dv = np.zeros_like(out)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dualpath_cs.autograd import tensor
+from dualpath_cs.autograd import precision, tensor
 from dualpath_cs.conv import conv2d, conv_transpose2x
 from dualpath_cs.errors import DimensionError, GeometryError
 
@@ -65,8 +65,9 @@ class TestConvForward:
 
     @pytest.mark.parametrize("stride,padding,hw,k", [
         (1, 1, (5, 5), 3), (1, 0, (6, 6), 3), (2, 1, (6, 6), 3), (2, 1, (7, 7), 3), (1, 2, (4, 4), 3),
-        (1, 3, (5, 9), 7), (2, 3, (10, 7), 7),
-    ], ids=["1-1-5", "1-0-6", "2-1-6", "2-1-7", "1-2-4", "1-3-5x9-k7", "2-3-10x7-k7"])
+        (1, 3, (5, 9), 7), (2, 3, (10, 7), 7), (3, 1, (8, 10), 3), (3, 2, (11, 7), 5), (2, 0, (9, 8), 3),
+    ], ids=["1-1-5", "1-0-6", "2-1-6", "2-1-7", "1-2-4", "1-3-5x9-k7", "2-3-10x7-k7", "3-1-8x10", "3-2-11x7-k5",
+            "2-0-9x8"])
     def test_matches_naive_oracle(self, rng, stride, padding, hw, k):
         x = rng.standard_normal((2, 3, *hw))
         w = rng.standard_normal((4, 3, k, k))
@@ -176,6 +177,24 @@ class TestFloat32Accuracy:
             assert rel <= 4e-6, rel
 
 
+class TestPhaseGradients:
+    """A strided conv's gradients against the float64 sliding-window oracle, where the stride's
+    phases of the padded input have unequal extents (odd extents, stride 3, no padding)."""
+
+    @pytest.mark.parametrize("stride,padding,hw,k", [
+        (2, 0, (9, 8), 3), (3, 1, (8, 10), 3), (3, 2, (11, 7), 5), (2, 0, (7, 7), 1),
+    ], ids=["2-0-9x8", "3-1-8x10", "3-2-11x7-k5", "2-0-7-k1"])
+    def test_gradients_match_dense_float64(self, rng, stride, padding, hw, k):
+        x = rng.standard_normal((2, 3, *hw))
+        w = rng.standard_normal((4, 3, k, k))
+        with precision("f64"):
+            out = conv2d(tensor(x, requires_grad=True), tensor(w, requires_grad=True), stride=stride, padding=padding)
+        g = rng.standard_normal(out.shape)
+        for got, ref in zip((out.data, *out._backward_fn(g)), dense_conv2d_f64(x, w, g, stride, padding)):
+            assert got.shape == ref.shape
+            assert np.allclose(got, ref, rtol=0, atol=1e-12)
+
+
 class TestBatchInvariance:
     @pytest.mark.parametrize("cin,cout,size", [(32, 32, 4), (32, 64, 4), (64, 32, 4), (32, 16, 8), (16, 16, 16)])
     @pytest.mark.parametrize("n", [2, 3])
@@ -185,6 +204,22 @@ class TestBatchInvariance:
         g = rng.standard_normal((1, cout, size, size)).astype(np.float32)
         single = conv2d(tensor(x, requires_grad=True), w, padding=1)
         batch = conv2d(tensor(np.concatenate([x] * n), requires_grad=True), w, padding=1)
+        dx_single = single._backward_fn(g)[0]
+        dx_batch = batch._backward_fn(np.concatenate([g] * n))[0]
+        for s in range(n):
+            assert np.array_equal(batch.data[s], single.data[0])
+            assert np.array_equal(dx_batch[s], dx_single[0])
+
+    @pytest.mark.parametrize("cin,cout,size", [(16, 32, 8), (32, 64, 8), (16, 32, 64)])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_strided_sample_gets_the_same_bits_in_any_batch(self, rng, cin, cout, size, n):
+        # The model's stride-2 downsampling shapes. Each phase holds the samples' phase planes end
+        # to end, so a sample's windows sit elsewhere in a larger batch; its bits must not move.
+        x = rng.standard_normal((1, cin, size, size)).astype(np.float32)
+        w = tensor(rng.standard_normal((cout, cin, 3, 3)).astype(np.float32))
+        single = conv2d(tensor(x, requires_grad=True), w, stride=2, padding=1)
+        g = rng.standard_normal(single.shape).astype(np.float32)
+        batch = conv2d(tensor(np.concatenate([x] * n), requires_grad=True), w, stride=2, padding=1)
         dx_single = single._backward_fn(g)[0]
         dx_batch = batch._backward_fn(np.concatenate([g] * n))[0]
         for s in range(n):
@@ -207,3 +242,21 @@ class TestTapeMemory:
         padded_bytes = 16 * (66 * 66 + 2) * 4
         assert out.requires_grad
         assert kept < 2 * (padded_bytes + out.data.nbytes), f"{kept} bytes kept"
+
+    def test_strided_conv_keeps_only_phase_planes(self, rng):
+        """At stride 2, what stays alive is the four 33x33 phase planes of the padded 66x66 input,
+        about as many bytes as that input, plus the output. The forward's peak stays under the
+        padded input plus four outputs; a stride-1 output and one gemm temporary of it would be
+        eight outputs on their own."""
+        x = tensor(rng.standard_normal((1, 16, 64, 64)).astype(np.float32), requires_grad=True)
+        w = tensor(rng.standard_normal((32, 16, 3, 3)).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = conv2d(x, w, stride=2, padding=1)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        padded_bytes = 16 * (66 * 66 + 2) * 4
+        assert out.shape == (1, 32, 32, 32) and out.requires_grad
+        assert kept < 1.25 * padded_bytes + out.data.nbytes, f"{kept} bytes kept"
+        assert peak < padded_bytes + 4 * out.data.nbytes, f"peak {peak} bytes"

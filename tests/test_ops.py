@@ -255,6 +255,26 @@ class TestAttention:
             rel = np.max(np.abs(got - expect)) / np.max(np.abs(expect))
             assert rel <= 2e-6, rel
 
+    def test_float32_matches_float64_at_4096_tokens(self, rng):
+        # The train64 benchmark's attention: a 64x64 image's tokens, d = 16, half the keys kept, in
+        # 64 default chunks, against the f64 op. The bound is about twice the largest error,
+        # relative to the largest magnitude, that the natural-base form of this op (exp, and the
+        # dropped-key rows of p scaled by -rowdot) had on these inputs: 9.4e-7, on the output.
+        t, d = 4096, 16
+        keep = (rng.permutation(t) < t // 2).astype(np.float64)
+        arrays = [rng.standard_normal((t, d)) for _ in range(3)]
+        weight = rng.standard_normal((t, d))
+        attend = lambda q, k, v: ops.scaled_dot_attention(q, k, v, keep[None])
+        with precision("f32"), np.errstate(over="raise", divide="raise", invalid="raise"):
+            fused = self._forward_backward(attend, arrays, weight)
+        with precision("f64"):
+            reference = self._forward_backward(attend, arrays, weight)
+        assert self._wide_rows(arrays[0].astype(np.float32), arrays[1].astype(np.float32), np.float32) == "none"
+        for got, expect in zip(fused, reference):
+            assert got.dtype == np.float32
+            rel = np.max(np.abs(got - expect)) / np.max(np.abs(expect))
+            assert rel <= 2e-6, rel
+
     @pytest.mark.parametrize("shape", [(1, 4), (1, 6), (5,)], ids=["4", "6", "no-sample-axis"])
     def test_keep_size_must_match_tokens(self, rng, shape):
         # A 1-d mask has no sample axis, even with one element per token.

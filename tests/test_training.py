@@ -436,8 +436,9 @@ class TestCheckpoint:
 
 
 class TestCheckpointFormat:
-    """A header or tensor name that does not decode, or a header that is not the
-    expected object, raises a CheckpointError subclass; the config may be given
+    """A header or tensor name that does not decode, a header that is not the
+    expected object, a tensor name that appears twice or bytes after the last
+    tensor raise a CheckpointError subclass; the config may be given
     as a TrainConfig, and anything unserializable is refused before writing."""
 
     @staticmethod
@@ -512,6 +513,29 @@ class TestCheckpointFormat:
         blob[16 + length + 8] = 0xFF  # first byte of the first tensor name
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointFormatError):
+            load_checkpoint(path)
+
+    def test_bytes_after_last_tensor(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        blob, _ = self._saved_blob(path)
+        path.write_bytes(blob + b"\x00")
+        with pytest.raises(CheckpointFormatError, match="1 bytes after the last tensor"):
+            load_checkpoint(path)
+
+    def test_duplicated_tensor_name(self, tmp_path):
+        # A second entry of the first tensor, counted in the tensor count: last-wins parsing would
+        # hand restore_model a complete, plausible set of tensors.
+        path = tmp_path / "m.ckpt"
+        blob, length = self._saved_blob(path)
+        count_at = 16 + length
+        first = count_at + 4
+        name_len = struct.unpack_from("<I", blob, first)[0]
+        rank = blob[first + 4 + name_len]
+        extents = struct.unpack_from(f"<{rank}I", blob, first + 6 + name_len)
+        end = first + 6 + name_len + 4 * rank + 4 * int(np.prod(extents))  # float32 values
+        count = struct.unpack_from("<I", blob, count_at)[0]
+        path.write_bytes(blob[:count_at] + struct.pack("<I", count + 1) + blob[first:] + blob[first:end])
+        with pytest.raises(CheckpointFormatError, match="appears twice"):
             load_checkpoint(path)
 
 
