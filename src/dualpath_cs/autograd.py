@@ -6,6 +6,15 @@ parents, a closure that maps the output gradient to per-parent gradients, and
 a creation number. Backward consumes this tape: each node drops its closure,
 and with it every array the closure saved, once it has run.
 
+The tape rule: a backward closure may keep its parents' arrays, its output and
+per-row statistics (layer_norm's means and inverse deviations), and nothing
+else the forward derives from them. A parent's array is alive on the tape
+anyway, through the node's parents, so a buffer built from it (conv2d's padded
+phase buffer and tap-ordered weights, conv_transpose2x's input rows,
+layer_norm's normalised input) is rebuilt in the backward, not stored. A
+closure captures the arrays themselves, never `t.data` at backward time:
+`Adam.step` rebinds a parameter's `.data`.
+
 Precision is a process-global switch: float32 for training/inference and a
 float64 mode for gradient verification (finite differences in float32 are too
 noisy to check against).

@@ -15,8 +15,10 @@ Backward scatters the output gradient into the same wide layout, with zeros in
 every dropped place, and runs the same windows: `g_wide @ window.T` is the
 weight gradient of a tap, and `w[:, :, i, j].T @ g_wide`, added into a buffer
 laid out like the input's, the input gradient, whose phases are written
-straight into the [N, Cin, H, W] result. Only the phase buffer, about the size
-of the padded input, stays on the tape. Backward returns None for a constant
+straight into the [N, Cin, H, W] result. The tape keeps the output and the
+arrays of the input and the weights, nothing derived from them: the backward
+rebuilds the phase buffer, only for the weight gradient, and the tap-ordered
+weights, only for the input gradient. Backward returns None for a constant
 parent (one with `requires_grad=False`) and skips its gemms. A channel extent
 of 1 is padded with a zero channel, so that no tap gemm contracts over a single
 channel. The windows are whole blocks of 16 columns: BLAS computes a last,
@@ -73,15 +75,28 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     def planes(flat, ph=0):
         return flat[:, ph * phase_cols:(ph + 1) * phase_cols].reshape(flat.shape[0], n, hq, wq)
 
-    xp = np.zeros((cin2, cols), dtype=x.dtype)
-    x_cn = x.data.transpose(1, 0, 2, 3)
-    for ph, (ys, ry), (xs, rx) in _phases(h, wdt, padding, s):
-        planes(xp, ph)[:cin, :, ry, rx] = x_cn[:, :, ys, xs]
-    taps = np.zeros((kh, kw, cout2, cin2), dtype=w.dtype)
-    taps[:, :, :cout, :cin] = w.data.transpose(2, 3, 0, 1)
-    out_wide = np.zeros((cout, width), dtype=x.dtype)
+    # The arrays this call saw: Adam.step rebinds a parameter's .data, so backward must not read it.
+    xd, wd = x.data, w.data
+
+    # The forward builds these two from xd and wd, and the backward builds them again, so that
+    # neither stays on the tape.
+    def phase_buffer():
+        xp = np.zeros((cin2, cols), dtype=xd.dtype)
+        x_cn = xd.transpose(1, 0, 2, 3)
+        for ph, (ys, ry), (xs, rx) in _phases(h, wdt, padding, s):
+            planes(xp, ph)[:cin, :, ry, rx] = x_cn[:, :, ys, xs]
+        return xp
+
+    def tap_weights():
+        taps = np.zeros((kh, kw, cout2, cin2), dtype=wd.dtype)
+        taps[:, :, :cout, :cin] = wd.transpose(2, 3, 0, 1)
+        return taps
+
+    xp, taps = phase_buffer(), tap_weights()
+    out_wide = np.zeros((cout, width), dtype=xd.dtype)
     for i, j, off in taps_at:
         out_wide[:, :span] += taps[i, j, :cout] @ xp[:, off:off + span]
+    del xp, taps
     out = np.ascontiguousarray(planes(out_wide)[keep].transpose(1, 0, 2, 3))
     if b is not None:
         out += b.data[:, None, None]
@@ -93,14 +108,17 @@ def conv2d(x, w, b=None, stride=1, padding=0):
         g_wide = g_wide[:, :span]
         dw = dx = None
         if need_w:
-            dw = np.empty_like(w.data)
+            xp = phase_buffer()
+            dw = np.empty_like(wd)
             for i, j, off in taps_at:
                 dw[:, :, i, j] = g_wide[:cout] @ xp[:cin, off:off + span].T
+            del xp  # before dxp is allocated
         if need_x:
-            dxp = np.zeros_like(xp)
+            taps = tap_weights()
+            dxp = np.zeros((cin2, cols), dtype=xd.dtype)
             for i, j, off in taps_at:
                 dxp[:, off:off + span] += taps[i, j].T @ g_wide
-            dx = np.empty((n, cin, h, wdt), dtype=xp.dtype)
+            dx = np.empty((n, cin, h, wdt), dtype=xd.dtype)
             for ph, (ys, ry), (xs, rx) in _phases(h, wdt, padding, s):
                 dx[:, :, ys, xs] = planes(dxp, ph)[:cin, :, ry, rx].transpose(1, 0, 2, 3)
         if b is None:
@@ -133,7 +151,8 @@ def conv_transpose2x(x, w, b=None):
     """Stride-2 transposed convolution with a 2x2 kernel: exact 2x upsampling.
 
     Weight layout is [Cin, Cout, 2, 2]; every input pixel paints one disjoint
-    2x2 output tile, so the op is a single gemm plus an index shuffle.
+    2x2 output tile, so the op is a single gemm plus an index shuffle. The
+    backward rebuilds the input's pixel rows, and only for the weight gradient.
     """
     if x.ndim != 4 or w.ndim != 4 or w.shape[2] != 2 or w.shape[3] != 2:
         raise DimensionError(f"conv_transpose2x expects [N,Cin,H,W] and [Cin,Cout,2,2], got {x.shape} / {w.shape}")
@@ -144,9 +163,13 @@ def conv_transpose2x(x, w, b=None):
     if b is not None and b.data.shape != (cout,):
         raise DimensionError("conv_transpose2x bias must be [Cout]")
 
-    x_mat = np.ascontiguousarray(x.data.transpose(0, 2, 3, 1)).reshape(-1, cin)
+    xd = x.data  # the array this call saw, as in conv2d
+
+    def x_rows():
+        return np.ascontiguousarray(xd.transpose(0, 2, 3, 1)).reshape(-1, cin)
+
     w_mat = w.data.reshape(cin, cout * 4)
-    out = (x_mat @ w_mat).reshape(n, h, wdt, cout, 2, 2)
+    out = (x_rows() @ w_mat).reshape(n, h, wdt, cout, 2, 2)
     out = np.ascontiguousarray(out.transpose(0, 3, 1, 4, 2, 5)).reshape(n, cout, 2 * h, 2 * wdt)
     if b is not None:
         out = out + b.data[None, :, None, None]
@@ -160,7 +183,7 @@ def conv_transpose2x(x, w, b=None):
         if need_x:
             dx = np.ascontiguousarray((g_mat @ w_mat.T).reshape(n, h, wdt, cin).transpose(0, 3, 1, 2))
         if need_w:
-            dw = (x_mat.T @ g_mat).reshape(cin, cout, 2, 2)
+            dw = (x_rows().T @ g_mat).reshape(cin, cout, 2, 2)
         if b is None:
             return dx, dw
         return dx, dw, g.sum(axis=(0, 2, 3))

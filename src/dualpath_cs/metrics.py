@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from .autograd import Tensor
-from .errors import ConfigError, ContractError, DimensionError, GeometryError, is_finite_real, is_integer
+from .errors import ConfigError, ContractError, DimensionError, GeometryError, NumericsError, is_finite_real, is_integer
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -17,18 +17,30 @@ def _as_array(x):
     return x.data if isinstance(x, Tensor) else np.asarray(x)
 
 
+def _require_finite(metric, *arrays):
+    if not all(np.all(np.isfinite(x)) for x in arrays):
+        raise NumericsError(f"{metric} of an image with a non-finite pixel")
+
+
 def psnr(a, b):
     """10*log10(1 / MSE) in dB for a peak of 1; math.inf signals bit-identical inputs.
 
     Reports must render the infinite case as a distinguished "identical"
-    outcome rather than a number.
+    outcome rather than a number. Empty images raise DimensionError, and a
+    non-finite pixel or an error past float64's range raises NumericsError.
     """
     av, bv = _as_array(a), _as_array(b)
     if av.shape != bv.shape:
         raise DimensionError(f"psnr shapes differ: {av.shape} vs {bv.shape}")
-    err = float(np.mean((av.astype(np.float64) - bv.astype(np.float64)) ** 2))
+    if av.size == 0:
+        raise DimensionError("psnr of empty images")
+    _require_finite("psnr", av, bv)
+    with np.errstate(over="ignore"):
+        err = float(np.mean((av.astype(np.float64) - bv.astype(np.float64)) ** 2))
     if err == 0.0:
         return math.inf
+    if not math.isfinite(err):
+        raise NumericsError("psnr: the mean squared error overflows float64")
     return 10.0 * math.log10(1.0 / err)
 
 
@@ -52,6 +64,7 @@ def ssim(a, b):
     av, bv = av.squeeze(), bv.squeeze()
     if av.shape != bv.shape:
         raise DimensionError(f"ssim shapes differ: {av.shape} vs {bv.shape}")
+    _require_finite("ssim", av, bv)
     if av.ndim != 2:
         raise DimensionError(f"ssim expects grayscale images, got shape {av.shape}")
     if min(av.shape) < SSIM_WINDOW:

@@ -252,20 +252,24 @@ def global_avg_pool(a):
 
 
 def layer_norm(a, gain, bias):
-    """Normalize over the last axis with learnable scale/shift."""
-    x = a.data
+    """Normalize over the last axis with learnable scale/shift.
+
+    The tape keeps the input, the row means and the inverse deviations; backward rebuilds
+    xhat = (x - mu) * inv from them with the forward's own ops, so its bits are the forward's.
+    """
+    x, gd = a.data, gain.data
     d = x.shape[-1]
-    if gain.data.shape != (d,) or bias.data.shape != (d,):
+    if gd.shape != (d,) or bias.data.shape != (d,):
         raise DimensionError("layer_norm gain/bias must match the last axis")
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    out = xc * inv * gd + bias.data
 
     def bwd(g):
-        dxhat = g * gain.data
+        xhat = (x - mu) * inv
+        dxhat = g * gd
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         dx = inv * (dxhat - m1 - xhat * m2)
@@ -302,6 +306,8 @@ def mse(pred, target):
     """Mean squared error over all elements, as a scalar tensor."""
     if pred.shape != target.shape:
         raise DimensionError(f"mse shapes differ: {pred.shape} vs {target.shape}")
+    if pred.size == 0:
+        raise DimensionError("mse of empty tensors")
     diff = pred.data - target.data
     out = np.asarray((diff * diff).mean(), dtype=pred.dtype)
     n = pred.size

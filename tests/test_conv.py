@@ -260,3 +260,63 @@ class TestTapeMemory:
         assert out.shape == (1, 32, 32, 32) and out.requires_grad
         assert kept < 1.25 * padded_bytes + out.data.nbytes, f"{kept} bytes kept"
         assert peak < padded_bytes + 4 * out.data.nbytes, f"peak {peak} bytes"
+
+
+# Bytes of Python objects a taped forward may leave besides its arrays: the node, its closure, cells.
+TAPE_SLACK = 8192
+
+
+def _kept_bytes(forward):
+    """The op's output and the bytes a taped `forward()` leaves allocated (its parents are older)."""
+    tracemalloc.start()
+    try:
+        out = forward()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    return out, kept
+
+
+def _backward_after_rebinding(op, arrays, g, rebind):
+    """Gradients of `op` over fresh taped tensors of `arrays`. With `rebind`, each tensor's .data is
+    bound to another array between forward and backward, as Adam.step rebinds a parameter's."""
+    parents = [tensor(a, requires_grad=True) for a in arrays]
+    out = op(*parents)
+    if rebind:
+        for p in parents:
+            p.data = p.data * 2 + 1
+    return out._backward_fn(g)
+
+
+class TestTapeKeepsNoDerivedBuffer:
+    """A backward closure keeps its parents' arrays, its output and per-row statistics. Every other
+    buffer the forward derives (conv2d's phase buffer and tap weights, conv_transpose2x's input
+    rows) is rebuilt by the backward from the arrays the forward saw."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_taped_conv_keeps_only_its_output(self, rng, stride):
+        x = tensor(rng.standard_normal((1, 16, 64, 64)).astype(np.float32), requires_grad=True)
+        w = tensor(rng.standard_normal((16, 16, 3, 3)).astype(np.float32), requires_grad=True)
+        out, kept = _kept_bytes(lambda: conv2d(x, w, stride=stride, padding=1))
+        assert kept <= out.data.nbytes + TAPE_SLACK, f"{kept} bytes kept, output {out.data.nbytes}"
+
+    def test_taped_transposed_conv_keeps_only_its_output(self, rng):
+        x = tensor(rng.standard_normal((1, 16, 32, 32)).astype(np.float32), requires_grad=True)
+        w = tensor(rng.standard_normal((16, 16, 2, 2)).astype(np.float32), requires_grad=True)
+        out, kept = _kept_bytes(lambda: conv_transpose2x(x, w))
+        assert kept <= out.data.nbytes + TAPE_SLACK, f"{kept} bytes kept, output {out.data.nbytes}"
+
+    @pytest.mark.parametrize("op,shapes", [
+        (lambda x, w: conv2d(x, w, padding=1), [(2, 3, 9, 9), (4, 3, 3, 3)]),
+        (lambda x, w: conv2d(x, w, stride=2, padding=1), [(2, 3, 9, 9), (4, 3, 3, 3)]),
+        (conv_transpose2x, [(2, 3, 5, 5), (3, 4, 2, 2)]),
+    ], ids=["conv2d", "conv2d-stride2", "conv_transpose2x"])
+    def test_backward_reads_the_forwards_arrays(self, rng, op, shapes):
+        arrays = [rng.standard_normal(shape).astype(np.float32) for shape in shapes]
+        out_shape = op(*(tensor(a) for a in arrays)).shape
+        g = rng.standard_normal(out_shape).astype(np.float32)
+        untouched = _backward_after_rebinding(op, arrays, g, rebind=False)
+        rebound = _backward_after_rebinding(op, arrays, g, rebind=True)
+        for a, b in zip(untouched, rebound):
+            assert np.array_equal(a, b)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from dualpath_cs.autograd import Tensor
-from dualpath_cs.errors import ConfigError, ContractError, DimensionError, GeometryError
+from dualpath_cs.errors import ConfigError, ContractError, DimensionError, GeometryError, NumericsError
 from dualpath_cs.metrics import SSIM_K1, add_gaussian_noise, psnr, ssim
 
 
@@ -35,6 +35,15 @@ class TestSsim:
         with pytest.raises(DimensionError):
             ssim(np.zeros((16, 16)), np.zeros((16, 17)))
 
+    @pytest.mark.parametrize("pixel", [math.nan, math.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_pixel_rejected(self, rng, pixel, side):
+        # A NaN would make the score nan rather than fail.
+        images = [rng.uniform(0, 1, (16, 16)) for _ in range(2)]
+        images[side][3, 5] = pixel
+        with pytest.raises(NumericsError):
+            ssim(*images)
+
 
 class TestPsnr:
     def test_identical_inputs_are_infinite(self, rng):
@@ -44,6 +53,24 @@ class TestPsnr:
     def test_known_error(self):
         # MSE 0.01 against a peak of 1 is 20 dB.
         assert abs(psnr(np.zeros((4, 4)), np.full((4, 4), 0.1)) - 20.0) < 1e-12
+
+    def test_empty_images_rejected(self):
+        # numpy would warn "Mean of empty slice" and return nan.
+        with pytest.raises(DimensionError):
+            psnr(np.zeros((0, 4)), np.zeros((0, 4)))
+
+    @pytest.mark.parametrize("pixel", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_pixel_rejected(self, rng, pixel, side):
+        # An infinite error raised a bare ValueError from log10(0); a NaN gave nan.
+        images = [rng.uniform(0, 1, (8, 8)) for _ in range(2)]
+        images[side][2, 6] = pixel
+        with pytest.raises(NumericsError):
+            psnr(*images)
+
+    def test_error_past_float64_range_rejected(self):
+        with pytest.raises(NumericsError):
+            psnr(np.array([1e300, 0.0]), np.array([-1e300, 0.0]))
 
 
 class TestGaussianNoise:

@@ -66,6 +66,11 @@ class TestElementwise:
         b = tensor(np.full(4, 0.5))
         assert np.isclose(ops.mse(a, b).item(), 0.25)
 
+    def test_mse_of_empty_tensors_rejected(self):
+        # numpy would warn "Mean of empty slice" and return nan.
+        with pytest.raises(DimensionError):
+            ops.mse(tensor(np.zeros((0, 4))), tensor(np.zeros((0, 4))))
+
     @pytest.mark.parametrize("constant", [0, 1])
     @pytest.mark.parametrize("op", [ops.add, ops.sub, ops.mul])
     def test_constant_parent_gets_none(self, rng, op, constant):
@@ -100,6 +105,38 @@ class TestLayerNorm:
         out = ops.layer_norm(x, gain, shift).data
         assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-5)
         assert np.allclose(out.var(axis=-1), 1.0, atol=1e-3)
+
+    def test_tape_keeps_only_output_and_row_statistics(self, rng):
+        """xhat is rebuilt by the backward; the tape keeps the output, mu and inv (one per row),
+        and under 8 KiB of Python objects."""
+        x = tensor(rng.standard_normal((1, 64, 64, 16)).astype(np.float32), requires_grad=True)
+        gain = tensor(rng.standard_normal(16).astype(np.float32), requires_grad=True)
+        shift = tensor(rng.standard_normal(16).astype(np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = ops.layer_norm(x, gain, shift)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        statistics = 2 * 64 * 64 * 4
+        assert out.requires_grad
+        assert kept <= out.data.nbytes + statistics + 8192, f"{kept} bytes kept"
+
+    def test_backward_reads_the_forwards_arrays(self, rng):
+        """Rebinding the input's and the gain's .data after the forward, as Adam.step rebinds a
+        parameter's, leaves every gradient bit for bit the same."""
+        arrays = [rng.standard_normal(s).astype(np.float32) for s in ((3, 5, 8), (8,), (8,))]
+        g = rng.standard_normal((3, 5, 8)).astype(np.float32)
+        grads = []
+        for rebind in (False, True):
+            parents = [tensor(a, requires_grad=True) for a in arrays]
+            out = ops.layer_norm(*parents)
+            if rebind:
+                for p in parents:
+                    p.data = p.data * 2 + 1
+            grads.append(out._backward_fn(g))
+        for a, b in zip(*grads):
+            assert np.array_equal(a, b)
 
 
 class TestBilinearResize:
