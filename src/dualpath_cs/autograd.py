@@ -7,7 +7,7 @@ a creation number. Backward consumes this tape: each node drops its closure,
 and with it every array the closure saved, once it has run.
 
 The tape rule: a backward closure may keep its parents' arrays, its output and
-per-row statistics (layer_norm's means and inverse deviations), and nothing
+per-pixel statistics (layer_norm's channel means and inverse deviations), and nothing
 else the forward derives from them. A parent's array is alive on the tape
 anyway, through the node's parents, so a buffer built from it (conv2d's padded
 phase buffer and tap-ordered weights, conv_transpose2x's input rows,
@@ -116,10 +116,6 @@ class Tensor:
 
     def item(self):
         return float(self.data.reshape(-1)[0])
-
-    def detach(self):
-        """Same data, severed from the tape (constant in any backward pass)."""
-        return Tensor(self.data, requires_grad=False)
 
     def backward(self):
         backward(self)

@@ -85,19 +85,6 @@ def _tensor_entry(name, arr):
     return b"".join(payload)
 
 
-def checkpoint_state(model, epoch=0, config=None):
-    """Collect the serializable state of a model into (header, tensor list)."""
-    tensors = []
-    steps = {}
-    for name, param in model.named_parameters():
-        tensors.append((name, param.data))
-        tensors.append((f"{name}#adam_m", param.adam_m))
-        tensors.append((f"{name}#adam_v", param.adam_v))
-        steps[name] = param.step_count
-    header = {"config": config or {}, "epoch": epoch, "steps": steps}
-    return header, tensors
-
-
 def _is_count(value):
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
@@ -124,7 +111,12 @@ def save_checkpoint(path, model, epoch=0, config=None):
         raise ContractError(f"config must be a TrainConfig or a dict, got {type(config).__name__}")
     if not _is_count(epoch):
         raise ContractError(f"epoch must be an integer >= 0, got {epoch!r}")
-    header, tensors = checkpoint_state(model, epoch=epoch, config=config)
+    tensors = []
+    steps = {}
+    for name, param in model.named_parameters():
+        tensors += [(name, param.data), (f"{name}#adam_m", param.adam_m), (f"{name}#adam_v", param.adam_v)]
+        steps[name] = param.step_count
+    header = {"config": config or {}, "epoch": epoch, "steps": steps}
     try:
         header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     except (TypeError, ValueError) as err:
@@ -181,12 +173,19 @@ def load_checkpoint(path):
 def restore_model(model, header, tensors):
     """Write saved parameter values and Adam state into a freshly built model.
 
-    Every entry is checked against the model before the first write: a missing
-    or unexpected name, shape or dtype raises CheckpointMismatchError and
+    Every entry is checked against the model before the first write: a header
+    that `load_checkpoint` would refuse raises CheckpointFormatError, and a
+    missing or unexpected name, shape or dtype, or a `steps` table that does not
+    name exactly the model's parameters, raises CheckpointMismatchError; either
     leaves the model untouched.
     """
-    steps = header.get("steps", {})
+    _check_header(header)
+    steps = header["steps"]
     params = list(model.named_parameters())
+    names = {name for name, _ in params}
+    if set(steps) != names:
+        raise CheckpointMismatchError(f"header steps table: missing {sorted(names - set(steps))[:3]}, "
+                                      f"not in the model {sorted(set(steps) - names)[:3]}")
     expected = {}
     for name, param in params:
         for key in (name, f"{name}#adam_m", f"{name}#adam_v"):
@@ -206,5 +205,5 @@ def restore_model(model, header, tensors):
         param.data = tensors[name].copy()
         param.adam_m = tensors[f"{name}#adam_m"].copy()
         param.adam_v = tensors[f"{name}#adam_v"].copy()
-        param.step_count = int(steps.get(name, 0))
+        param.step_count = steps[name]
     return model

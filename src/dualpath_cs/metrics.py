@@ -23,11 +23,14 @@ def _require_finite(metric, *arrays):
 
 
 def psnr(a, b):
-    """10*log10(1 / MSE) in dB for a peak of 1; math.inf signals bit-identical inputs.
+    """10*log10(1 / MSE) in dB for a peak of 1; math.inf signals elementwise-equal inputs.
 
     Reports must render the infinite case as a distinguished "identical"
-    outcome rather than a number. Empty images raise DimensionError, and a
-    non-finite pixel or an error past float64's range raises NumericsError.
+    outcome rather than a number. An MSE below float64's normal range is taken
+    of the difference scaled by its largest magnitude, so unequal inputs get a
+    finite PSNR however small their difference. Empty images raise
+    DimensionError, and a non-finite pixel or an error past float64's range
+    raises NumericsError.
     """
     av, bv = _as_array(a), _as_array(b)
     if av.shape != bv.shape:
@@ -35,12 +38,16 @@ def psnr(a, b):
     if av.size == 0:
         raise DimensionError("psnr of empty images")
     _require_finite("psnr", av, bv)
+    diff = av.astype(np.float64) - bv.astype(np.float64)
     with np.errstate(over="ignore"):
-        err = float(np.mean((av.astype(np.float64) - bv.astype(np.float64)) ** 2))
-    if err == 0.0:
-        return math.inf
+        err = float(np.mean(diff ** 2))
     if not math.isfinite(err):
         raise NumericsError("psnr: the mean squared error overflows float64")
+    if err < np.finfo(np.float64).tiny:
+        scale = float(np.max(np.abs(diff)))
+        if scale == 0.0:
+            return math.inf
+        return -10.0 * math.log10(float(np.mean((diff / scale) ** 2))) - 20.0 * math.log10(scale)
     return 10.0 * math.log10(1.0 / err)
 
 
@@ -59,7 +66,8 @@ def _windowed_mean(img, kernel):
 
 def ssim(a, b):
     """Single-scale SSIM: 11x11 Gaussian window sigma 1.5, K1/K2 = 0.01/0.03,
-    dynamic range 1.0, averaged over valid (unpadded) positions."""
+    dynamic range 1.0, averaged over valid (unpadded) positions. Images whose
+    windowed second moments overflow float64 raise NumericsError."""
     av, bv = _as_array(a).astype(np.float64), _as_array(b).astype(np.float64)
     av, bv = av.squeeze(), bv.squeeze()
     if av.shape != bv.shape:
@@ -74,13 +82,16 @@ def ssim(a, b):
     c2 = (SSIM_K2 * 1.0) ** 2
     mu_a = _windowed_mean(av, kernel)
     mu_b = _windowed_mean(bv, kernel)
-    var_a = _windowed_mean(av * av, kernel) - mu_a * mu_a
-    var_b = _windowed_mean(bv * bv, kernel) - mu_b * mu_b
-    cov = _windowed_mean(av * bv, kernel) - mu_a * mu_b
-    score = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
-        (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-    )
-    return float(score.mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        var_a = _windowed_mean(av * av, kernel) - mu_a * mu_a
+        var_b = _windowed_mean(bv * bv, kernel) - mu_b * mu_b
+        cov = _windowed_mean(av * bv, kernel) - mu_a * mu_b
+        num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
+        den = (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    # Any overflow above leaves den inf or nan: |2 mu_a mu_b| <= mu_a^2 + mu_b^2, |cov| <= (var_a + var_b) / 2.
+    if not np.all(np.isfinite(den)):
+        raise NumericsError("ssim: the windowed second moments overflow float64")
+    return float((num / den).mean())
 
 
 def add_gaussian_noise(y, sigma, seed):

@@ -1,4 +1,8 @@
-"""Parameter containers and the small layer zoo the reconstructor is built from."""
+"""Parameters and the small layer zoo the reconstructor is built from.
+
+A Parameter is a named leaf Tensor that carries its own Adam state, so layers
+hand it to the ops as it is and the tape records it as a parent.
+"""
 
 import numpy as np
 
@@ -10,34 +14,29 @@ from .errors import ConfigError, ContractError, is_finite_real
 ADAM_EPS = 1e-8
 
 
-class Parameter:
-    """Learnable tensor plus its Adam state.
+class Parameter(Tensor):
+    """Learnable leaf tensor plus its Adam state.
 
     `name` is a dotted path ("stages.2.step_gen.out.weight") assigned when the
     owning module tree is walked; it keys the checkpoint table.
     """
 
+    __slots__ = ("name", "adam_m", "adam_v", "step_count")
+
     def __init__(self, array):
-        self.value = Tensor(np.asarray(array), requires_grad=True)
+        super().__init__(np.asarray(array), requires_grad=True)
         self.name = ""
-        self.adam_m = np.zeros_like(self.value.data)
-        self.adam_v = np.zeros_like(self.value.data)
+        self.adam_m = np.zeros_like(self.data)
+        self.adam_v = np.zeros_like(self.data)
         self.step_count = 0
 
     @property
-    def data(self):
-        return self.value.data
-
-    @data.setter
-    def data(self, arr):
-        self.value.data = arr
-
-    @property
-    def grad(self):
-        return self.value.grad
+    def value(self):
+        # Kept for its one caller, perfbench/workloads.py:110 (load_state), which clears gradients through it.
+        return self
 
     def __repr__(self):
-        return f"Parameter({self.name or '?'}, shape={self.value.shape})"
+        return f"Parameter({self.name or '?'}, shape={self.shape})"
 
 
 class Module:
@@ -86,7 +85,7 @@ class Conv2d(Module):
         self.bias = Parameter(np.zeros(cout, dtype=default_dtype()))
 
     def forward(self, x):
-        return conv2d(x, self.weight.value, self.bias.value, stride=self.stride, padding=self.padding)
+        return conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
 
 class ConvTranspose2x(Module):
@@ -97,20 +96,18 @@ class ConvTranspose2x(Module):
         self.bias = Parameter(np.zeros(cout, dtype=default_dtype()))
 
     def forward(self, x):
-        return conv_transpose2x(x, self.weight.value, self.bias.value)
+        return conv_transpose2x(x, self.weight, self.bias)
 
 
 class LayerNormChannels(Module):
-    """LayerNorm over the channel axis of an [N,C,H,W] map (eps `ops.LAYER_NORM_EPS`)."""
+    """LayerNorm over the channel axis of an [N,C,H,W] map: one `ops.layer_norm` node (eps `ops.LAYER_NORM_EPS`)."""
 
     def __init__(self, channels):
         self.gain = Parameter(np.ones(channels, dtype=default_dtype()))
         self.shift = Parameter(np.zeros(channels, dtype=default_dtype()))
 
     def forward(self, x):
-        moved = ops.transpose(x, (0, 2, 3, 1))
-        normed = ops.layer_norm(moved, self.gain.value, self.shift.value)
-        return ops.transpose(normed, (0, 3, 1, 2))
+        return ops.layer_norm(x, self.gain, self.shift)
 
 
 class SpatialGate(Module):
@@ -138,7 +135,7 @@ class ChannelGate(Module):
     def forward(self, x):
         gate = ops.transpose(ops.global_avg_pool(x), (0, 2, 3, 1))
         for conv, act in ((self.down, ops.gelu), (self.up, ops.sigmoid)):
-            gate = act(ops.add(ops.matmul(gate, ops.transpose(conv.weight.value, (2, 3, 1, 0))), conv.bias.value))
+            gate = act(ops.add(ops.matmul(gate, ops.transpose(conv.weight, (2, 3, 1, 0))), conv.bias))
         return ops.mul(x, ops.transpose(gate, (0, 3, 1, 2)))
 
 
@@ -162,15 +159,15 @@ class Adam:
     def step(self):
         """Update every parameter, or none: a missing gradient raises before any update."""
         for p in self.params:
-            if p.value.grad is None:
+            if p.grad is None:
                 raise ContractError(f"parameter {p.name or '?'} has no gradient; run backward first")
         for p in self.params:
-            g = p.value.grad
+            g = p.grad
             p.step_count += 1
             t = p.step_count
             p.adam_m = self.beta1 * p.adam_m + (1.0 - self.beta1) * g
             p.adam_v = self.beta2 * p.adam_v + (1.0 - self.beta2) * (g * g)
             m_hat = p.adam_m / (1.0 - self.beta1 ** t)
             v_hat = p.adam_v / (1.0 - self.beta2 ** t)
-            p.value.data = p.value.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            p.value.grad = None
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            p.grad = None

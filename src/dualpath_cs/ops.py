@@ -252,30 +252,32 @@ def global_avg_pool(a):
 
 
 def layer_norm(a, gain, bias):
-    """Normalize over the last axis with learnable scale/shift.
+    """Normalize an [N,C,H,W] map over its channel axis with learnable per-channel scale/shift.
 
-    The tape keeps the input, the row means and the inverse deviations; backward rebuilds
+    The tape keeps the input, the per-pixel means and inverse deviations; backward rebuilds
     xhat = (x - mu) * inv from them with the forward's own ops, so its bits are the forward's.
     """
+    if a.ndim != 4:
+        raise DimensionError(f"layer_norm expects [N,C,H,W], got {a.shape}")
     x, gd = a.data, gain.data
-    d = x.shape[-1]
-    if gd.shape != (d,) or bias.data.shape != (d,):
-        raise DimensionError("layer_norm gain/bias must match the last axis")
-    mu = x.mean(axis=-1, keepdims=True)
+    c = x.shape[1]
+    if gd.shape != (c,) or bias.data.shape != (c,):
+        raise DimensionError("layer_norm gain/bias must match the channel axis")
+    gd = gd[:, None, None]
+    mu = x.mean(axis=1, keepdims=True)
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    out = xc * inv * gd + bias.data
+    out = xc * inv * gd + bias.data[:, None, None]
 
     def bwd(g):
         xhat = (x - mu) * inv
         dxhat = g * gd
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = dxhat.mean(axis=1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
         dx = inv * (dxhat - m1 - xhat * m2)
-        reduce_axes = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=reduce_axes)
-        dbias = g.sum(axis=reduce_axes)
+        dgain = (g * xhat).sum(axis=(0, 2, 3))
+        dbias = g.sum(axis=(0, 2, 3))
         return dx.astype(x.dtype, copy=False), dgain, dbias
 
     return make(out.astype(x.dtype, copy=False), (a, gain, bias), bwd)

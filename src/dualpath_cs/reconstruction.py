@@ -80,7 +80,7 @@ class HardMaskedAttention(Module):
             return ops.reshape(ops.transpose(t, (0, 2, 3, 1)), (n * h * w, self.channels))
 
         q = to_tokens(self.to_q(feats))
-        k = to_tokens(nn.conv2d(feats, self.to_k.value))
+        k = to_tokens(nn.conv2d(feats, self.to_k))
         v = to_tokens(self.to_v(feats))
         att = ops.scaled_dot_attention(q, k, v, hard_mask)
         att_map = ops.transpose(ops.reshape(att, (n, h, w, self.channels)), (0, 3, 1, 2))

@@ -62,16 +62,15 @@ class BlockSensingMatrix(Module):
     def apply(self, x):
         """Measure [N,1,H,W] images: per-block measurement vectors [N*num_blocks, rows]."""
         blocks = blockify(x, self.block_size)
-        return ops.matmul(blocks, ops.transpose(self.weights.value, (1, 0)))
+        return ops.matmul(blocks, ops.transpose(self.weights, (1, 0)))
 
     def adjoint(self, y, hw):
         """Transpose-apply measurements [N*num_blocks, rows] back to [N,1,H,W] images."""
-        return unblockify(ops.matmul(y, self.weights.value), self.block_size, hw)
+        return unblockify(ops.matmul(y, self.weights), self.block_size, hw)
 
     def gram(self):
         """phiT phi [B*B, B*B]: the per-block normal operator."""
-        w = self.weights.value
-        return ops.matmul(ops.transpose(w, (1, 0)), w)
+        return ops.matmul(ops.transpose(self.weights, (1, 0)), self.weights)
 
 
 class DualSampler(Module):

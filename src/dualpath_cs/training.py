@@ -77,13 +77,13 @@ def build_model(config):
     )
     if config.freeze_sampler:
         for p in model.sampler_parameters():
-            p.value.requires_grad = False
+            p.requires_grad = False
     return model
 
 
 def build_optimizer(model, config):
     """Adam over the model's parameters that take gradients."""
-    params = [p for p in model.parameters() if p.value.requires_grad]
+    params = [p for p in model.parameters() if p.requires_grad]
     return Adam(params, lr=config.lr, beta1=config.betas[0], beta2=config.betas[1])
 
 
@@ -149,7 +149,7 @@ def train_step(batch, model, optimizer):
         optimizer.step()
     finally:
         for p in params:
-            p.value.grad = None
+            p.grad = None
     return loss_value, trace.split(len(batch))
 
 

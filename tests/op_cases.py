@@ -139,10 +139,10 @@ def case_global_avg_pool(rng):
 
 def case_layer_norm(rng):
     d = int(rng.integers(2, 6))
-    a = rng.standard_normal((3, d))
+    a = rng.standard_normal((1, d, 3, 1))
     gain = rng.uniform(0.5, 1.5, d)
     shift = rng.standard_normal(d)
-    reduce = _weighted((3, d), rng)
+    reduce = _weighted((1, d, 3, 1), rng)
     return lambda x, g, s: reduce(ops.layer_norm(x, g, s)), [a, gain, shift]
 
 
@@ -190,7 +190,7 @@ def case_data_grad_gram(rng):
     reduce = _weighted((1, 1, 4, 6), rng)
 
     def build(xx, ww1, ww2, bb):
-        phi1.weights.value, phi2.weights.value = ww1, ww2
+        phi1.weights, phi2.weights = ww1, ww2
         return reduce(data_grad(ops.add(phi1.gram(), phi2.gram()), xx, bb))
 
     return build, [x, w1, w2, back]

@@ -197,5 +197,5 @@ class TestBranch:
         signal, guidance = self._run(branch, sampler, y1)
         loss = ops.add(ops.reduce_sum(guidance.soft_map), ops.reduce_sum(guidance.hard_mask))
         backward(loss)
-        assert branch.refiner.head.weight.value.grad is not None
+        assert branch.refiner.head.weight.grad is not None
         assert not guidance.hard_mask.requires_grad

@@ -44,6 +44,15 @@ class TestSsim:
         with pytest.raises(NumericsError):
             ssim(*images)
 
+    @pytest.mark.parametrize("fill, pixel", [(1e200, 1e200), (0.0, 1e155)], ids=["every-pixel", "one-pixel"])
+    def test_second_moments_past_float64_range_rejected(self, fill, pixel):
+        # The first gave a nan score; in the second only the squared pixel overflows, which made
+        # every window's variance inf and the score a silent 0.0.
+        a = np.full((16, 16), fill)
+        a[8, 8] = pixel
+        with pytest.raises(NumericsError, match="overflow"):
+            ssim(a, np.zeros((16, 16)))
+
 
 class TestPsnr:
     def test_identical_inputs_are_infinite(self, rng):
@@ -67,6 +76,17 @@ class TestPsnr:
         images[side][2, 6] = pixel
         with pytest.raises(NumericsError):
             psnr(*images)
+
+    @pytest.mark.parametrize("a, b, expect", [
+        ([1e-162], [0.0], 3240.0),
+        ([5e-324], [0.0], -20.0 * math.log10(5e-324)),
+        ([1e-160, 3e-160], [0.0, -0.0], 3200.0 - 10.0 * math.log10(5.0)),  # MSE 5e-320
+    ])
+    def test_difference_below_float64_normal_range_is_finite(self, a, b, expect):
+        # Squared, these differences underflow to 0 (or a subnormal) and read as "identical".
+        got = psnr(np.array(a), np.array(b))
+        assert abs(got - expect) < 1e-9
+        assert psnr(np.array(b), np.array(a)) == got
 
     def test_error_past_float64_range_rejected(self):
         with pytest.raises(NumericsError):

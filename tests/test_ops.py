@@ -98,18 +98,23 @@ class TestPooling:
 
 
 class TestLayerNorm:
-    def test_normalizes_last_axis(self, rng):
-        x = tensor(rng.standard_normal((4, 8)) * 3 + 5)
+    def test_normalizes_channel_axis(self, rng):
+        x = tensor(rng.standard_normal((1, 8, 2, 2)) * 3 + 5)
         gain = tensor(np.ones(8))
         shift = tensor(np.zeros(8))
         out = ops.layer_norm(x, gain, shift).data
-        assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-5)
-        assert np.allclose(out.var(axis=-1), 1.0, atol=1e-3)
+        assert np.allclose(out.mean(axis=1), 0.0, atol=1e-5)
+        assert np.allclose(out.var(axis=1), 1.0, atol=1e-3)
+
+    @pytest.mark.parametrize("shape", [(4, 8), (2, 8, 4)])
+    def test_rank_other_than_four_rejected(self, shape):
+        with pytest.raises(DimensionError, match=r"\[N,C,H,W\]"):
+            ops.layer_norm(tensor(np.zeros(shape)), tensor(np.ones(8)), tensor(np.zeros(8)))
 
     def test_tape_keeps_only_output_and_row_statistics(self, rng):
-        """xhat is rebuilt by the backward; the tape keeps the output, mu and inv (one per row),
+        """xhat is rebuilt by the backward; the tape keeps the output, mu and inv (one per pixel),
         and under 8 KiB of Python objects."""
-        x = tensor(rng.standard_normal((1, 64, 64, 16)).astype(np.float32), requires_grad=True)
+        x = tensor(rng.standard_normal((1, 16, 64, 64)).astype(np.float32), requires_grad=True)
         gain = tensor(rng.standard_normal(16).astype(np.float32), requires_grad=True)
         shift = tensor(rng.standard_normal(16).astype(np.float32), requires_grad=True)
         tracemalloc.start()
@@ -125,8 +130,8 @@ class TestLayerNorm:
     def test_backward_reads_the_forwards_arrays(self, rng):
         """Rebinding the input's and the gain's .data after the forward, as Adam.step rebinds a
         parameter's, leaves every gradient bit for bit the same."""
-        arrays = [rng.standard_normal(s).astype(np.float32) for s in ((3, 5, 8), (8,), (8,))]
-        g = rng.standard_normal((3, 5, 8)).astype(np.float32)
+        arrays = [rng.standard_normal(s).astype(np.float32) for s in ((1, 8, 3, 5), (8,), (8,))]
+        g = rng.standard_normal((1, 8, 3, 5)).astype(np.float32)
         grads = []
         for rebind in (False, True):
             parents = [tensor(a, requires_grad=True) for a in arrays]

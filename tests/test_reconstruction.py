@@ -164,7 +164,7 @@ class TestGradientStep:
             x = rng.standard_normal((1, 1, 8, 12))
             p = tensor(rng.uniform(0.1, 0.9, (1, 1, 8, 12)))
             weight = tensor(rng.standard_normal((1, 1, 8, 12)))
-            params = [sampler.phi1.weights.value, sampler.phi2.weights.value]
+            params = [sampler.phi1.weights, sampler.phi2.weights]
 
             def run(step):
                 xt = tensor(x, requires_grad=True)
@@ -213,7 +213,7 @@ class TestHardMaskedAttention:
 
         feats = att.proj(r)
         tok = lambda t: ops.transpose(ops.reshape(t, (att.channels, h * w)), (1, 0))
-        q, k, v = tok(att.to_q(feats)), tok(conv2d(feats, att.to_k.value)), tok(att.to_v(feats))
+        q, k, v = tok(att.to_q(feats)), tok(conv2d(feats, att.to_k)), tok(att.to_v(feats))
         unmasked = ops.scaled_dot_attention(q, k, v, np.ones((1, h * w)))
         reference = ops.add(ops.reshape(ops.transpose(unmasked, (1, 0)), (1, att.channels, h, w)), feats)
         assert out_masked.data.tobytes() == reference.data.tobytes()

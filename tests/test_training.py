@@ -192,7 +192,7 @@ class TestTrainStep:
         model.forward = lambda *args: pytest.fail("forward ran on a bad batch")
         marker = np.ones(1)
         for param in model.parameters():
-            param.value.grad = marker
+            param.grad = marker
         with pytest.raises(error):
             train_step([rng.uniform(0, 1, s) for s in shapes], model, optimizer)
         assert all(param.grad is marker for param in model.parameters())
@@ -277,7 +277,7 @@ class TestTrainStep:
         cfg = tiny_config(freeze_sampler=True)
         model = build_model(cfg)
         frozen = {id(p) for p in model.sampler_parameters()}
-        assert all(not p.value.requires_grad for p in model.sampler_parameters())
+        assert all(not p.requires_grad for p in model.sampler_parameters())
         optimizer = build_optimizer(model, cfg)
         assert {id(p) for p in optimizer.params} == {id(p) for p in model.parameters()} - frozen
         trace = model(tensor(random_image(rng).reshape(1, 1, 16, 16)))
@@ -294,7 +294,7 @@ class TestTrainStep:
             model = build_model(cfg)
             optimizer = build_optimizer(model, cfg)
             for p in model.sampler_parameters():
-                p.value.requires_grad = computed
+                p.requires_grad = computed
             losses = [train_step([img], model, optimizer)[0] for _ in range(3)]
             runs.append((losses, [p.data.copy() for p in model.parameters()]))
         assert runs[0][0] == runs[1][0]
@@ -551,9 +551,9 @@ class TestRestoreValidation:
         return load_checkpoint(path)
 
     @staticmethod
-    def _assert_rejected_untouched(model, header, tensors):
+    def _assert_rejected_untouched(model, header, tensors, error=CheckpointMismatchError):
         before = [(p.data.copy(), p.adam_m.copy(), p.adam_v.copy(), p.step_count) for p in model.parameters()]
-        with pytest.raises(CheckpointMismatchError):
+        with pytest.raises(error):
             restore_model(model, header, tensors)
         for p, (data, m, v, steps) in zip(model.parameters(), before):
             assert np.array_equal(p.data, data) and np.array_equal(p.adam_m, m)
@@ -575,6 +575,23 @@ class TestRestoreValidation:
         header, tensors = saved
         tensors["stages.9.out.weight"] = np.zeros(1, dtype=np.float32)
         self._assert_rejected_untouched(build_model(tiny_config()), header, tensors)
+
+    @pytest.mark.parametrize("edit", ["missing", "unknown"])
+    def test_steps_table_must_name_exactly_the_parameters(self, saved, edit):
+        # A missing name restored step_count 0, silently resetting Adam's bias correction.
+        header, tensors = saved
+        if edit == "missing":
+            del header["steps"]["fusion.weight"]
+        else:
+            header["steps"]["stages.9.out.weight"] = 3
+        self._assert_rejected_untouched(build_model(tiny_config()), header, tensors)
+
+    @pytest.mark.parametrize("steps", ["x", -1, None])
+    def test_malformed_step_count_found_before_first_write(self, saved, steps):
+        # int("x") raised a bare ValueError after the first parameters had been written.
+        header, tensors = saved
+        header["steps"][list(header["steps"])[-1]] = steps
+        self._assert_rejected_untouched(build_model(tiny_config()), header, tensors, CheckpointFormatError)
 
     def test_wider_model_checkpoint(self, tmp_path, rng):
         wide = tiny_config(channels=16)
