@@ -1,16 +1,25 @@
-"""Full dual-path model: sampler, hyperprior branch, K unrolled stages."""
+"""Full dual-path model: sampler, hyperprior branch, K unrolled stages.
+`sampling.initial_recon` builds x0, G and b from the measurements; `reconstruct` only composes."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import ops
 from .autograd import Tensor
-from .errors import GeometryError
+from .errors import ConfigError, GeometryError, is_finite_real, is_integer
 from .hyperprior import GuidanceBundle, HyperpriorBranch, HyperpriorSignal
 from .nn import Conv2d, Module
-from .reconstruction import ReconstructionStage, stage_factor
+from .reconstruction import ReconstructionStage
 from .sampling import build_dual_sampler, initial_recon, sample
+
+
+def check_architecture(stages, channels, rho):
+    """Reject a stage count, a channel width or a mask fraction outside its range with ConfigError."""
+    for name, value in (("stages", stages), ("channels", channels)):
+        if not (is_integer(value) and value >= 1):
+            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    if not (is_finite_real(rho) and 0.0 < rho <= 1.0):
+        raise ConfigError(f"rho must lie in (0, 1], got {rho!r}")
 
 
 @dataclass
@@ -40,16 +49,17 @@ class DualPathModel(Module):
     """End-to-end sampler + reconstructor with jointly learnable weights."""
 
     def __init__(self, gamma, split, block_size, stages, channels, rho, seed):
+        check_architecture(stages, channels, rho)
         self.block_size = block_size
-        self.num_stages = stages
-
-        self.sampler = build_dual_sampler(gamma, split, block_size, seed)  # first: it refuses a bad seed
+        self.sampler = build_dual_sampler(gamma, split, block_size, seed)  # it refuses a bad seed
         rng = np.random.default_rng(seed)
         self.fusion = Conv2d(2, 1, 3, rng)
         self.hyperprior = HyperpriorBranch(channels, rho, rng)
-        self.stages = [ReconstructionStage(channels, rng) for _ in range(stages)]
+        self.stages = [ReconstructionStage(channels, rng, k, stages) for k in range(1, stages + 1)]
 
     def check_extents(self, hw):
+        if not (isinstance(hw, (tuple, list)) and len(hw) == 2 and all(is_integer(e) and e > 0 for e in hw)):
+            raise GeometryError(f"extents must be two positive integers, got {hw!r}")
         h, w = hw
         if h % self.block_size or w % self.block_size:
             raise GeometryError(f"extents {h}x{w} not divisible by block size {self.block_size}")
@@ -57,26 +67,19 @@ class DualPathModel(Module):
             raise GeometryError(f"extents {h}x{w} not divisible by 4 (scale pyramid)")
 
     def reconstruct(self, y1, y2, hw):
-        """Run the hyperprior branch and all K stages on given measurements; the
-        Gram-form data terms (x1, G1 = phi1T phi1, G and b) are built once here."""
+        """Run the hyperprior branch and all K stages on given measurements."""
         self.check_extents(hw)
-        x, x1, x2 = initial_recon(self.sampler, y1, y2, self.fusion, hw)
-        gram1 = self.sampler.phi1.gram()
-        gram = ops.add(gram1, self.sampler.phi2.gram())
-        back = ops.add(x1, x2)
+        x, x1, gram1, gram, back = initial_recon(self.sampler, y1, y2, self.fusion, hw)
         signal, guidance = self.hyperprior(x1, gram1, self.block_size)
-        del x1, x2, gram1  # the stages need only G and b; without a tape this frees them
-        trace = ReconstructionTrace(output=x, signal=signal, guidance=guidance,
-                                    measurements=(y1, y2))
-        trace.stages.append(x)
+        del x1, gram1  # the stages need only G and b; without a tape this frees them
+        stages, step_maps = [x], []
         z = (0.0,) * 3  # stage 1 carries no U-Net features: a zero at every scale
-        for k, stage in enumerate(self.stages, start=1):
-            m_stage = stage_factor(k, self.num_stages, x.shape, dtype=x.dtype)
-            x, z, p = stage(x, gram, back, signal, guidance, m_stage, z)
-            trace.stages.append(x)
-            trace.step_maps.append(p)
-        trace.output = x
-        return trace
+        for stage in self.stages:
+            x, z, p = stage(x, gram, back, signal, guidance, z)
+            stages.append(x)
+            step_maps.append(p)
+        return ReconstructionTrace(output=x, stages=stages, signal=signal, guidance=guidance,
+                                   step_maps=step_maps, measurements=(y1, y2))
 
     def forward(self, image):
         """Sample [N,1,H,W] images and reconstruct them; returns the full trace."""

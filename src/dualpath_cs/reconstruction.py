@@ -2,10 +2,10 @@
 
 Each of the K stages runs a gradient-descent step with a learned spatially
 varying step map (modulated by content guidance and relative stage progress)
-on the Gram-form data term G x - b, which the model builds once per forward,
-followed by a learned proximal mapping: pixel-token attention gated by the
-hard block mask, then a three-scale encoder-decoder whose features are
-modulated by the soft confidence map and carried across stages.
+on the Gram-form data term G x - b, which `sampling.initial_recon` builds once
+per forward, followed by a learned proximal mapping: pixel-token attention
+gated by the hard block mask, then a three-scale encoder-decoder whose
+features are modulated by the soft confidence map and carried across stages.
 """
 
 import numpy as np
@@ -148,15 +148,16 @@ class SoftGuidedUNet(Module):
 
 
 class ReconstructionStage(Module):
-    """One unrolled stage: modulated gradient step, then the learned proximal map."""
+    """Stage k of `total`: gradient step with a step map that sees k/total, then the learned proximal map."""
 
-    def __init__(self, channels, rng):
+    def __init__(self, channels, rng, k, total):
+        self.k, self.total = k, total
         self.step_gen = StepSizeGenerator(channels, rng)
         self.hard_att = HardMaskedAttention(channels, rng)
         self.soft_unet = SoftGuidedUNet(channels, rng)
 
-    def forward(self, x_prev, gram, back, signal, guidance, stage_map, z_prev):
-        p = self.step_gen(signal, stage_map)
+    def forward(self, x_prev, gram, back, signal, guidance, z_prev):
+        p = self.step_gen(signal, stage_factor(self.k, self.total, x_prev.shape, dtype=x_prev.dtype))
         r = hgdm_step(x_prev, gram, back, p)
         att = self.hard_att(r, guidance.hard_mask)
         x_next, z_next = self.soft_unet(att, z_prev, guidance.soft_map)

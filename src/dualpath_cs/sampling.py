@@ -6,6 +6,7 @@ counts split the measurement budget round(gamma * B^2) in a configured ratio.
 A batch [N,1,H,W] stacks its samples' blocks as rows: measurements are [N*num_blocks, rows].
 Reconstruction uses them in Gram form: G = sum_i phi_iT phi_i and the
 back-projection b = sum_i phi_iT y_i, so a data-fidelity gradient is G x - b.
+`initial_recon` builds G, b and the initial estimate, the only place they are built.
 """
 
 import math
@@ -49,15 +50,23 @@ def unblockify(blocks, block_size, hw):
     return ops.reshape(grid, (-1, 1, h, w))
 
 
+def check_block_size(block_size):
+    if not (is_integer(block_size) and block_size >= 2 and is_finite_real(block_size * block_size)):
+        raise ConfigError(f"block size must be an integer >= 2 with a finite square, got {block_size!r}")
+
+
 class BlockSensingMatrix(Module):
     """One learnable per-block sensing matrix of shape [rows, B*B]."""
 
     def __init__(self, rows, block_size, weights):
-        if not (1 <= rows <= block_size * block_size):
-            raise ConfigError(f"rows must lie in [1, B^2], got {rows} for B={block_size}")
+        check_block_size(block_size)
+        if not (is_integer(rows) and 1 <= rows <= block_size * block_size):
+            raise ConfigError(f"rows must be an integer in [1, B^2], got {rows!r} for B={block_size}")
         self.rows = rows
         self.block_size = block_size
         self.weights = Parameter(weights)
+        if self.weights.shape != (rows, block_size * block_size):
+            raise DimensionError(f"weights must be [{rows}, {block_size * block_size}], got {self.weights.shape}")
 
     def apply(self, x):
         """Measure [N,1,H,W] images: per-block measurement vectors [N*num_blocks, rows]."""
@@ -91,8 +100,7 @@ def split_rows(gamma, split, block_size):
             and all(is_finite_real(s) and s > 0 for s in split)):
         raise ConfigError(f"split must be two positive numbers, got {split!r}")
     s1, s2 = (float(s) for s in split)
-    if not (is_integer(block_size) and block_size >= 2 and is_finite_real(block_size * block_size)):
-        raise ConfigError(f"block size must be an integer >= 2 with a finite square, got {block_size!r}")
+    check_block_size(block_size)
     m_total = round_half_up(gamma * block_size * block_size)
     if m_total < 2:
         raise ConfigError(f"measurement budget {m_total} too small to split between two branches")
@@ -130,8 +138,13 @@ def data_grad(gram, x, back):
 
 
 def initial_recon(sampler, y1, y2, fuse_conv, hw):
-    """Fuse the two adjoint back-projections x1 = phi1T y1 and x2 = phi2T y2
-    into the initial estimate; returns (x0, x1, x2)."""
+    """(x0, x1, G1, G, b): x0 fuses x1 = phi1T y1 and x2 = phi2T y2; G1 = phi1T phi1
+    and x1 feed the hyperprior, G = G1 + phi2T phi2 and b = x1 + x2 every stage.
+    Backward adds into the shared phi weights in reverse creation order, so this
+    order of the ops is part of the result's bits."""
     x1 = sampler.phi1.adjoint(y1, hw)
     x2 = sampler.phi2.adjoint(y2, hw)
-    return fuse_conv(ops.concat([x1, x2], axis=1)), x1, x2
+    x0 = fuse_conv(ops.concat([x1, x2], axis=1))
+    gram1 = sampler.phi1.gram()
+    gram2 = sampler.phi2.gram()
+    return x0, x1, gram1, ops.add(gram1, gram2), ops.add(x1, x2)

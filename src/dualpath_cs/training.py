@@ -6,9 +6,9 @@ import numpy as np
 
 from . import ops
 from .autograd import no_grad, tensor
-from .errors import ConfigError, ContractError, DimensionError, IngestionError, TrainingDivergenceError, is_finite_real, is_integer
+from .errors import ConfigError, ContractError, DimensionError, IngestionError, TrainingDivergenceError, is_integer
 from .metrics import psnr
-from .model import DualPathModel
+from .model import DualPathModel, check_architecture
 from .nn import Adam, adam_settings
 from .sampling import split_rows
 
@@ -32,15 +32,14 @@ class TrainConfig:
         """Reject any field outside its legal range with ConfigError."""
         split_rows(self.gamma, self.split, self.block_size)
         self.split = tuple(self.split)
-        for name, least in (("stages", 1), ("channels", 1), ("batch_size", 1), ("patch_size", 1), ("seed", 0)):
+        check_architecture(self.stages, self.channels, self.rho)
+        for name, least in (("batch_size", 1), ("patch_size", 1), ("seed", 0)):
             value = getattr(self, name)
             if not (is_integer(value) and value >= least):
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         align = 4 * self.block_size
         if self.patch_size % align:
             raise ConfigError(f"patch size {self.patch_size} must be divisible by 4*block_size={align}")
-        if not (is_finite_real(self.rho) and 0.0 < self.rho <= 1.0):
-            raise ConfigError(f"rho must lie in (0, 1], got {self.rho!r}")
         if adam_settings(self.lr, self.betas)[0] == 0.0:
             raise ConfigError(f"lr must be positive as a float, got {self.lr!r}")
         self.betas = tuple(self.betas)

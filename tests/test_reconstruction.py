@@ -19,7 +19,7 @@ from dualpath_cs.reconstruction import (
     hgdm_step,
     stage_factor,
 )
-from dualpath_cs.sampling import BlockSensingMatrix, DualSampler, sample
+from dualpath_cs.sampling import BlockSensingMatrix, DualSampler, initial_recon, sample
 from dualpath_cs.training import TrainConfig, build_model
 from gradcheck import max_gradient_error, numeric_gradients
 
@@ -325,7 +325,7 @@ class TestUnrolledModel:
         model = self._model()
         x = tensor(rng.uniform(0, 1, (1, 1, 16, 16)).astype(np.float32))
         trace = model(x)
-        assert len(trace.stages) == model.num_stages + 1
+        assert len(trace.stages) == len(model.stages) + 1
         assert all(s.shape == (1, 1, 16, 16) for s in trace.stages)
 
     def test_one_step_map_per_stage(self, rng):
@@ -335,31 +335,61 @@ class TestUnrolledModel:
         assert len(trace.step_maps) == 4
 
     def test_single_stage_equals_manual_composition(self, rng):
-        from dualpath_cs.reconstruction import stage_factor as sf
-        from dualpath_cs.sampling import initial_recon
-
         model = self._model(stages=1, seed=21)
         x = tensor(rng.uniform(0, 1, (1, 1, 16, 16)).astype(np.float32))
         trace = model(x)
 
         y1, y2 = sample(model.sampler, x)
-        x0, back1, back2 = initial_recon(model.sampler, y1, y2, model.fusion, (16, 16))
-        gram1 = model.sampler.phi1.gram()
-        gram = ops.add(gram1, model.sampler.phi2.gram())
+        x0, back1, gram1, gram, back = initial_recon(model.sampler, y1, y2, model.fusion, (16, 16))
         signal, guidance = model.hyperprior(back1, gram1, 4)
         stage = model.stages[0]
-        p = stage.step_gen(signal, sf(1, 1, (1, 1, 16, 16)))
-        from dualpath_cs.reconstruction import hgdm_step as step
-
-        r = step(x0, gram, ops.add(back1, back2), p)
+        p = stage.step_gen(signal, stage_factor(1, 1, (1, 1, 16, 16)))
+        r = hgdm_step(x0, gram, back, p)
         att = stage.hard_att(r, guidance.hard_mask)
         x1, _ = stage.soft_unet(att, (0.0,) * 3, guidance.soft_map)
         assert np.array_equal(trace.output.data, x1.data)
+
+    def test_stage_k_of_total_sees_its_progress_map(self, rng):
+        model = self._model(stages=3, seed=23)
+        x = tensor(rng.uniform(0, 1, (2, 1, 16, 16)).astype(np.float32))
+        y1, y2 = sample(model.sampler, x)
+        x0, x1, gram1, gram, back = initial_recon(model.sampler, y1, y2, model.fusion, (16, 16))
+        signal, guidance = model.hyperprior(x1, gram1, 4)
+        z = tuple(tensor(rng.standard_normal((2, 8 * 2 ** i, 16 >> i, 16 >> i)).astype(np.float32))
+                  for i in range(3))
+        stage = model.stages[1]
+        out, z_out, p = stage(x0, gram, back, signal, guidance, z)
+
+        p_ref = stage.step_gen(signal, stage_factor(2, 3, x0.shape))
+        att = stage.hard_att(hgdm_step(x0, gram, back, p_ref), guidance.hard_mask)
+        ref, z_ref = stage.soft_unet(att, z, guidance.soft_map)
+        assert np.array_equal(p.data, p_ref.data)
+        assert np.array_equal(out.data, ref.data)
+        assert all(np.array_equal(a.data, b.data) for a, b in zip(z_out, z_ref))
+        assert not np.array_equal(p.data, stage.step_gen(signal, stage_factor(1, 3, x0.shape)).data)
 
     def test_extent_checks(self, rng):
         model = self._model()
         with pytest.raises(GeometryError):
             model(tensor(np.zeros((1, 1, 18, 16), dtype=np.float32)))
+
+    @pytest.mark.parametrize("hw", [32, (32,), (16, 16, 16), (0, 16), (-16, 16), (16.0, 16), (16, True), "ab", None])
+    def test_reconstruct_rejects_bad_hw(self, rng, hw):
+        model = self._model()
+        y1, y2 = sample(model.sampler, tensor(rng.uniform(0, 1, (1, 1, 16, 16)).astype(np.float32)))
+        with pytest.raises(GeometryError):
+            model.reconstruct(y1, y2, hw)
+
+    @pytest.mark.parametrize("field,value", [
+        ("stages", 0), ("stages", 2.5), ("stages", True), ("channels", 0), ("channels", 1.5),
+        ("rho", 1.5), ("rho", 0.0), ("rho", float("nan")), ("rho", float("inf")), ("rho", "0.5"),
+    ])
+    def test_bad_architecture_rejected_before_building(self, field, value):
+        # The seed is bad too: the architecture is checked first, before the sampler is built.
+        args = dict(gamma=0.5, split=(1, 2), block_size=4, stages=2, channels=8, rho=0.5, seed=-1)
+        args[field] = value
+        with pytest.raises(ConfigError, match=field):
+            DualPathModel(**args)
 
     @pytest.mark.parametrize("seed", [-3, 2.5])
     def test_bad_seed_rejected(self, seed):

@@ -172,6 +172,25 @@ class TestSampleAdjoint:
             phi.adjoint(tensor(np.zeros((1, 2))), (6, 4))
 
 
+class TestSensingMatrixChecks:
+    @pytest.mark.parametrize("rows,block_size", [
+        (2.5, 2), (np.float64(2.0), 2), (True, 2), (0, 2), (5, 2),
+        (1, "x"), (1, 1), (1, 2.0), (1, None),
+    ])
+    def test_bad_rows_or_block_size_rejected(self, rows, block_size):
+        with pytest.raises(ConfigError):
+            BlockSensingMatrix(rows, block_size, np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("shape", [(5, 64), (3, 63), (3, 8, 8), (64,)])
+    def test_weights_must_be_rows_by_block_area(self, shape):
+        with pytest.raises(DimensionError):
+            BlockSensingMatrix(3, 8, np.zeros(shape))
+
+    def test_numpy_integer_extents_accepted(self):
+        phi = BlockSensingMatrix(np.int64(3), np.int64(8), np.zeros((3, 64)))
+        assert phi.weights.shape == (3, 64)
+
+
 class TestDataGrad:
     def test_consistent_estimate_zero_gradient(self, rng):
         with precision("f64"):
@@ -208,7 +227,7 @@ class TestInitialRecon:
         nb = 4
         y1 = tensor(np.zeros((nb, sampler.phi1.rows)))
         y2 = tensor(np.zeros((nb, sampler.phi2.rows)))
-        out, _, _ = initial_recon(sampler, y1, y2, fuse, (8, 8))
+        out, *_ = initial_recon(sampler, y1, y2, fuse, (8, 8))
         assert out.shape == (1, 1, 8, 8)
         assert np.allclose(out.data, 0.0)
 
@@ -217,7 +236,7 @@ class TestInitialRecon:
         fuse = Conv2d(2, 1, 3, np.random.default_rng(6))
         x = tensor(rng.standard_normal((1, 1, 12, 8)).astype(np.float32))
         y1, y2 = sample(sampler, x)
-        out, _, _ = initial_recon(sampler, y1, y2, fuse, (12, 8))
+        out, *_ = initial_recon(sampler, y1, y2, fuse, (12, 8))
         assert out.shape == (1, 1, 12, 8)
 
     def test_channel_copy_kernel_recovers_adjoint(self, rng):
@@ -227,11 +246,25 @@ class TestInitialRecon:
         fuse.bias.data = np.zeros(1, dtype=np.float32)
         x = tensor(rng.standard_normal((1, 1, 8, 8)).astype(np.float32))
         y1, y2 = sample(sampler, x)
-        out, x1, x2 = initial_recon(sampler, y1, y2, fuse, (8, 8))
+        out, x1, *_ = initial_recon(sampler, y1, y2, fuse, (8, 8))
         expect = sampler.phi1.adjoint(y1, (8, 8))
         assert np.allclose(out.data, expect.data, atol=1e-6)
         assert np.array_equal(x1.data, expect.data)
-        assert np.array_equal(x2.data, sampler.phi2.adjoint(y2, (8, 8)).data)
+
+    def test_terms_equal_their_definitions(self, rng):
+        # x0 = fusion([x1 x2]), G1 = phi1T phi1, G = G1 + phi2T phi2, b = x1 + x2, bit for bit.
+        sampler = build_dual_sampler(0.25, (1, 2), 4, seed=3)
+        fuse = Conv2d(2, 1, 3, np.random.default_rng(7))
+        x = tensor(rng.standard_normal((2, 1, 8, 12)).astype(np.float32))
+        y1, y2 = sample(sampler, x)
+        x0, x1, gram1, gram, back = initial_recon(sampler, y1, y2, fuse, (8, 12))
+        x2 = sampler.phi2.adjoint(y2, (8, 12))
+        phi1, phi2 = sampler.phi1, sampler.phi2
+        assert np.array_equal(x1.data, phi1.adjoint(y1, (8, 12)).data)
+        assert np.array_equal(x0.data, fuse(ops.concat([x1, x2], axis=1)).data)
+        assert np.array_equal(gram1.data, phi1.gram().data)
+        assert np.array_equal(gram.data, ops.add(phi1.gram(), phi2.gram()).data)
+        assert np.array_equal(back.data, ops.add(x1, x2).data)
 
 
 class TestBlockViews:
