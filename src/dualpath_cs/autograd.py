@@ -1,19 +1,25 @@
 """Tape-based reverse-mode automatic differentiation over dense numpy arrays.
 
 Tensors are immutable after creation except for gradient accumulation, which
-happens only inside :func:`backward`. Each differentiable op records its
-parents, a closure that maps the output gradient to per-parent gradients, and
-a creation number. Backward consumes this tape: each node drops its closure,
-and with it every array the closure saved, once it has run.
+happens only inside :func:`backward`. Each differentiable op records a `Node`:
+its parents' nodes, a closure that maps the output gradient to per-parent
+gradients, and a creation number. Backward consumes this tape: each node drops
+its closure, and with it every array the closure saved, once it has run.
 
-The tape rule: a backward closure may keep its parents' arrays, its output and
-per-pixel statistics (layer_norm's channel means and inverse deviations), and nothing
-else the forward derives from them. A parent's array is alive on the tape
-anyway, through the node's parents, so a buffer built from it (conv2d's padded
+The graph links nodes, not tensors. A recorded op's output Tensor holds its
+array and its node; a leaf Tensor (a parameter or an input) stands as its own
+node. So the tape reaches an op's output array only through a closure that
+captured it, and an output no backward reads is freed with its Tensor.
+
+The tape rule: a backward closure captures arrays, shapes and dtypes, never a
+Tensor. It may keep its parents' arrays, its output and per-pixel statistics
+(layer_norm's channel means and inverse deviations), and nothing else the
+forward derives from them; it keeps an operand's array only when a gradient
+that needs it is enabled. A buffer built from a kept array (conv2d's padded
 phase buffer and tap-ordered weights, conv_transpose2x's input rows,
-layer_norm's normalised input) is rebuilt in the backward, not stored. A
-closure captures the arrays themselves, never `t.data` at backward time:
-`Adam.step` rebinds a parameter's `.data`.
+layer_norm's normalised input, reduce_max's argmax) is rebuilt in the backward,
+not stored. A closure captures the arrays themselves, never `t.data` at
+backward time: `Adam.step` rebinds a parameter's `.data`.
 
 Precision is a process-global switch: float32 for training/inference and a
 float64 mode for gradient verification (finite differences in float32 are too
@@ -84,19 +90,58 @@ def finite_checks(enabled=True):
         _check_finite = saved
 
 
-class Tensor:
-    """Dense n-dimensional array with optional gradient tracking."""
+class Node:
+    """One recorded op on the tape: its gradient, its parents' nodes, its backward closure."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_seq")
+    __slots__ = ("grad", "requires_grad", "_parents", "_backward_fn", "_seq")
+
+    def __init__(self, parents, backward_fn):
+        self.grad = None
+        self.requires_grad = True
+        self._parents = parents
+        self._backward_fn = backward_fn
+        self._seq = next(_creation)
+
+
+class Tensor:
+    """Dense n-dimensional array with optional gradient tracking.
+
+    A recorded op's output reads its gradient and tape links through `_node`;
+    a leaf has no node, keeps its own gradient and stands as its own node.
+    """
+
+    __slots__ = ("data", "requires_grad", "_grad", "_node")
 
     def __init__(self, data, requires_grad=False):
         if not isinstance(data, np.ndarray):
             data = np.asarray(data, dtype=_default_dtype)
         self.data = data
         self.requires_grad = bool(requires_grad)
-        self.grad = None
-        self._parents = ()
-        self._backward_fn = None
+        self._grad = None
+        self._node = None
+
+    @property
+    def grad(self):
+        return self._grad if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        if self._node is None:
+            self._grad = value
+        else:
+            self._node.grad = value
+
+    @property
+    def _parents(self):
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward_fn(self):
+        return None if self._node is None else self._node._backward_fn
+
+    @_backward_fn.setter
+    def _backward_fn(self, fn):
+        self._node._backward_fn = fn  # only a recorded op has a closure to replace
 
     @property
     def shape(self):
@@ -146,10 +191,13 @@ def make(data, parents, backward_fn):
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
-        out._seq = next(_creation)
+        out._node = Node(tuple(_node_of(p) for p in parents), backward_fn)
     return out
+
+
+def _node_of(t):
+    """A recorded op's node, or the leaf tensor itself."""
+    return t if t._node is None else t._node
 
 
 def _consumed(grad_out):
@@ -176,7 +224,7 @@ def backward(loss):
     if not loss.requires_grad:
         return
     queue = []
-    _send(queue, loss, np.ones_like(loss.data))
+    _send(queue, _node_of(loss), np.ones_like(loss.data))
     try:
         while queue:
             node = heapq.heappop(queue)[1]

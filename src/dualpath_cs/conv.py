@@ -100,7 +100,7 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     out = np.ascontiguousarray(planes(out_wide)[keep].transpose(1, 0, 2, 3))
     if b is not None:
         out += b.data[:, None, None]
-    need_x, need_w = x.requires_grad, w.requires_grad
+    need_x, need_w, no_bias = x.requires_grad, w.requires_grad, b is None
 
     def bwd(g):
         g_wide = np.zeros((cout2, width), dtype=g.dtype)
@@ -121,7 +121,7 @@ def conv2d(x, w, b=None, stride=1, padding=0):
             dx = np.empty((n, cin, h, wdt), dtype=xd.dtype)
             for ph, (ys, ry), (xs, rx) in _phases(h, wdt, padding, s):
                 dx[:, :, ys, xs] = planes(dxp, ph)[:cin, :, ry, rx].transpose(1, 0, 2, 3)
-        if b is None:
+        if no_bias:
             return dx, dw
         return dx, dw, g.sum(axis=(0, 2, 3))
 
@@ -174,7 +174,7 @@ def conv_transpose2x(x, w, b=None):
     if b is not None:
         out = out + b.data[None, :, None, None]
 
-    need_x, need_w = x.requires_grad, w.requires_grad
+    need_x, need_w, no_bias = x.requires_grad, w.requires_grad, b is None
 
     def bwd(g):
         g_tiles = g.reshape(n, cout, h, 2, wdt, 2)
@@ -184,7 +184,7 @@ def conv_transpose2x(x, w, b=None):
             dx = np.ascontiguousarray((g_mat @ w_mat.T).reshape(n, h, wdt, cin).transpose(0, 3, 1, 2))
         if need_w:
             dw = (x_rows().T @ g_mat).reshape(cin, cout, 2, 2)
-        if b is None:
+        if no_bias:
             return dx, dw
         return dx, dw, g.sum(axis=(0, 2, 3))
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import ops
 from .autograd import Tensor
-from .errors import GeometryError
+from .errors import ConfigError, GeometryError, is_finite_real
 from .nn import Conv2d, Module, SpatialGate
 from .sampling import data_grad
 
@@ -100,12 +100,19 @@ def block_mean_abs_grad(grad_map, block_size):
     return tiles.mean(axis=(2, 4)).reshape(-1)
 
 
+def check_rho(rho):
+    """Reject a mask fraction outside (0, 1] with ConfigError."""
+    if not (is_finite_real(rho) and 0.0 < rho <= 1.0):
+        raise ConfigError(f"rho must lie in (0, 1], got {rho!r}")
+
+
 def build_hard_mask(block_scores, rho, block_size, hw):
     """Binary [N,1,H,W] mask of each sample's ceil(rho * num_blocks) top-scoring blocks.
 
     Ties break toward the lower block index (stable ordering); the result is
     constant within each block and constant to the tape.
     """
+    check_rho(rho)
     h, w = hw
     nb_h, nb_w = h // block_size, w // block_size
     nb = nb_h * nb_w
@@ -123,6 +130,7 @@ class HyperpriorBranch(Module):
     """Full branch: refinement of the phi1 back-projection, guidance generation."""
 
     def __init__(self, channels, rho, rng):
+        check_rho(rho)
         self.refiner = RefinementNet(channels, rng)
         self.soft_net = SoftMapNet(channels, rng)
         self.rho = rho

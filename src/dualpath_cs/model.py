@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import Tensor
-from .errors import ConfigError, GeometryError, is_finite_real, is_integer
-from .hyperprior import GuidanceBundle, HyperpriorBranch, HyperpriorSignal
+from .errors import ConfigError, GeometryError, is_integer
+from .hyperprior import GuidanceBundle, HyperpriorBranch, HyperpriorSignal, check_rho
 from .nn import Conv2d, Module
 from .reconstruction import ReconstructionStage
 from .sampling import build_dual_sampler, initial_recon, sample
@@ -18,8 +18,7 @@ def check_architecture(stages, channels, rho):
     for name, value in (("stages", stages), ("channels", channels)):
         if not (is_integer(value) and value >= 1):
             raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-    if not (is_finite_real(rho) and 0.0 < rho <= 1.0):
-        raise ConfigError(f"rho must lie in (0, 1], got {rho!r}")
+    check_rho(rho)
 
 
 @dataclass

@@ -54,10 +54,11 @@ def add(a, b):
     b = _as_tensor(b, a)
     out = a.data + b.data
     need_a, need_b = a.requires_grad, b.requires_grad
+    a_shape, b_shape = a.shape, b.shape
 
     def bwd(g):
-        return (_unbroadcast(g, a.shape) if need_a else None,
-                _unbroadcast(g, b.shape) if need_b else None)
+        return (_unbroadcast(g, a_shape) if need_a else None,
+                _unbroadcast(g, b_shape) if need_b else None)
 
     return make(out, (a, b), bwd)
 
@@ -67,10 +68,11 @@ def sub(a, b):
     b = _as_tensor(b, a)
     out = a.data - b.data
     need_a, need_b = a.requires_grad, b.requires_grad
+    a_shape, b_shape = a.shape, b.shape
 
     def bwd(g):
-        return (_unbroadcast(g, a.shape) if need_a else None,
-                -_unbroadcast(g, b.shape) if need_b else None)
+        return (_unbroadcast(g, a_shape) if need_a else None,
+                -_unbroadcast(g, b_shape) if need_b else None)
 
     return make(out, (a, b), bwd)
 
@@ -79,12 +81,14 @@ def mul(a, b):
     a = _as_tensor(a, b)
     b = _as_tensor(b, a)
     out = a.data * b.data
-    ad, bd = a.data, b.data
     need_a, need_b = a.requires_grad, b.requires_grad
+    a_shape, b_shape = a.shape, b.shape
+    # Each operand's array serves only the other's gradient.
+    ad, bd = a.data if need_b else None, b.data if need_a else None
 
     def bwd(g):
-        return (_unbroadcast(g * bd, a.shape) if need_a else None,
-                _unbroadcast(g * ad, b.shape) if need_b else None)
+        return (_unbroadcast(g * bd, a_shape) if need_a else None,
+                _unbroadcast(g * ad, b_shape) if need_b else None)
 
     return make(out, (a, b), bwd)
 
@@ -99,12 +103,13 @@ def matmul(a, b):
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner extents differ: {a.shape} @ {b.shape}")
     out = np.matmul(a.data, b.data)
-    ad, bd = a.data, b.data
     need_a, need_b = a.requires_grad, b.requires_grad
+    a_shape, b_shape = a.shape, b.shape
+    ad, bd = a.data if need_b else None, b.data if need_a else None  # as in mul
 
     def bwd(g):
-        ga = _unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), a.shape) if need_a else None
-        gb = _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), b.shape) if need_b else None
+        ga = _unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), a_shape) if need_a else None
+        gb = _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), b_shape) if need_b else None
         return ga, gb
 
     return make(out, (a, b), bwd)
@@ -229,14 +234,16 @@ def reduce_mean(a, axis):
 
 
 def reduce_max(a, axis):
-    """Max along one kept axis; gradient routes to the first maximal element."""
+    """Max along one kept axis; gradient routes to the first maximal element.
+
+    The backward finds that element again from the input, so the tape keeps no index array.
+    """
     x = a.data
     out = x.max(axis=axis, keepdims=True)
-    idx = x.argmax(axis=axis, keepdims=True)
 
     def bwd(g):
         gx = np.zeros_like(x)
-        np.put_along_axis(gx, idx, g, axis)
+        np.put_along_axis(gx, x.argmax(axis=axis, keepdims=True), g, axis)
         return (gx,)
 
     return make(out, (a,), bwd)
@@ -311,12 +318,13 @@ def mse(pred, target):
     if pred.size == 0:
         raise DimensionError("mse of empty tensors")
     diff = pred.data - target.data
-    out = np.asarray((diff * diff).mean(), dtype=pred.dtype)
+    dtype = pred.dtype
+    out = np.asarray((diff * diff).mean(), dtype=dtype)
     n = pred.size
 
     def bwd(g):
         base = (2.0 / n) * g * diff
-        return base.astype(pred.dtype, copy=False), (-base).astype(pred.dtype, copy=False)
+        return base.astype(dtype, copy=False), (-base).astype(dtype, copy=False)
 
     return make(out, (pred, target), bwd)
 

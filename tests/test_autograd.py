@@ -1,14 +1,16 @@
 """Tape mechanics: backward contract, accumulation, precision, Adam."""
 
 import tracemalloc
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dualpath_cs import ops
-from dualpath_cs.autograd import backward, finite_checks, no_grad, precision, tensor
+from dualpath_cs.autograd import Tensor, backward, finite_checks, no_grad, precision, tensor
 from dualpath_cs.errors import ConfigError, ContractError, NumericsError
+from dualpath_cs.model import DualPathModel
 from dualpath_cs.nn import Adam, Conv2d, LayerNormChannels, Parameter
 
 
@@ -104,6 +106,38 @@ class TestBackward:
         finally:
             tracemalloc.stop()
         assert peak - after_forward < 4 * x.data.nbytes
+
+    def test_forward_keeps_no_output_that_no_backward_reads(self):
+        # add's backward reads only shapes, so once the chain's outputs are dropped no node holds them.
+        x = tensor(np.ones(1 << 18), requires_grad=True)  # 1 MB of float32
+        tracemalloc.start()
+        try:
+            y = x
+            for _ in range(16):
+                y = ops.add(y, 1.0)
+            loss = ops.reduce_sum(y)
+            del y
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2 * x.data.nbytes
+        backward(loss)
+        assert np.array_equal(x.grad, np.ones_like(x.data))
+
+    def test_assigned_backward_fn_is_the_one_backward_runs(self):
+        x = tensor([1.0, 2.0], requires_grad=True)
+        out = ops.mul(x, 3.0)
+        inner, calls = out._backward_fn, []
+
+        def wrapper(g):
+            calls.append(g)
+            return inner(g)
+
+        out._backward_fn = wrapper
+        assert out._node._backward_fn is wrapper
+        backward(ops.reduce_sum(out))
+        assert len(calls) == 1
+        assert np.array_equal(x.grad, [3.0, 3.0])
 
 
 class TestModes:
@@ -212,19 +246,44 @@ class TestAdam:
             Adam([Parameter(np.array([1.0]))], lr=0.1, beta1=betas[0], beta2=betas[1])
 
 
-def _count_tape_nodes(out):
-    """How many nodes reachable from `out` record a backward closure."""
-    seen, stack = set(), [out]
+def _tape_nodes(out):
+    """The nodes reachable from `out` that record a backward closure."""
+    seen, stack, nodes = set(), [out], []
     while stack:
         node = stack.pop()
         if id(node) in seen or node._backward_fn is None:
             continue
         seen.add(id(node))
+        nodes.append(node)
         stack.extend(node._parents)
-    return len(seen)
+    return nodes
+
+
+def _closure_values(fn):
+    """Every value `fn` reaches through its closure cells, nested functions and lists."""
+    stack, seen = [fn], set()
+    while stack:
+        value = stack.pop()
+        if id(value) in seen:
+            continue
+        seen.add(id(value))
+        yield value
+        if isinstance(value, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in value.__closure__ or ())
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
 
 
 class TestLayersOnTheTape:
+    def test_no_closure_holds_a_tensor(self, rng):
+        model = DualPathModel(gamma=0.5, split=(1, 2), block_size=4, stages=2, channels=8, rho=0.5, seed=3)
+        image = tensor(rng.uniform(0, 1, (1, 1, 32, 32)))
+        nodes = _tape_nodes(model(image).output)
+        assert len(nodes) > 100
+        for node in nodes:
+            held = [type(v).__name__ for v in _closure_values(node._backward_fn) if isinstance(v, Tensor)]
+            assert not held, f"{node._backward_fn.__qualname__} holds {held}"
+
     def test_conv_records_its_parameters_as_parents(self, rng):
         conv = Conv2d(2, 3, 3, rng)
         x = tensor(rng.standard_normal((1, 2, 5, 5)))
@@ -236,6 +295,6 @@ class TestLayersOnTheTape:
         norm = LayerNormChannels(4)
         x = tensor(rng.standard_normal((2, 4, 3, 5)), requires_grad=True)
         out = norm(x)
-        assert _count_tape_nodes(out) == 1
+        assert len(_tape_nodes(out)) == 1
         assert len(out._parents) == 3
         assert out._parents[0] is x and out._parents[1] is norm.gain and out._parents[2] is norm.shift

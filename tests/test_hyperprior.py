@@ -5,7 +5,7 @@ import pytest
 
 from dualpath_cs.autograd import backward, precision, tensor
 from dualpath_cs import ops
-from dualpath_cs.errors import GeometryError
+from dualpath_cs.errors import ConfigError, GeometryError
 from dualpath_cs.hyperprior import (
     HyperpriorBranch,
     RefinementNet,
@@ -14,6 +14,11 @@ from dualpath_cs.hyperprior import (
     build_hard_mask,
 )
 from dualpath_cs.sampling import BlockSensingMatrix, DualSampler, build_dual_sampler, sample
+
+
+# A fraction outside (0, 1] selects every block (1.5) or none (0.0); nan, inf and a string are no fraction.
+BAD_RHOS = pytest.mark.parametrize("rho", [1.5, 0.0, -0.1, float("nan"), float("inf"), "0.5"],
+                                   ids=["1.5", "0", "-0.1", "nan", "inf", "str"])
 
 
 def brute_force_topk(scores, k):
@@ -47,6 +52,11 @@ class TestHardMask:
     def test_rho_one_selects_everything(self):
         mask = build_hard_mask(np.array([0.0, 3.0, 1.0, 0.0]), 1.0, 2, (4, 4))
         assert np.all(mask.data == 1.0)
+
+    @BAD_RHOS
+    def test_bad_rho_rejected(self, rho):
+        with pytest.raises(ConfigError, match="rho"):
+            build_hard_mask(np.arange(16.0), rho, 4, (16, 16))
 
     def test_hand_example_selection(self):
         mask = build_hard_mask(np.array([0.0, 3.0, 1.0, 0.0]), 0.5, 2, (4, 4)).data[0, 0]
@@ -129,6 +139,14 @@ class TestBranch:
         sampler = build_dual_sampler(0.5, (1, 2), b, seed=seed)
         branch = HyperpriorBranch(8, rho, np.random.default_rng(seed + 1))
         return branch, sampler
+
+    @BAD_RHOS
+    def test_bad_rho_rejected_before_building(self, rho):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ConfigError, match="rho"):
+            HyperpriorBranch(8, rho, rng)
+        assert rng.bit_generator.state == state  # no layer drew its weights
 
     @staticmethod
     def _run(branch, sampler, y1):

@@ -379,6 +379,13 @@ class TestReductions:
         backward(ops.reduce_sum(out))
         assert np.array_equal(x.grad, [[1.0, 0.0, 0.0]])
 
+    def test_reduce_max_closure_keeps_only_the_input(self, rng):
+        # The backward finds the argmax again, so the tape holds no index array.
+        x = tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        cells = [c.cell_contents for c in ops.reduce_max(x, axis=1)._backward_fn.__closure__]
+        arrays = [v for v in cells if isinstance(v, np.ndarray)]
+        assert len(arrays) == 1 and arrays[0] is x.data
+
     def test_concat_off_axis_mismatch(self):
         with pytest.raises(DimensionError):
             ops.concat([tensor(np.zeros((2, 3))), tensor(np.zeros((2, 4)))], axis=0)

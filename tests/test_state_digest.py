@@ -16,4 +16,4 @@ def test_prints_one_digest_per_shape(capsys, monkeypatch):
     tool.main(["--steps", "1"])
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == ["64x64x1", "32x32x4"]
-    assert all(re.fullmatch(r"\S+ steps=1 [0-9a-f]{64}", line) for line in lines)
+    assert all(re.fullmatch(r"\S+ steps=1 [0-9a-f]{64} peak_mb=\d+\.\d", line) for line in lines)
