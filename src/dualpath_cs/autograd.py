@@ -15,7 +15,10 @@ The tape rule: a backward closure captures arrays, shapes and dtypes, never a
 Tensor. It may keep its parents' arrays, its output and per-pixel statistics
 (layer_norm's channel means and inverse deviations), and nothing else the
 forward derives from them; it keeps an operand's array only when a gradient
-that needs it is enabled. A buffer built from a kept array (conv2d's padded
+that needs it is enabled. An elementwise op may keep its local derivative in
+place of its input (gelu's slope, computed only when its output is taped), or
+read it off its own output (relu's mask, sigmoid's s(1 - s)), which the next
+op usually keeps anyway. A buffer built from a kept array (conv2d's padded
 phase buffer and tap-ordered weights, conv_transpose2x's input rows,
 layer_norm's normalised input, reduce_max's argmax) is rebuilt in the backward,
 not stored. A closure captures the arrays themselves, never `t.data` at

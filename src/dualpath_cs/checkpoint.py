@@ -104,7 +104,8 @@ def _check_header(header):
 def save_checkpoint(path, model, epoch=0, config=None):
     """Write the model's parameters and Adam state. `config` is None, a TrainConfig
     or a JSON-serializable dict; anything else, or an epoch that is not an
-    integer >= 0, raises ContractError before the file is opened."""
+    integer >= 0, raises ContractError before the file is opened; a path that cannot be
+    written raises CheckpointError."""
     if isinstance(config, TrainConfig):
         config = config.to_dict()
     if not (config is None or isinstance(config, dict)):
@@ -122,14 +123,17 @@ def save_checkpoint(path, model, epoch=0, config=None):
     except (TypeError, ValueError) as err:
         raise ContractError(f"checkpoint header is not JSON-serializable: {err}") from None
     entries = [_tensor_entry(name, arr) for name, arr in tensors]
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(struct.pack("<I", len(entries)))
-        for entry in entries:
-            fh.write(entry)
+    try:
+        with open(path, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<I", len(header_bytes)))
+            fh.write(header_bytes)
+            fh.write(struct.pack("<I", len(entries)))
+            for entry in entries:
+                fh.write(entry)
+    except OSError as err:
+        raise CheckpointError(f"cannot write checkpoint {path}: {err}") from err
 
 
 def load_checkpoint(path):

@@ -60,7 +60,7 @@ class TrainingDivergenceError(DualPathError):
 
 
 class CheckpointError(DualPathError):
-    """Base class for checkpoint load failures."""
+    """Base class for checkpoint failures; raised itself when the file cannot be read or written."""
 
 
 class CheckpointMagicError(CheckpointError):

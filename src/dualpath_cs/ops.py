@@ -13,8 +13,11 @@ for its backward pass and recomputes the probabilities a chunk of queries at a
 time in one reused T×chunk buffer, so its memory is linear in the token count;
 it takes a key mask and skips the dropped keys' values in its value gemms, and
 its backward splits the dq and dk gemms at the kept keys, scaling the small
-side of the dropped-key ones by -rowdot. A parent with requires_grad=False gets
-None from the backward closure.
+side of the dropped-key ones by -rowdot. An elementwise activation keeps one
+array for its backward: gelu its slope Φ(x) + x·φ(x), computed after the
+forward only when the output is taped; relu and sigmoid read their derivative
+off their own output. A parent with requires_grad=False gets None from the
+backward closure.
 """
 
 import math
@@ -23,7 +26,7 @@ import numpy as np
 from scipy.special import erf
 
 from .autograd import Tensor, make
-from .errors import DimensionError
+from .errors import ContractError, DimensionError, is_integer
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
@@ -116,6 +119,8 @@ def matmul(a, b):
 
 
 def concat(tensors, axis):
+    if not tensors:
+        raise DimensionError("concat needs at least one operand")
     base = tensors[0]
     for t in tensors[1:]:
         if t.ndim != base.ndim:
@@ -149,25 +154,30 @@ def transpose(a, axes):
 
 
 def relu(a):
+    """max(x, 0); the backward reads its mask off the output."""
     out = np.maximum(a.data, 0)
-    mask = a.data > 0
 
     def bwd(g):
-        return (g * mask,)
+        return (g * (out > 0),)  # out > 0 exactly where x > 0, NaN and -0 included
 
     return make(out, (a,), bwd)
 
 
 def gelu(a):
+    """x·Φ(x); the tape keeps only its slope Φ(x) + x·φ(x), computed once a gradient needs it."""
     x = a.data
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out = x * cdf
+    slope = None
 
     def bwd(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        return (g * (cdf + x * pdf),)
+        return (g * slope,)
 
-    return make(out.astype(x.dtype, copy=False), (a,), bwd)
+    out = make((x * cdf).astype(x.dtype, copy=False), (a,), bwd)
+    # After make, so a no_grad forward skips it and the finite check fires before an inf input warns.
+    if out.requires_grad:
+        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
+        slope = cdf + x * pdf
+    return out
 
 
 def sigmoid(a):
@@ -365,6 +375,8 @@ def scaled_dot_attention(q, k, v, keep, chunk=64):
     of the dropped-key ones instead, the chunk's rows of dq after its gemm and
     its queries before theirs.
     """
+    if not (is_integer(chunk) and chunk >= 1):
+        raise ContractError(f"attention chunk must be an integer >= 1, got {chunk!r}")
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
         raise DimensionError("attention operands must be [N*T,d]")
     if q.shape != k.shape or k.shape[0] != v.shape[0]:

@@ -55,8 +55,17 @@ def read_pgm(path):
 
 
 def write_pgm(path, image):
-    """Write an [H,W] array in [0, 1] as an 8-bit P5 file (finite values clipped)."""
-    arr = np.asarray(image, dtype=np.float64)
+    """Write an [H,W] array in [0, 1] as an 8-bit P5 file (finite values clipped).
+
+    A non-real, non-2-d or non-finite image, or a path that cannot be written, raises
+    IngestionError; the image is checked before the file is opened."""
+    try:
+        arr = np.asarray(image)
+        if arr.dtype.kind == "c":  # the cast below would drop the imaginary part with a warning
+            raise TypeError(f"{arr.dtype} is not a real dtype")
+        arr = arr.astype(np.float64)
+    except (TypeError, ValueError) as err:
+        raise IngestionError(f"PGM pixels must be real numbers: {err}") from None
     arr = np.squeeze(arr)
     if arr.ndim != 2:
         raise IngestionError(f"expected a 2-d image, got shape {np.asarray(image).shape}")
@@ -64,6 +73,9 @@ def write_pgm(path, image):
         raise IngestionError("cannot write a non-finite pixel (NaN or inf) to PGM")
     data = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
     h, w = data.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode())
-        fh.write(data.tobytes())
+    try:
+        with open(path, "wb") as fh:
+            fh.write(f"P5\n{w} {h}\n255\n".encode())
+            fh.write(data.tobytes())
+    except OSError as err:
+        raise IngestionError(f"cannot write PGM file {path}: {err}") from err

@@ -2,16 +2,19 @@
 
 import inspect
 import tracemalloc
+import warnings
 import zlib
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from dualpath_cs import conv, ops
-from dualpath_cs.autograd import _op_name, backward, precision, tensor
-from dualpath_cs.errors import DimensionError
+from dualpath_cs.autograd import _op_name, backward, finite_checks, precision, tensor
+from dualpath_cs.errors import ContractError, DimensionError, NumericsError
 from gradcheck import max_gradient_error
 from op_cases import ALL_CASES
+from test_conv import TAPE_SLACK
 
 
 class TestSoftmax:
@@ -81,6 +84,57 @@ class TestElementwise:
         skipped = op(*parents)._backward_fn(g)
         assert skipped[constant] is None
         assert np.array_equal(skipped[1 - constant], full[1 - constant])
+
+
+def _kept_after_dropping_input(rng, activation):
+    """(output, bytes left allocated) after `activation` of a taped op output whose Tensor is then
+    dropped, so only what the activation's closure keeps holds its input."""
+    x = tensor(rng.standard_normal((1, 16, 64, 64)).astype(np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        h = ops.add(x, 0.0)
+        out = activation(h)
+        del h
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    return out, kept
+
+
+class TestActivationTape:
+    """An activation keeps one array on the tape: gelu its slope, relu nothing beyond its output."""
+
+    def test_gelu_keeps_its_slope_not_its_input(self, rng):
+        # The output and the slope; the input and its cdf would make three.
+        out, kept = _kept_after_dropping_input(rng, ops.gelu)
+        assert kept <= 2 * out.data.nbytes + TAPE_SLACK, f"{kept} bytes kept, output {out.data.nbytes}"
+
+    def test_relu_keeps_only_its_output(self, rng):
+        out, kept = _kept_after_dropping_input(rng, ops.relu)
+        assert kept <= out.data.nbytes + TAPE_SLACK, f"{kept} bytes kept, output {out.data.nbytes}"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_gradient_is_the_slope_from_its_input(self, rng, dtype):
+        x = (rng.standard_normal(500) * 3).astype(dtype)
+        g = rng.standard_normal(500).astype(dtype)
+        cdf = 0.5 * (1.0 + erf(x * ops._INV_SQRT2))
+        pdf = np.exp(-0.5 * x * x) * ops._INV_SQRT2PI
+        (dx,) = ops.gelu(tensor(x, requires_grad=True, dtype=dtype))._backward_fn(g)
+        assert dx.dtype == dtype
+        assert np.array_equal(dx, g * (cdf + x * pdf))
+
+    def test_relu_gradient_masks_where_the_input_is_positive(self):
+        x = np.array([-1.0, -0.0, 0.0, 1e-30, np.nan, 2.0], dtype=np.float32)
+        (dx,) = ops.relu(tensor(x, requires_grad=True))._backward_fn(np.ones(6, dtype=np.float32))
+        assert np.array_equal(dx, (x > 0).astype(np.float32))
+
+    def test_inf_gelu_input_fails_its_forward_check_without_warning(self):
+        x = tensor([1.0, np.inf], requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with finite_checks(), pytest.raises(NumericsError, match="forward of gelu"):
+                ops.gelu(x)
 
 
 class TestPooling:
@@ -358,6 +412,13 @@ class TestAttention:
         assert peak < t * t * 4 // 8, f"peak {peak / 2**20:.1f} MiB"
 
 
+    @pytest.mark.parametrize("chunk", [0, -1, 2.0, True, None])
+    def test_chunk_not_a_positive_integer_rejected(self, rng, chunk):
+        q, k, v = (tensor(rng.standard_normal((4, 2))) for _ in range(3))
+        with pytest.raises(ContractError, match="chunk"):
+            ops.scaled_dot_attention(q, k, v, np.ones((1, 4)), chunk=chunk)
+
+
 class TestMatmul:
     @pytest.mark.parametrize("constant", [0, 1])
     def test_constant_parent_gets_none(self, rng, constant):
@@ -389,6 +450,10 @@ class TestReductions:
     def test_concat_off_axis_mismatch(self):
         with pytest.raises(DimensionError):
             ops.concat([tensor(np.zeros((2, 3))), tensor(np.zeros((2, 4)))], axis=0)
+
+    def test_concat_of_nothing_rejected(self):
+        with pytest.raises(DimensionError, match="at least one"):
+            ops.concat([], axis=0)
 
 
 class TestGradients:

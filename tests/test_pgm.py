@@ -68,6 +68,21 @@ class TestMalformed:
             read_pgm(tmp_path / name)
         assert isinstance(err.value.__cause__, OSError)
 
+    @pytest.mark.parametrize("name", ["missing/out.pgm", "."], ids=["missing-parent", "directory"])
+    def test_unwritable_path_rejected_with_ingestion_error(self, tmp_path, name):
+        with pytest.raises(IngestionError) as err:
+            write_pgm(tmp_path / name, np.zeros((2, 2)))
+        assert isinstance(err.value.__cause__, OSError)
+
+    @pytest.mark.parametrize("image", [
+        [["a", "b"], ["c", "d"]], [[object(), 0.5]], [[0.5, 0.5], [0.5]], np.full((2, 2), 0.5 + 1j),
+    ], ids=["strings", "object", "ragged", "complex"])
+    def test_non_real_pixels_refused_before_the_file_is_made(self, tmp_path, image):
+        path = tmp_path / "text.pgm"
+        with pytest.raises(IngestionError, match="real numbers"):
+            write_pgm(path, image)
+        assert not path.exists()
+
 
 _TOKENS = st.one_of(
     st.integers(min_value=-3, max_value=300).map(lambda n: str(n).encode()),

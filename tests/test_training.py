@@ -463,6 +463,12 @@ class TestCheckpointFormat:
             save_checkpoint(path, build_model(tiny_config()), **kwargs)
         assert not path.exists()
 
+    @pytest.mark.parametrize("name", ["missing/m.ckpt", "."], ids=["missing-parent", "directory"])
+    def test_unwritable_path_rejected_with_checkpoint_error(self, tmp_path, name):
+        with pytest.raises(CheckpointError) as err:
+            save_checkpoint(tmp_path / name, build_model(tiny_config()))
+        assert isinstance(err.value.__cause__, OSError)
+
     @pytest.mark.parametrize("first", [0x7B ^ 0x80, ord("x")], ids=["flipped-bit", "not-json"])
     def test_corrupt_header_byte(self, tmp_path, first):
         path = tmp_path / "m.ckpt"
