@@ -19,9 +19,9 @@ that needs it is enabled. An elementwise op may keep its local derivative in
 place of its input (gelu's slope, computed only when its output is taped), or
 read it off its own output (relu's mask, sigmoid's s(1 - s)), which the next
 op usually keeps anyway. A buffer built from a kept array (conv2d's padded
-phase buffer and tap-ordered weights, conv_transpose2x's input rows,
-layer_norm's normalised input, reduce_max's argmax) is rebuilt in the backward,
-not stored. A closure captures the arrays themselves, never `t.data` at
+phase buffer, its lowered blocks and its row-ordered weights, conv_transpose2x's
+input rows, layer_norm's normalised input, reduce_max's argmax) is rebuilt in
+the backward, not stored. A closure captures the arrays themselves, never `t.data` at
 backward time: `Adam.step` rebinds a parameter's `.data`.
 
 Precision is a process-global switch: float32 for training/inference and a

@@ -1,39 +1,61 @@
-"""Convolutions as sums of shifted-tap gemms, with no column matrix.
+"""Convolutions as one gemm per kernel row over a lowered input, with no column matrix.
 
 `conv2d` pads its input once into a wide buffer of phase planes. A stride s
 splits the padded planes into s*s phases: phase (a, c) holds padded rows a,
 a+s, ... and columns c, c+s, ..., zero-filled to one ceil(Hp/s) x ceil(Wp/s)
 extent Hq x Wq. Each channel is one flat row of the buffer: the phases one after
 another, each the N phase planes end to end, then zeros. Kernel tap (i, j)
-reads phase (i mod s, j mod s) in the contiguous window of every row that
-starts (i//s)*Wq + j//s into that phase, so the strided output, laid out Wq
-wide with the N planes end to end, is the sum of kh*kw gemms
-`w[:, :, i, j] @ window`, and a strided conv computes none of the stride-1
-outputs it would drop. Stride 1 is the one-phase case. The columns and rows of
-that layout whose window wraps into the next row, plane or phase are dropped.
-Backward scatters the output gradient into the same wide layout, with zeros in
-every dropped place, and runs the same windows: `g_wide @ window.T` is the
-weight gradient of a tap, and `w[:, :, i, j].T @ g_wide`, added into a buffer
-laid out like the input's, the input gradient, whose phases are written
-straight into the [N, Cin, H, W] result. The tape keeps the output and the
-arrays of the input and the weights, nothing derived from them: the backward
-rebuilds the phase buffer, only for the weight gradient, and the tap-ordered
-weights, only for the input gradient. Backward returns None for a constant
-parent (one with `requires_grad=False`) and skips its gemms. A channel extent
-of 1 is padded with a zero channel, so that no tap gemm contracts over a single
-channel. The windows are whole blocks of 16 columns: BLAS computes a last,
-narrower block with another kernel, whose rounding would make a sample's output
-depend on the batch size.
+reads phase (i mod s, j mod s) in the window of every row that starts
+(i//s)*Wq + j//s into that phase, so the strided output, laid out Wq wide with
+the N planes end to end, is the sum over taps of `w[:, :, i, j] @ window`, and
+a strided conv computes none of the stride-1 outputs it would drop. Stride 1 is
+the one-phase case. The columns and rows of that layout whose window wraps
+into the next row, plane or phase are dropped.
+
+The taps of one kernel row differ only in their column shift, so that sum runs
+as one gemm per kernel row, as in MEC (Cho & Brand, "MEC: Memory-efficient
+Convolution for Deep Neural Network", ICML 2017, arXiv:1706.06873). The
+lowered buffer stacks the kw column-shifted copies of the phase buffer along
+the contraction, K = kw*Cin, and kernel row i is `w_row[i] @ window`, with a
+window that starts (i//s)*Wq into the lowered buffer of its row phase i mod s.
+The weight gradient runs the same windows, `window @ g_wide.T`. The input
+gradient of each phase is a stride-1 correlation of the output gradient, laid
+out wide with zeros in every dropped place, with that phase's taps flipped and
+transposed; its lowered buffer stacks the gradient's ceil(kw/s) column shifts,
+K = ceil(kw/s)*Cout, and each phase's result fills its rows and columns of the
+[N, Cin, H, W] input gradient. Every stride and kernel takes this one path; a
+lowered buffer of one shift, as a 1x1 kernel's, is its source itself.
+
+A lowered buffer is kw times its source, so it is built a block of output
+columns at a time, into one buffer that every block reuses. A block's row gemms
+are summed in a contiguous array and then copied into place. A block is as wide
+as `LOWERED_BYTES` holds of its lowered rows, the columns its windows overhang
+included, and of those sums, in whole blocks of 16 columns: BLAS computes a
+last, narrower block with another kernel, whose rounding would make a sample's
+output depend on the batch size. A channel extent of 1 is padded with a zero
+channel, so that no gemm contracts over a single channel. The tape keeps the
+output and the arrays of the input and the weights, nothing derived from them:
+the backward rebuilds the phase buffer, only for the weight gradient, and each
+phase's flipped weights, only for the input gradient. Backward returns None for
+a constant parent (one with `requires_grad=False`) and skips its gemms.
 """
+
+from itertools import groupby
 
 import numpy as np
 
 from .autograd import make
-from .errors import DimensionError, GeometryError
+from .errors import DimensionError, GeometryError, is_integer
+
+# Bytes of one block of a lowered buffer and of the two sums its gemms add up in; a block's width
+# in columns follows from the rows they hold.
+LOWERED_BYTES = 256 * 1024
 
 
 def conv2d(x, w, b=None, stride=1, padding=0):
     """Cross-correlate [N,Cin,H,W] with [Cout,Cin,kH,kW]; odd kernels only."""
+    if not (is_integer(stride) and is_integer(padding)):
+        raise GeometryError(f"conv2d stride and padding must be integers, got {stride!r} and {padding!r}")
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d expects 4-d input/weight, got {x.shape} / {w.shape}")
     if x.shape[1] != w.shape[1]:
@@ -61,72 +83,139 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     hq, wq = -(-hp // s), -(-wp // s)
     plane = hq * wq
     phase_cols = n * plane
-    # Window length: to the end of the last plane's output rows, rounded up to whole 16-column blocks.
-    span = -(-((n - 1) * plane + ho * wq) // 16) * 16
+    # Output columns: to the end of the last plane's output rows, in whole 16-column blocks.
+    span = _whole_blocks((n - 1) * plane + ho * wq)
+    rh, rw = -(-kh // s), -(-kw // s)  # kernel rows and columns of phase (0, 0), the largest
     # The input buffer's row: to the end of the last phase's last window, and at least all phases.
-    cols = max(s * s * phase_cols, (s * s - 1) * phase_cols + (kh - 1) // s * wq + (kw - 1) // s + span)
-    width = max(phase_cols, span)  # the output's wide row: a window, and at least the n planes
-    taps_at = [(i, j, ((i % s) * s + j % s) * phase_cols + i // s * wq + j // s)
-               for i in range(kh) for j in range(kw)]
+    cols = max(s * s * phase_cols, (s * s - 1) * phase_cols + (rh - 1) * wq + rw - 1 + span)
+    width = max(phase_cols, span)  # the output's wide row: the output columns, and at least the n planes
     keep = (slice(cout), slice(None), slice(ho), slice(wo))
-    # Zero channels pad Cin in xp and taps (forward gemms) and Cout in g_wide and taps (dx gemms).
+    # Zero channels pad Cin in xp and the row weights, and Cout in the output gradient (dx gemms).
     cin2, cout2 = max(cin, 2), max(cout, 2)
+    # Row phase a lowers its phases (a, j mod s) at shift j // s for each kernel column j, and its
+    # kernel rows i read windows (i // s) * wq into that block.
+    row_phases = [([(a * s + j % s) * phase_cols + j // s for j in range(kw)],
+                   [((0, i), i // s * wq, kw * cin2) for i in range(a, kh, s)]) for a in range(min(s, kh))]
 
-    def planes(flat, ph=0):
-        return flat[:, ph * phase_cols:(ph + 1) * phase_cols].reshape(flat.shape[0], n, hq, wq)
+    def planes(flat):
+        return flat[:, :phase_cols].reshape(flat.shape[0], n, hq, wq)
 
     # The arrays this call saw: Adam.step rebinds a parameter's .data, so backward must not read it.
     xd, wd = x.data, w.data
 
-    # The forward builds these two from xd and wd, and the backward builds them again, so that
-    # neither stays on the tape.
+    # The forward builds this from xd, and the backward builds it again, so that it does not stay
+    # on the tape.
     def phase_buffer():
         xp = np.zeros((cin2, cols), dtype=xd.dtype)
         x_cn = xd.transpose(1, 0, 2, 3)
         for ph, (ys, ry), (xs, rx) in _phases(h, wdt, padding, s):
-            planes(xp, ph)[:cin, :, ry, rx] = x_cn[:, :, ys, xs]
+            planes(xp[:, ph * phase_cols:])[:cin, :, ry, rx] = x_cn[:, :, ys, xs]
         return xp
 
-    def tap_weights():
-        taps = np.zeros((kh, kw, cout2, cin2), dtype=wd.dtype)
-        taps[:, :, :cout, :cin] = wd.transpose(2, 3, 0, 1)
-        return taps
-
-    xp, taps = phase_buffer(), tap_weights()
-    out_wide = np.zeros((cout, width), dtype=xd.dtype)
-    for i, j, off in taps_at:
-        out_wide[:, :span] += taps[i, j, :cout] @ xp[:, off:off + span]
-    del xp, taps
+    xp = phase_buffer()
+    w_rows = np.zeros((kh, cout, kw, cin2), dtype=wd.dtype)
+    w_rows[..., :cin] = wd.transpose(2, 0, 3, 1)
+    out_wide = np.empty((cout, width), dtype=xd.dtype)  # the columns past span are never read
+    _correlate(xp, row_phases, span, w_rows.reshape(1, kh, cout, kw * cin2), out_wide[None])
+    del xp, w_rows
     out = np.ascontiguousarray(planes(out_wide)[keep].transpose(1, 0, 2, 3))
     if b is not None:
         out += b.data[:, None, None]
     need_x, need_w, no_bias = x.requires_grad, w.requires_grad, b is None
 
     def bwd(g):
-        g_wide = np.zeros((cout2, width), dtype=g.dtype)
-        planes(g_wide)[keep] = g.transpose(1, 0, 2, 3)
-        g_wide = g_wide[:, :span]
+        # The output gradient, laid out wide `lead` zero columns into its row: the input gradient's
+        # windows start up to `lead` columns before the output column they compute.
+        lead = (rh - 1) * wq + rw - 1
+        dspan = _whole_blocks(phase_cols)  # each phase's input-gradient columns
+        g_pad = np.zeros((cout2, lead + dspan + rw - 1), dtype=g.dtype)
+        planes(g_pad[:, lead:])[keep] = g.transpose(1, 0, 2, 3)
         dw = dx = None
         if need_w:
             xp = phase_buffer()
-            dw = np.empty_like(wd)
-            for i, j, off in taps_at:
-                dw[:, :, i, j] = g_wide[:cout] @ xp[:cin, off:off + span].T
-            del xp  # before dxp is allocated
+            dw_rows = np.zeros((kh, kw * cin2, cout), dtype=wd.dtype)  # transposed: the faster gemm
+            for cols_at, (_, i), window in _lowered_windows(xp, row_phases, span, 0):
+                dw_rows[i] += window @ g_pad[:cout, lead + cols_at.start:lead + cols_at.stop].T
+            del xp, window  # the phase buffer and the last lowered block, before the dx buffers
+            dw = np.ascontiguousarray(dw_rows.reshape(kh, kw, cin2, cout)[:, :, :cin].transpose(3, 2, 0, 1))
         if need_x:
-            taps = tap_weights()
-            dxp = np.zeros((cin2, cols), dtype=xd.dtype)
-            for i, j, off in taps_at:
-                dxp[:, off:off + span] += taps[i, j].T @ g_wide
+            # Phase (a, c) of dx correlates the gradient with w's kernel rows a, a+s, ... and columns
+            # c, c+s, ..., flipped and transposed: th rows of tw columns. Flipped row r is the first
+            # tw shifts of the gradient's lowered block, from lead - (th-1-r)*wq - (tw-1) columns in.
+            d_rows, windows = {}, []
+            for ph in range(s * s):
+                a, c = divmod(ph, s)
+                th, tw = len(range(a, kh, s)), len(range(c, kw, s))
+                if th and tw:
+                    rows = np.zeros((th, cin2, tw, cout2), dtype=wd.dtype)
+                    rows[:, :cin, :, :cout] = wd[:, :, a::s, c::s][:, :, ::-1, ::-1].transpose(2, 1, 3, 0)
+                    d_rows[ph] = rows.reshape(th, cin2, tw * cout2)
+                    windows += [((ph, r), lead - (th - 1 - r) * wq - (tw - 1), tw * cout2) for r in range(th)]
+            dxp = np.empty((s * s, cin2, dspan), dtype=xd.dtype)  # only the phases with taps are written
+            _correlate(g_pad, [(range(rw), windows)], dspan, d_rows, dxp)
             dx = np.empty((n, cin, h, wdt), dtype=xd.dtype)
             for ph, (ys, ry), (xs, rx) in _phases(h, wdt, padding, s):
-                dx[:, :, ys, xs] = planes(dxp, ph)[:cin, :, ry, rx].transpose(1, 0, 2, 3)
+                # A phase that no kernel tap reads gets no gradient.
+                dx[:, :, ys, xs] = planes(dxp[ph])[:cin, :, ry, rx].transpose(1, 0, 2, 3) if ph in d_rows else 0
         if no_bias:
             return dx, dw
         return dx, dw, g.sum(axis=(0, 2, 3))
 
     parents = (x, w) if b is None else (x, w, b)
     return make(out, parents, bwd)
+
+
+def _whole_blocks(columns):
+    """`columns` rounded up to whole blocks of 16."""
+    return -(-columns // 16) * 16
+
+
+def _lowered_windows(src, groups, span, out_rows):
+    """(output columns, key, window) of each row gemm over output columns [0, span), block by block.
+
+    Each group is (shifts, windows). Its lowered block stacks the rows of `src` shifted by each
+    column shift; a window (key, offset, depth) is that block's first `depth` rows, from `offset`
+    columns into the block, as wide as the block's output columns. One buffer serves every group
+    and block. A block is as wide as LOWERED_BYTES holds of the lowered block, overhang included,
+    and of two sums of `out_rows` rows.
+    """
+    rows = src.shape[0]
+    depth = rows * max(len(shifts) for shifts, _ in groups)
+    overhang = max(off for _, windows in groups for _, off, _ in windows)
+    step = (LOWERED_BYTES // src.itemsize - depth * overhang) // (depth + 2 * out_rows) // 16 * 16
+    step = min(max(step, 16), span)
+    lowered = np.empty((depth, step + overhang), dtype=src.dtype) if depth > rows else None
+    for start in range(0, span, step):
+        stop = min(start + step, span)
+        for shifts, windows in groups:
+            if len(shifts) == 1:  # one shift lowers to the source itself
+                block = src[:, start + shifts[0]:]
+            else:
+                block = lowered
+                extent = stop - start + max(off for _, off, _ in windows)
+                for j, shift in enumerate(shifts):
+                    lowered[j * rows:(j + 1) * rows, :extent] = src[:, start + shift:start + shift + extent]
+            for key, off, used in windows:
+                yield slice(start, stop), key, block[:used, off:off + stop - start]
+
+
+def _correlate(src, groups, span, weights, targets):
+    """targets[t][:, block] = the sum of weights[t][r] @ window over the windows keyed (t, r), for
+    each block of output columns [0, span).
+
+    A target's windows come one after another in a block. Their sum is taken in a contiguous
+    array and then copied into place: an in-place add into a block of a wider row goes through
+    numpy's iterator buffers, which cost time and memory.
+    """
+    windows = _lowered_windows(src, groups, span, targets.shape[1])
+    for (cols_at, t), run in groupby(windows, key=lambda item: (item[0], item[1][0])):
+        total = None
+        for _, (_, r), window in run:
+            if total is None:
+                total = weights[t][r] @ window
+            else:
+                total += weights[t][r] @ window
+        targets[t][:, cols_at] = total
 
 
 def _phases(h, wdt, padding, s):

@@ -122,6 +122,8 @@ def concat(tensors, axis):
     if not tensors:
         raise DimensionError("concat needs at least one operand")
     base = tensors[0]
+    if not (is_integer(axis) and -base.ndim <= axis < base.ndim):
+        raise DimensionError(f"concat axis {axis!r} is not an axis of rank-{base.ndim} operands")
     for t in tensors[1:]:
         if t.ndim != base.ndim:
             raise DimensionError("concat operands must share rank")
@@ -144,11 +146,23 @@ def concat(tensors, axis):
 
 
 def reshape(a, shape):
+    """`a` in `shape`, which holds extents >= 0 and at most one -1, inferred from the others."""
+    if not (isinstance(shape, (tuple, list)) and all(is_integer(d) and d >= -1 for d in shape)
+            and list(shape).count(-1) <= 1):
+        raise DimensionError(f"reshape needs extents >= 0 and at most one -1, got {shape!r}")
+    known = math.prod(d for d in shape if d != -1)
+    fits = known > 0 and a.size % known == 0 if -1 in shape else a.size == known
+    if not fits:
+        raise DimensionError(f"cannot reshape {a.shape} to {tuple(shape)}")
     orig = a.shape
     return make(a.data.reshape(shape), (a,), lambda g: (g.reshape(orig),))
 
 
 def transpose(a, axes):
+    """`a` with its axes permuted; `axes` lists each axis 0..ndim-1 once."""
+    if not (isinstance(axes, (tuple, list)) and all(is_integer(ax) for ax in axes)
+            and sorted(axes) == list(range(a.ndim))):
+        raise DimensionError(f"transpose axes {axes!r} are not a permutation of a rank-{a.ndim} tensor's axes")
     inv = np.argsort(axes)
     return make(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inv),))
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dualpath_cs.autograd import precision, tensor
+from dualpath_cs.autograd import no_grad, precision, tensor
 from dualpath_cs.conv import conv2d, conv_transpose2x
 from dualpath_cs.errors import DimensionError, GeometryError
 
@@ -98,6 +98,13 @@ class TestConvErrors:
         with pytest.raises(GeometryError):
             conv2d(tensor(np.zeros((1, 1, 2, 2))), tensor(np.zeros((1, 1, 3, 3))), padding=0)
 
+    @pytest.mark.parametrize("stride,padding", [(1.5, 1), (2.0, 1), ("2", 1), (None, 1), (1, 0.5), (1, True), (True, 1)],
+                             ids=["stride-1.5", "stride-2.0", "stride-str", "stride-None", "padding-0.5", "padding-True",
+                                  "stride-True"])
+    def test_stride_and_padding_not_integers_rejected(self, stride, padding):
+        with pytest.raises(GeometryError, match="integers"):
+            conv2d(tensor(np.zeros((1, 1, 4, 4))), tensor(np.zeros((1, 1, 3, 3))), stride=stride, padding=padding)
+
 
 class TestConvTranspose:
     def test_matches_naive_oracle(self, rng):
@@ -140,7 +147,7 @@ class TestConstantParents:
 
 def dense_conv2d_f64(x, w, g, stride, padding):
     """Output, dx and dw of a conv in float64 from sliding windows and einsum,
-    independent of the tap-gemm path; g is the output gradient."""
+    independent of the lowered row gemms; g is the output gradient."""
     x, w, g = (a.astype(np.float64) for a in (x, w, g))
     kh, kw = w.shape[2:]
     pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
@@ -163,7 +170,8 @@ class TestFloat32Accuracy:
     (2**-24), the typical rounding of the longest sum here, dw's 64*64 = 4096
     terms; the measured worst case is 4.9e-7, and a misplaced tap is off by O(1)."""
 
-    @pytest.mark.parametrize("cin,cout,k,stride", [(16, 16, 3, 1), (2, 1, 7, 1), (16, 32, 3, 2), (1, 16, 3, 1), (16, 1, 3, 1)])
+    @pytest.mark.parametrize("cin,cout,k,stride", [(16, 16, 3, 1), (2, 1, 7, 1), (16, 32, 3, 2), (1, 16, 3, 1), (16, 1, 3, 1),
+                                                   (32, 16, 3, 1)])
     def test_matches_float64(self, rng, cin, cout, k, stride):
         x = rng.standard_normal((1, cin, 64, 64)).astype(np.float32)
         w = (rng.standard_normal((cout, cin, k, k)) / np.sqrt(cin * k * k)).astype(np.float32)
@@ -196,14 +204,19 @@ class TestPhaseGradients:
 
 
 class TestBatchInvariance:
-    @pytest.mark.parametrize("cin,cout,size", [(32, 32, 4), (32, 64, 4), (64, 32, 4), (32, 16, 8), (16, 16, 16)])
+    @pytest.mark.parametrize("cin,cout,size,k", [
+        pytest.param(32, 32, 4, 3, id="32-32-4"), pytest.param(32, 64, 4, 3, id="32-64-4"),
+        pytest.param(64, 32, 4, 3, id="64-32-4"), pytest.param(32, 16, 8, 3, id="32-16-8"),
+        pytest.param(16, 16, 16, 3, id="16-16-16"), pytest.param(2, 1, 32, 7, id="2-1-32-k7"),
+    ])
     @pytest.mark.parametrize("n", [2, 3])
-    def test_sample_gets_the_same_bits_in_any_batch(self, rng, cin, cout, size, n):
+    def test_sample_gets_the_same_bits_in_any_batch(self, rng, cin, cout, size, k, n):
+        # The last case is the model's 7x7 spatial gate, whose windows overhang six rows.
         x = rng.standard_normal((1, cin, size, size)).astype(np.float32)
-        w = tensor(rng.standard_normal((cout, cin, 3, 3)).astype(np.float32))
+        w = tensor(rng.standard_normal((cout, cin, k, k)).astype(np.float32))
         g = rng.standard_normal((1, cout, size, size)).astype(np.float32)
-        single = conv2d(tensor(x, requires_grad=True), w, padding=1)
-        batch = conv2d(tensor(np.concatenate([x] * n), requires_grad=True), w, padding=1)
+        single = conv2d(tensor(x, requires_grad=True), w, padding=k // 2)
+        batch = conv2d(tensor(np.concatenate([x] * n), requires_grad=True), w, padding=k // 2)
         dx_single = single._backward_fn(g)[0]
         dx_batch = batch._backward_fn(np.concatenate([g] * n))[0]
         for s in range(n):
@@ -262,6 +275,26 @@ class TestTapeMemory:
         assert peak < padded_bytes + 4 * out.data.nbytes, f"peak {peak} bytes"
 
 
+class TestLoweredBlocks:
+    def test_untaped_forward_transient_within_1_15_mb(self, rng):
+        """The evaluation forward's peak sits in the 32->16 3x3 conv at 64x64. Beside the padded
+        input (0.56 MB) and the wide output (0.28 MB), it builds the lowered input a block of
+        columns at a time: 1.12 MB in all. A per-tap loop read 1.13 MB; the lowered input built
+        whole, three shifted copies of the padded input, 2.25 MB."""
+        x = tensor(rng.standard_normal((1, 32, 64, 64)).astype(np.float32))
+        w = tensor(rng.standard_normal((16, 32, 3, 3)).astype(np.float32))
+        with no_grad():
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                out = conv2d(x, w, padding=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert out.shape == (1, 16, 64, 64)
+        assert peak - before <= 1.15e6, f"{(peak - before) / 1e6:.3f} MB transient"
+
+
 # Bytes of Python objects a taped forward may leave besides its arrays: the node, its closure, cells.
 TAPE_SLACK = 8192
 
@@ -291,8 +324,8 @@ def _backward_after_rebinding(op, arrays, g, rebind):
 
 class TestTapeKeepsNoDerivedBuffer:
     """A backward closure keeps its parents' arrays, its output and per-row statistics. Every other
-    buffer the forward derives (conv2d's phase buffer and tap weights, conv_transpose2x's input
-    rows) is rebuilt by the backward from the arrays the forward saw."""
+    buffer the forward derives (conv2d's phase buffer and row-ordered weights, conv_transpose2x's
+    input rows) is rebuilt by the backward from the arrays the forward saw."""
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_taped_conv_keeps_only_its_output(self, rng, stride):

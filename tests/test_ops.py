@@ -455,6 +455,27 @@ class TestReductions:
         with pytest.raises(DimensionError, match="at least one"):
             ops.concat([], axis=0)
 
+    @pytest.mark.parametrize("axis", [2, -3, 1.0, True, None])
+    def test_concat_axis_outside_the_rank_rejected(self, axis):
+        a, b = tensor(np.zeros((2, 3))), tensor(np.zeros((2, 3)))
+        with pytest.raises(DimensionError, match="axis"):
+            ops.concat([a, b], axis=axis)
+
+    @pytest.mark.parametrize("axes", [(0,), (0, 0), (0, 2), (1, -1), (0.0, 1.0), 0, None])
+    def test_transpose_axes_not_a_permutation_rejected(self, axes):
+        with pytest.raises(DimensionError, match="axes"):
+            ops.transpose(tensor(np.zeros((2, 3))), axes)
+
+    @pytest.mark.parametrize("shape", [(4,), (4, -1), (-1, -1), (0, -1), (-2, -3), (6.0,), 6, None])
+    def test_reshape_to_another_size_rejected(self, shape):
+        with pytest.raises(DimensionError, match="reshape"):
+            ops.reshape(tensor(np.zeros((2, 3))), shape)
+
+    @pytest.mark.parametrize("shape", [(6,), (3, -1), (-1,), (1, 2, 3)])
+    def test_reshape_to_the_same_size_keeps_the_values(self, shape):
+        a = tensor(np.arange(6.0).reshape(2, 3))
+        assert np.array_equal(ops.reshape(a, shape).data, np.arange(6.0).reshape(shape))
+
 
 class TestGradients:
     @pytest.mark.parametrize("name", sorted(ALL_CASES))
