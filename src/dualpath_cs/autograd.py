@@ -21,8 +21,12 @@ read it off its own output (relu's mask, sigmoid's s(1 - s)), which the next
 op usually keeps anyway. A buffer built from a kept array (conv2d's padded
 phase buffer, its lowered blocks and its row-ordered weights, conv_transpose2x's
 input rows, layer_norm's normalised input, reduce_max's argmax) is rebuilt in
-the backward, not stored. A closure captures the arrays themselves, never `t.data` at
-backward time: `Adam.step` rebinds a parameter's `.data`.
+the backward, not stored. A concatenation is kept as its parts and rebuilt where
+a backward reads it: a taped `ops.concat` output records its parts' arrays
+(`parts`), which the op that reads it keeps in place of the copy (conv2d fills
+its phase buffer part by part; mul rebuilds the concatenation with `joined`).
+A closure captures the arrays themselves, never `t.data` at backward time:
+`Adam.step` rebinds a parameter's `.data`.
 
 Precision is a process-global switch: float32 for training/inference and a
 float64 mode for gradient verification (finite differences in float32 are too
@@ -110,10 +114,12 @@ class Tensor:
     """Dense n-dimensional array with optional gradient tracking.
 
     A recorded op's output reads its gradient and tape links through `_node`;
-    a leaf has no node, keeps its own gradient and stands as its own node.
+    a leaf has no node, keeps its own gradient and stands as its own node. A
+    taped concatenation's `_parts` holds its parts' arrays and the axis that
+    joins them.
     """
 
-    __slots__ = ("data", "requires_grad", "_grad", "_node")
+    __slots__ = ("data", "requires_grad", "_grad", "_node", "_parts")
 
     def __init__(self, data, requires_grad=False):
         if not isinstance(data, np.ndarray):
@@ -122,6 +128,7 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._grad = None
         self._node = None
+        self._parts = None
 
     @property
     def grad(self):
@@ -196,6 +203,18 @@ def make(data, parents, backward_fn):
         out.requires_grad = True
         out._node = Node(tuple(_node_of(p) for p in parents), backward_fn)
     return out
+
+
+def parts(t):
+    """(arrays, axis): what a backward closure keeps in place of `t`'s array. A taped
+    concatenation gives its parts and the axis that joins them, any other tensor its array
+    alone and no axis."""
+    return t._parts or ((t.data,), None)
+
+
+def joined(arrays, axis):
+    """The array that `parts` gave as (arrays, axis), rebuilt when there are several."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
 
 
 def _node_of(t):

@@ -34,17 +34,20 @@ included, and of those sums, in whole blocks of 16 columns: BLAS computes a
 last, narrower block with another kernel, whose rounding would make a sample's
 output depend on the batch size. A channel extent of 1 is padded with a zero
 channel, so that no gemm contracts over a single channel. The tape keeps the
-output and the arrays of the input and the weights, nothing derived from them:
-the backward rebuilds the phase buffer, only for the weight gradient, and each
-phase's flipped weights, only for the input gradient. Backward returns None for
-a constant parent (one with `requires_grad=False`) and skips its gemms.
+input's array, only for the weight gradient, and the weights', only for the
+input gradient, and nothing derived from them: the backward rebuilds the phase
+buffer and each phase's flipped weights. The phase buffer is filled one channel
+block at a time: a taped channel concatenation (`ops.concat` on axis 1) is kept
+as its parts, and the forward and the backward's rebuild fill the buffer part by
+part, so the concatenated copy does not stay on the tape. Backward returns None
+for a constant parent (one with `requires_grad=False`) and skips its gemms.
 """
 
 from itertools import groupby
 
 import numpy as np
 
-from .autograd import make
+from .autograd import make, parts
 from .errors import DimensionError, GeometryError, is_integer
 
 # Bytes of one block of a lowered buffer and of the two sums its gemms add up in; a block's width
@@ -101,27 +104,38 @@ def conv2d(x, w, b=None, stride=1, padding=0):
         return flat[:, :phase_cols].reshape(flat.shape[0], n, hq, wq)
 
     # The arrays this call saw: Adam.step rebinds a parameter's .data, so backward must not read it.
-    xd, wd = x.data, w.data
+    # A taped channel concatenation is kept as its parts.
+    x_parts, axis = parts(x)
+    if axis != 1:
+        x_parts = (x.data,)
+    wd, x_dtype, w_dtype = w.data, x.dtype, w.dtype
 
-    # The forward builds this from xd, and the backward builds it again, so that it does not stay
-    # on the tape.
-    def phase_buffer():
-        xp = np.zeros((cin2, cols), dtype=xd.dtype)
-        x_cn = xd.transpose(1, 0, 2, 3)
-        for ph, (ys, ry), (xs, rx) in _phases(h, wdt, padding, s):
-            planes(xp[:, ph * phase_cols:])[:cin, :, ry, rx] = x_cn[:, :, ys, xs]
+    # The forward builds this from the input's channel blocks, and the backward builds it again, so
+    # that it does not stay on the tape.
+    def phase_buffer(x_parts):
+        xp = np.zeros((cin2, cols), dtype=x_dtype)
+        phases = _phases(h, wdt, padding, s)
+        c0 = 0
+        for part in x_parts:
+            c1 = c0 + part.shape[1]
+            x_cn = part.transpose(1, 0, 2, 3)
+            for ph, (ys, ry), (xs, rx) in phases:
+                planes(xp[c0:c1, ph * phase_cols:])[:, :, ry, rx] = x_cn[:, :, ys, xs]
+            c0 = c1
         return xp
 
-    xp = phase_buffer()
-    w_rows = np.zeros((kh, cout, kw, cin2), dtype=wd.dtype)
+    xp = phase_buffer(x_parts)
+    w_rows = np.zeros((kh, cout, kw, cin2), dtype=w_dtype)
     w_rows[..., :cin] = wd.transpose(2, 0, 3, 1)
-    out_wide = np.empty((cout, width), dtype=xd.dtype)  # the columns past span are never read
+    out_wide = np.empty((cout, width), dtype=x_dtype)  # the columns past span are never read
     _correlate(xp, row_phases, span, w_rows.reshape(1, kh, cout, kw * cin2), out_wide[None])
     del xp, w_rows
     out = np.ascontiguousarray(planes(out_wide)[keep].transpose(1, 0, 2, 3))
     if b is not None:
         out += b.data[:, None, None]
     need_x, need_w, no_bias = x.requires_grad, w.requires_grad, b is None
+    # Each operand's arrays serve only the other's gradient.
+    x_kept, w_kept = x_parts if need_w else None, wd if need_x else None
 
     def bwd(g):
         # The output gradient, laid out wide `lead` zero columns into its row: the input gradient's
@@ -132,8 +146,8 @@ def conv2d(x, w, b=None, stride=1, padding=0):
         planes(g_pad[:, lead:])[keep] = g.transpose(1, 0, 2, 3)
         dw = dx = None
         if need_w:
-            xp = phase_buffer()
-            dw_rows = np.zeros((kh, kw * cin2, cout), dtype=wd.dtype)  # transposed: the faster gemm
+            xp = phase_buffer(x_kept)
+            dw_rows = np.zeros((kh, kw * cin2, cout), dtype=w_dtype)  # transposed: the faster gemm
             for cols_at, (_, i), window in _lowered_windows(xp, row_phases, span, 0):
                 dw_rows[i] += window @ g_pad[:cout, lead + cols_at.start:lead + cols_at.stop].T
             del xp, window  # the phase buffer and the last lowered block, before the dx buffers
@@ -147,13 +161,14 @@ def conv2d(x, w, b=None, stride=1, padding=0):
                 a, c = divmod(ph, s)
                 th, tw = len(range(a, kh, s)), len(range(c, kw, s))
                 if th and tw:
-                    rows = np.zeros((th, cin2, tw, cout2), dtype=wd.dtype)
-                    rows[:, :cin, :, :cout] = wd[:, :, a::s, c::s][:, :, ::-1, ::-1].transpose(2, 1, 3, 0)
+                    rows = np.zeros((th, cin2, tw, cout2), dtype=w_dtype)
+                    rows[:, :cin, :, :cout] = w_kept[:, :, a::s, c::s][:, :, ::-1, ::-1].transpose(2, 1, 3, 0)
                     d_rows[ph] = rows.reshape(th, cin2, tw * cout2)
                     windows += [((ph, r), lead - (th - 1 - r) * wq - (tw - 1), tw * cout2) for r in range(th)]
-            dxp = np.empty((s * s, cin2, dspan), dtype=xd.dtype)  # only the phases with taps are written
+            dxp = np.empty((s * s, cin2, dspan), dtype=x_dtype)  # only the phases with taps are written
             _correlate(g_pad, [(range(rw), windows)], dspan, d_rows, dxp)
-            dx = np.empty((n, cin, h, wdt), dtype=xd.dtype)
+            del g_pad  # read for the last time, before the input gradient is allocated
+            dx = np.empty((n, cin, h, wdt), dtype=x_dtype)
             for ph, (ys, ry), (xs, rx) in _phases(h, wdt, padding, s):
                 # A phase that no kernel tap reads gets no gradient.
                 dx[:, :, ys, xs] = planes(dxp[ph])[:cin, :, ry, rx].transpose(1, 0, 2, 3) if ph in d_rows else 0
@@ -252,27 +267,26 @@ def conv_transpose2x(x, w, b=None):
     if b is not None and b.data.shape != (cout,):
         raise DimensionError("conv_transpose2x bias must be [Cout]")
 
-    xd = x.data  # the array this call saw, as in conv2d
-
-    def x_rows():
+    def x_rows(xd):
         return np.ascontiguousarray(xd.transpose(0, 2, 3, 1)).reshape(-1, cin)
 
-    w_mat = w.data.reshape(cin, cout * 4)
-    out = (x_rows() @ w_mat).reshape(n, h, wdt, cout, 2, 2)
+    xd, w_mat = x.data, w.data.reshape(cin, cout * 4)  # the arrays this call saw, as in conv2d
+    out = (x_rows(xd) @ w_mat).reshape(n, h, wdt, cout, 2, 2)
     out = np.ascontiguousarray(out.transpose(0, 3, 1, 4, 2, 5)).reshape(n, cout, 2 * h, 2 * wdt)
     if b is not None:
         out = out + b.data[None, :, None, None]
 
     need_x, need_w, no_bias = x.requires_grad, w.requires_grad, b is None
+    x_kept, w_kept = xd if need_w else None, w_mat if need_x else None  # as in conv2d
 
     def bwd(g):
         g_tiles = g.reshape(n, cout, h, 2, wdt, 2)
         g_mat = np.ascontiguousarray(g_tiles.transpose(0, 2, 4, 1, 3, 5)).reshape(-1, cout * 4)
         dx = dw = None
         if need_x:
-            dx = np.ascontiguousarray((g_mat @ w_mat.T).reshape(n, h, wdt, cin).transpose(0, 3, 1, 2))
+            dx = np.ascontiguousarray((g_mat @ w_kept.T).reshape(n, h, wdt, cin).transpose(0, 3, 1, 2))
         if need_w:
-            dw = (x_rows().T @ g_mat).reshape(cin, cout, 2, 2)
+            dw = (x_rows(x_kept).T @ g_mat).reshape(cin, cout, 2, 2)
         if no_bias:
             return dx, dw
         return dx, dw, g.sum(axis=(0, 2, 3))

@@ -25,7 +25,7 @@ import math
 import numpy as np
 from scipy.special import erf
 
-from .autograd import Tensor, make
+from .autograd import Tensor, joined, make, parts
 from .errors import ContractError, DimensionError, is_integer
 
 _INV_SQRT2 = 0.7071067811865476
@@ -86,12 +86,13 @@ def mul(a, b):
     out = a.data * b.data
     need_a, need_b = a.requires_grad, b.requires_grad
     a_shape, b_shape = a.shape, b.shape
-    # Each operand's array serves only the other's gradient.
-    ad, bd = a.data if need_b else None, b.data if need_a else None
+    # Each operand's array serves only the other's gradient; a taped concatenation is kept as its
+    # parts and rebuilt here.
+    ad, bd = parts(a) if need_b else None, parts(b) if need_a else None
 
     def bwd(g):
-        return (_unbroadcast(g * bd, a_shape) if need_a else None,
-                _unbroadcast(g * ad, b_shape) if need_b else None)
+        return (_unbroadcast(g * joined(*bd), a_shape) if need_a else None,
+                _unbroadcast(g * joined(*ad), b_shape) if need_b else None)
 
     return make(out, (a, b), bwd)
 
@@ -119,6 +120,9 @@ def matmul(a, b):
 
 
 def concat(tensors, axis):
+    """The tensors joined along `axis`. A taped output records its parts' arrays (see
+    `autograd.parts`): a concatenation is kept as its parts and rebuilt where a backward reads
+    it, so the copy leaves the tape with the output tensor."""
     if not tensors:
         raise DimensionError("concat needs at least one operand")
     base = tensors[0]
@@ -142,7 +146,10 @@ def concat(tensors, axis):
             pieces.append(g[tuple(sl)])
         return tuple(pieces)
 
-    return make(out, tuple(tensors), bwd)
+    out = make(out, tuple(tensors), bwd)
+    if out.requires_grad:  # an untaped concatenation has no backward to keep its parts for
+        out._parts = (tuple(t.data for t in tensors), axis % base.ndim)
+    return out
 
 
 def reshape(a, shape):

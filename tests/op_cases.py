@@ -206,6 +206,17 @@ def case_conv2d(rng):
     return lambda xx, ww, bb: reduce(conv2d(xx, ww, bb, stride=1, padding=1)), [x, w, b]
 
 
+def case_conv2d_concat_input(rng):
+    """A strided conv of a taped channel concatenation: the phase buffer is filled part by part,
+    in the forward and again in the backward."""
+    h = int(rng.integers(3, 6))
+    a, c = rng.standard_normal((2, 1, h, h)), rng.standard_normal((2, 2, h, h))
+    w = rng.standard_normal((2, 3, 3, 3))
+    ho = (h + 2 - 3) // 2 + 1
+    reduce = _weighted((2, 2, ho, ho), rng)
+    return lambda aa, cc, ww: reduce(conv2d(ops.concat([aa, cc], axis=1), ww, stride=2, padding=1)), [a, c, w]
+
+
 def case_conv2d_strided(rng):
     h = int(rng.integers(5, 8))
     x = rng.standard_normal((1, 2, h, h))

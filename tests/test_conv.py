@@ -5,9 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dualpath_cs import ops
 from dualpath_cs.autograd import no_grad, precision, tensor
 from dualpath_cs.conv import conv2d, conv_transpose2x
 from dualpath_cs.errors import DimensionError, GeometryError
+from test_tape_bytes import _load_tool
+
+tape_tool = _load_tool()
 
 
 def naive_conv2d(x, w, b=None, stride=1, padding=0):
@@ -143,6 +147,22 @@ class TestConstantParents:
         for i, (a, b) in enumerate(zip(full, skipped)):
             if i != constant:
                 assert np.array_equal(a, b), i
+
+    @pytest.mark.parametrize("op,shapes", [
+        (lambda x, w: conv2d(x, w, padding=1), [(1, 3, 8, 8), (4, 3, 3, 3)]),
+        (lambda x, w: conv2d(x, w, stride=2, padding=1), [(1, 3, 9, 9), (4, 3, 3, 3)]),
+        (conv_transpose2x, [(1, 3, 4, 4), (3, 2, 2, 2)]),
+    ], ids=["conv2d", "conv2d-stride2", "conv_transpose2x"])
+    @pytest.mark.parametrize("constant", [0, 1])
+    def test_closure_keeps_only_the_array_the_other_gradient_reads(self, rng, op, shapes, constant):
+        """The input's array serves only the weight's gradient and the weight's only the input's:
+        beside a constant parent, the closure keeps the constant's array and not the other's."""
+        parents = [tensor(rng.standard_normal(s).astype(np.float32), requires_grad=i != constant)
+                   for i, s in enumerate(shapes)]
+        out = op(*parents)
+        reached = {id(tape_tool._owner(a)) for a in tape_tool._closure_arrays(out._backward_fn)}
+        assert id(parents[constant].data) in reached
+        assert id(parents[1 - constant].data) not in reached
 
 
 def dense_conv2d_f64(x, w, g, stride, padding):
@@ -293,6 +313,81 @@ class TestLoweredBlocks:
                 tracemalloc.stop()
         assert out.shape == (1, 16, 64, 64)
         assert peak - before <= 1.15e6, f"{(peak - before) / 1e6:.3f} MB transient"
+
+
+    @pytest.mark.parametrize("shape", [(1, 32, 64, 64), (4, 32, 32, 32)], ids=["64x64x1", "32x32x4"])
+    def test_taped_backward_transient_within_1_25_mb(self, rng, shape):
+        """The training peak sits in the backward of the 32->16 3x3 conv at 64x64. That backward
+        releases the padded output gradient once the input-gradient correlation has read it, before
+        it allocates the input gradient: 1.17 MB (64x64x1) and 1.21 MB (32x32x4), the returned
+        gradients included. Holding it to the end read 1.43 and 1.47 MB."""
+        x = tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+        w = tensor(rng.standard_normal((16, 32, 3, 3)).astype(np.float32), requires_grad=True)
+        out = conv2d(x, w, padding=1)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            dx, dw = out._backward_fn(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dx.shape == shape and dw.shape == (16, 32, 3, 3)
+        assert peak - before <= 1.25e6, f"{(peak - before) / 1e6:.3f} MB transient"
+
+
+def _same_bits_as_plain(op, part_arrays, axis, others, rng):
+    """`op(x, *others)` with x a taped `ops.concat` of `part_arrays` along `axis` gives the same
+    bits, in its output and in every gradient, as with x a leaf holding the concatenated array."""
+    runs, g = [], None
+    for joined in (True, False):
+        params = [tensor(a, requires_grad=True, dtype=a.dtype) for a in others]
+        if joined:
+            pieces = [tensor(a, requires_grad=True, dtype=a.dtype) for a in part_arrays]
+            x = ops.concat(pieces, axis=axis)
+            assert x._parts is not None
+        else:
+            whole = np.concatenate(part_arrays, axis=axis)
+            x = tensor(whole, requires_grad=True, dtype=whole.dtype)
+        out = op(x, *params)
+        if g is None:
+            g = rng.standard_normal(out.shape).astype(out.dtype)
+        ops.reduce_sum(ops.mul(out, tensor(g, dtype=g.dtype))).backward()
+        dx = np.concatenate([p.grad for p in pieces], axis=axis) if joined else x.grad
+        runs.append([out.data, dx, *(p.grad for p in params)])
+    for i, (got, ref) in enumerate(zip(*runs)):
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), i
+
+
+class TestConcatenatedInput:
+    """A taped channel concatenation reaches conv2d as its parts: the phase buffer is filled part
+    by part, in the forward and in the backward's rebuild, with the bits of the concatenated array."""
+
+    @pytest.mark.parametrize("channels,cout,k,stride", [
+        pytest.param((16, 16), 16, 1, 1, id="1x1-skip"), pytest.param((3, 2), 4, 1, 2, id="1x1-s2"),
+        pytest.param((1, 8, 1), 8, 3, 1, id="3x3-step-gen"), pytest.param((4, 3), 5, 3, 2, id="3x3-s2"),
+        pytest.param((1, 1), 1, 7, 1, id="7x7-gate"),
+    ])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_same_bits_as_the_concatenated_array(self, rng, channels, cout, k, stride, n):
+        parts = [rng.standard_normal((n, c, 12, 12)).astype(np.float32) for c in channels]
+        w = rng.standard_normal((cout, sum(channels), k, k)).astype(np.float32)
+        b = rng.standard_normal(cout).astype(np.float32)
+        _same_bits_as_plain(lambda x, ww, bb: conv2d(x, ww, bb, stride=stride, padding=k // 2), parts, 1, [w, b], rng)
+
+    @pytest.mark.parametrize("axis", [0, 3])
+    def test_concatenation_off_the_channel_axis_is_kept_whole(self, rng, axis):
+        shapes = [(1, 3, 8, 8), (2, 3, 8, 8)] if axis == 0 else [(2, 3, 8, 5), (2, 3, 8, 3)]
+        parts = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+        w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+        _same_bits_as_plain(lambda x, ww: conv2d(x, ww, stride=2, padding=1), parts, axis, [w], rng)
+
+    def test_phase_buffer_takes_the_inputs_dtype(self, rng):
+        """A float32 part beside a float64 one makes a float64 concatenation; its phase buffer is
+        float64 too, so the float32 part is not rounded on its way in."""
+        parts = [rng.standard_normal((2, 2, 9, 9)).astype(np.float32), rng.standard_normal((2, 3, 9, 9))]
+        w = rng.standard_normal((4, 5, 3, 3))
+        _same_bits_as_plain(lambda x, ww: conv2d(x, ww, padding=1), parts, 1, [w], rng)
 
 
 # Bytes of Python objects a taped forward may leave besides its arrays: the node, its closure, cells.

@@ -10,11 +10,11 @@ import pytest
 from scipy.special import erf
 
 from dualpath_cs import conv, ops
-from dualpath_cs.autograd import _op_name, backward, finite_checks, precision, tensor
+from dualpath_cs.autograd import _op_name, backward, finite_checks, no_grad, precision, tensor
 from dualpath_cs.errors import ContractError, DimensionError, NumericsError
 from gradcheck import max_gradient_error
 from op_cases import ALL_CASES
-from test_conv import TAPE_SLACK
+from test_conv import TAPE_SLACK, _same_bits_as_plain
 
 
 class TestSoftmax:
@@ -135,6 +135,35 @@ class TestActivationTape:
             warnings.simplefilter("error")
             with finite_checks(), pytest.raises(NumericsError, match="forward of gelu"):
                 ops.gelu(x)
+
+
+class TestConcatenationParts:
+    """A taped concatenation records its parts' arrays, and mul keeps them in place of the copy,
+    rebuilding the concatenation in its backward."""
+
+    def test_taped_concatenation_records_its_parts(self, rng):
+        a, b = (tensor(rng.standard_normal((1, c, 2, 2)), requires_grad=True) for c in (1, 2))
+        arrays, axis = ops.concat([a, b], axis=-3)._parts
+        assert axis == 1 and arrays[0] is a.data and arrays[1] is b.data
+
+    def test_untaped_concatenation_records_nothing(self, rng):
+        a, b = (tensor(rng.standard_normal((1, 2, 2, 2)), requires_grad=True) for _ in range(2))
+        with no_grad():
+            assert ops.concat([a, b], axis=1)._parts is None
+        assert ops.concat([tensor(a.data), tensor(b.data)], axis=1)._parts is None
+
+    @pytest.mark.parametrize("shapes,axis,other", [
+        pytest.param([(1, 2, 5, 5), (1, 16, 5, 5), (1, 1, 5, 5)], 1, (1, 19, 1, 1), id="step-gen-gate"),
+        pytest.param([(1, 1, 1, 1), (1, 2, 1, 1)], 1, (1, 3, 4, 4), id="broadcast"),
+        pytest.param([(1, 3, 2, 4), (1, 3, 2, 4)], 3, (1, 3, 2, 8), id="last-axis"),
+    ])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("first", [True, False], ids=["concat-first", "concat-second"])
+    def test_mul_same_bits_as_the_concatenated_array(self, rng, shapes, axis, other, n, first):
+        parts = [rng.standard_normal((n, *s[1:])).astype(np.float32) for s in shapes]
+        y = rng.standard_normal((n, *other[1:])).astype(np.float32)
+        op = (lambda x, yy: ops.mul(x, yy)) if first else (lambda x, yy: ops.mul(yy, x))
+        _same_bits_as_plain(op, parts, axis, [y], rng)
 
 
 class TestPooling:

@@ -77,15 +77,19 @@ def tape_bytes(loss, params):
     return by_op, len(nodes)
 
 
-def measure(patch, batch):
-    """Tape bytes by op, and the node count, after one default-config forward and MSE on
-    `batch` random [1,1,patch,patch] patches."""
+def taped_loss(patch, batch):
+    """(loss, parameters) of one default-config forward and MSE on `batch` random
+    [1,1,patch,patch] patches."""
     config = training.TrainConfig(patch_size=patch, batch_size=batch)
     model = training.build_model(config)
     rng = np.random.default_rng(DATA_SEED)
     target = tensor(rng.uniform(0.0, 1.0, (batch, 1, patch, patch)))
-    loss = ops.mse(model(target).output, target)
-    return tape_bytes(loss, model.parameters())
+    return ops.mse(model(target).output, target), model.parameters()
+
+
+def measure(patch, batch):
+    """Tape bytes by op, and the node count, of `taped_loss(patch, batch)`."""
+    return tape_bytes(*taped_loss(patch, batch))
 
 
 def main():
