@@ -35,10 +35,19 @@ class HyperpriorSignal:
 
 @dataclass
 class GuidanceBundle:
-    """Structural guidance: hard block mask and soft confidence map."""
+    """Structural guidance, built once per forward and read by every stage.
 
-    hard_mask: Tensor
+    `key_plan` is the hard block mask as attention reads it (`ops.KeyPlan`): the [N,1,H,W] mask
+    Tensor, `hard_mask`, with each sample's key order, kept keys first, and its kept keys' weights.
+    `soft_map` is the soft confidence map.
+    """
+
+    key_plan: ops.KeyPlan
     soft_map: Tensor
+
+    @property
+    def hard_mask(self):
+        return self.key_plan.mask
 
 
 class ResidualBlock(Module):
@@ -142,4 +151,4 @@ class HyperpriorBranch(Module):
         hard = build_hard_mask(scores, self.rho, block_size, x1.shape[2:])
         soft = self.soft_net(grad_map)
         signal = HyperpriorSignal(features=feats, grad_map=grad_map)
-        return signal, GuidanceBundle(hard_mask=hard, soft_map=soft)
+        return signal, GuidanceBundle(key_plan=ops.KeyPlan(hard), soft_map=soft)

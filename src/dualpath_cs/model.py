@@ -39,9 +39,9 @@ class ReconstructionTrace:
         return [ReconstructionTrace(
             part(self.output, i), [part(s, i) for s in self.stages],
             HyperpriorSignal(part(self.signal.features, i), part(self.signal.grad_map, i)),
-            GuidanceBundle(part(self.guidance.hard_mask, i), part(self.guidance.soft_map, i)),
+            GuidanceBundle(plan, part(self.guidance.soft_map, i)),
             [part(p, i) for p in self.step_maps], tuple(part(y, i) for y in self.measurements))
-            for i in range(n)]
+            for i, plan in enumerate(self.guidance.key_plan.split(n))]
 
 
 class DualPathModel(Module):

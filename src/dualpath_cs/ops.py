@@ -11,7 +11,9 @@ exponentiates a positive argument; and the half-size bilinear resize is the
 2x2 block mean it equals. Attention keeps only a per-query base-2 log-sum-exp
 for its backward pass and recomputes the probabilities a chunk of queries at a
 time in one reused T×chunk buffer, so its memory is linear in the token count;
-it takes a key mask and skips the dropped keys' values in its value gemms, and
+it reads a key mask through its `KeyPlan` (each sample's key order with the
+kept keys first, and the kept keys' weights), built once per mask and shared
+by every call under it, skips the dropped keys' values in its value gemms, and
 its backward splits the dq and dk gemms at the kept keys, scaling the small
 side of the dropped-key ones by -rowdot. An elementwise activation keeps one
 array for its backward: gelu its slope Φ(x) + x·φ(x), computed after the
@@ -21,6 +23,7 @@ backward closure.
 """
 
 import math
+from itertools import accumulate
 
 import numpy as np
 from scipy.special import erf
@@ -135,14 +138,13 @@ def concat(tensors, axis):
             if ax != (axis % base.ndim) and u != v:
                 raise DimensionError(f"concat extents differ off-axis: {base.shape} vs {t.shape}")
     out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = list(accumulate((t.shape[axis] for t in tensors), initial=0))
 
     def bwd(g):
         pieces = []
         sl = [slice(None)] * g.ndim
-        for i in range(len(sizes)):
-            sl[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
+        for lo, hi in zip(offsets, offsets[1:]):
+            sl[axis] = slice(lo, hi)
             pieces.append(g[tuple(sl)])
         return tuple(pieces)
 
@@ -170,7 +172,7 @@ def transpose(a, axes):
     if not (isinstance(axes, (tuple, list)) and all(is_integer(ax) for ax in axes)
             and sorted(axes) == list(range(a.ndim))):
         raise DimensionError(f"transpose axes {axes!r} are not a permutation of a rank-{a.ndim} tensor's axes")
-    inv = np.argsort(axes)
+    inv = tuple(sorted(range(a.ndim), key=lambda ax: axes[ax]))
     return make(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inv),))
 
 
@@ -360,6 +362,38 @@ def mse(pred, target):
     return make(out, (pred, target), bwd)
 
 
+class KeyPlan:
+    """A constant key mask and what attention reads of it, built once for every call under it.
+
+    `mask` is the mask Tensor, [N, ...] with T elements per sample (no gradient reaches it), and
+    `data` its array. `order` [N, T] holds each sample's key indices as int32, its kept (nonzero)
+    keys first and its dropped keys after them, each part ascending. `weights` holds, per sample,
+    its kept keys' mask values in that order; the kept count is their length. The N samples'
+    weights are views of one array.
+    """
+
+    __slots__ = ("mask", "order", "weights")
+
+    def __init__(self, mask):
+        self.mask = mask if isinstance(mask, Tensor) else Tensor(np.asarray(mask))
+        data = self.mask.data
+        if data.ndim < 2:
+            raise DimensionError(f"key mask of shape {data.shape} has no sample axis [N, ...]")
+        rows = data.reshape(data.shape[0], -1)
+        dropped = rows == 0
+        self.order = np.argsort(dropped, axis=1, kind="stable").astype(np.int32)
+        counts = rows.shape[1] - np.count_nonzero(dropped, axis=1)
+        self.weights = np.split(rows[~dropped], np.cumsum(counts)[:-1])
+
+    @property
+    def data(self):
+        return self.mask.data
+
+    def split(self, n):
+        """The plans of the mask's n equal parts along the sample axis."""
+        return [KeyPlan(part) for part in np.split(self.data, n)]
+
+
 def scaled_dot_attention(q, k, v, keep, chunk=64):
     """softmax(q kᵀ / sqrt(d)) (keep ⊙ v) for [N*T,d] token matrices, single head.
 
@@ -402,12 +436,12 @@ def scaled_dot_attention(q, k, v, keep, chunk=64):
         raise DimensionError("attention operands must be [N*T,d]")
     if q.shape != k.shape or k.shape[0] != v.shape[0]:
         raise DimensionError(f"attention shapes inconsistent: {q.shape}, {k.shape}, {v.shape}")
-    mask = np.asarray(keep.data if isinstance(keep, Tensor) else keep, dtype=q.dtype)
-    if mask.ndim < 2 or mask.size != q.shape[0]:
-        raise DimensionError(f"attention key mask of shape {mask.shape} is not [N, ...] for {q.shape[0]} tokens")
-    n = mask.shape[0]
+    plan = keep if isinstance(keep, KeyPlan) else KeyPlan(keep)
+    if plan.order.size != q.shape[0]:
+        raise DimensionError(f"attention key mask of shape {plan.data.shape} is not [N, ...] for {q.shape[0]} tokens")
+    n = plan.order.shape[0]
     out = np.empty(v.shape, dtype=q.dtype)
-    samples = zip(*(np.split(a, n) for a in (q.data, k.data, v.data, out)), mask.reshape(n, -1))
+    samples = zip(*(np.split(a, n) for a in (q.data, k.data, v.data, out)), plan.order, plan.weights)
     backs = [_attend(*sample, chunk) for sample in samples]
 
     def bwd(g):
@@ -417,15 +451,15 @@ def scaled_dot_attention(q, k, v, keep, chunk=64):
     return make(out, (q, k, v), bwd)
 
 
-def _attend(q, k, v, out, mask, chunk):
-    """One sample of `scaled_dot_attention` into `out`; returns its backward pass."""
+def _attend(q, k, v, out, order, weight, chunk):
+    """One sample of `scaled_dot_attention` into `out`, under its row of a `KeyPlan`; returns its
+    backward pass."""
     t, d = q.shape
     dt = q.dtype
-    kept = np.flatnonzero(mask)
-    nk = kept.size
-    order = np.concatenate([kept, np.flatnonzero(mask == 0)])
-    weight = mask[kept, None]
-    scale = np.asarray(1.0 / np.sqrt(d), dtype=dt)
+    nk = weight.size
+    kept = order[:nk]
+    weight = weight.astype(dt, copy=False)[:, None]
+    scale = dt.type(1.0 / np.sqrt(d))
     # The queries scaled by log2(e)/sqrt(d), so the scores are in bits, with a last column of minus
     # each row's softmax shift: against the ones column beside the keys, one gemm gives the
     # shifted scores.

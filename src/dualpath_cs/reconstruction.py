@@ -56,8 +56,9 @@ class HardMaskedAttention(Module):
     The N samples' tokens are stacked as one [N*H*W, C] matrix, and each
     sample's pixels attend only to that sample's pixels. Every pixel is a key
     of its sample's softmax, but only the pixels the block mask keeps
-    contribute values: the op takes the [N,1,H,W] mask and skips the dropped
-    keys' values in its value gemms, forward and backward. The key projection
+    contribute values: the op reads the [N,1,H,W] mask through its `ops.KeyPlan`,
+    which the hyperprior branch builds once for every stage, and skips the
+    dropped keys' values in its value gemms, forward and backward. The key projection
     has no bias: a shift b of every key adds q_i . b to the whole score row i,
     which softmax ignores, so such a bias would get a zero gradient. Attention memory is linear in the token count;
     its time is quadratic in the tokens per sample, and `TOKEN_CAP` bounds that time.
@@ -70,7 +71,7 @@ class HardMaskedAttention(Module):
         self.to_k = nn.Parameter(nn.uniform_fan_in(rng, (channels, channels, 1, 1), channels))
         self.to_v = Conv2d(channels, channels, 1, rng)
 
-    def forward(self, r, hard_mask):
+    def forward(self, r, key_plan):
         n, _, h, w = r.shape
         if h * w > TOKEN_CAP:
             raise ResourceError(f"{h * w} attention tokens exceed the cap {TOKEN_CAP}")
@@ -82,7 +83,7 @@ class HardMaskedAttention(Module):
         q = to_tokens(self.to_q(feats))
         k = to_tokens(nn.conv2d(feats, self.to_k))
         v = to_tokens(self.to_v(feats))
-        att = ops.scaled_dot_attention(q, k, v, hard_mask)
+        att = ops.scaled_dot_attention(q, k, v, key_plan)
         att_map = ops.transpose(ops.reshape(att, (n, h, w, self.channels)), (0, 3, 1, 2))
         return ops.add(att_map, feats)
 
@@ -159,6 +160,6 @@ class ReconstructionStage(Module):
     def forward(self, x_prev, gram, back, signal, guidance, z_prev):
         p = self.step_gen(signal, stage_factor(self.k, self.total, x_prev.shape, dtype=x_prev.dtype))
         r = hgdm_step(x_prev, gram, back, p)
-        att = self.hard_att(r, guidance.hard_mask)
+        att = self.hard_att(r, guidance.key_plan)
         x_next, z_next = self.soft_unet(att, z_prev, guidance.soft_map)
         return x_next, z_next, p

@@ -70,7 +70,10 @@ class BlockSensingMatrix(Module):
 
     def apply(self, x):
         """Measure [N,1,H,W] images: per-block measurement vectors [N*num_blocks, rows]."""
-        blocks = blockify(x, self.block_size)
+        return self.measure(blockify(x, self.block_size))
+
+    def measure(self, blocks):
+        """Measure `blockify`'s rows [N*num_blocks, B*B]: [N*num_blocks, rows]."""
         return ops.matmul(blocks, ops.transpose(self.weights, (1, 0)))
 
     def adjoint(self, y, hw):
@@ -125,8 +128,10 @@ def build_dual_sampler(gamma, split, block_size, seed):
 
 
 def sample(sampler, x):
-    """y1, y2 = phi1 x, phi2 x (differentiable w.r.t. x and the weights)."""
-    return sampler.phi1.apply(x), sampler.phi2.apply(x)
+    """y1, y2 = phi1 x, phi2 x (differentiable w.r.t. x and the weights). The image is blockified
+    once, and both matrices measure that one block array, which their gradients both keep."""
+    blocks = blockify(x, sampler.phi1.block_size)
+    return sampler.phi1.measure(blocks), sampler.phi2.measure(blocks)
 
 
 def data_grad(gram, x, back):
