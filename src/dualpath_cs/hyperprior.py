@@ -8,6 +8,11 @@ this produces
     blocks ranked by mean absolute gradient, and a per-pixel confidence map in
     the open interval (1, 2).
 
+The branch builds the gradient guidance once per forward in the form every
+stage reads it: the mask as attention's key plan (`ops.KeyPlan`: each sample's
+key order, kept keys first, and kept-key weights) and the confidence map as a
+pyramid at full, half and quarter size. No stage rebuilds either.
+
 The mask path is deliberately not differentiated through: top-K selection is
 treated as a constant during backward.
 """
@@ -39,15 +44,21 @@ class GuidanceBundle:
 
     `key_plan` is the hard block mask as attention reads it (`ops.KeyPlan`): the [N,1,H,W] mask
     Tensor, `hard_mask`, with each sample's key order, kept keys first, and its kept keys' weights.
-    `soft_map` is the soft confidence map.
+    `soft_pyramid` is the soft confidence map, `soft_map`, at full, half and quarter size: the
+    three scales of the soft-guided U-Net. Each stage's gradient reaches the shared resizes, which
+    send their sum back to the map once.
     """
 
     key_plan: ops.KeyPlan
-    soft_map: Tensor
+    soft_pyramid: tuple
 
     @property
     def hard_mask(self):
         return self.key_plan.mask
+
+    @property
+    def soft_map(self):
+        return self.soft_pyramid[0]
 
 
 class ResidualBlock(Module):
@@ -135,6 +146,12 @@ def build_hard_mask(block_scores, rho, block_size, hw):
     return Tensor(flags.reshape(-1, 1, nb_h, nb_w).repeat(block_size, axis=2).repeat(block_size, axis=3))
 
 
+def soft_pyramid(soft_map):
+    """The [N,1,H,W] soft map at full, half and quarter size (H and W divisible by 4)."""
+    half = ops.bilinear_resize(soft_map)
+    return soft_map, half, ops.bilinear_resize(half)
+
+
 class HyperpriorBranch(Module):
     """Full branch: refinement of the phi1 back-projection, guidance generation."""
 
@@ -151,4 +168,4 @@ class HyperpriorBranch(Module):
         hard = build_hard_mask(scores, self.rho, block_size, x1.shape[2:])
         soft = self.soft_net(grad_map)
         signal = HyperpriorSignal(features=feats, grad_map=grad_map)
-        return signal, GuidanceBundle(key_plan=ops.KeyPlan(hard), soft_map=soft)
+        return signal, GuidanceBundle(ops.KeyPlan(hard), soft_pyramid(soft))

@@ -39,7 +39,7 @@ class ReconstructionTrace:
         return [ReconstructionTrace(
             part(self.output, i), [part(s, i) for s in self.stages],
             HyperpriorSignal(part(self.signal.features, i), part(self.signal.grad_map, i)),
-            GuidanceBundle(plan, part(self.guidance.soft_map, i)),
+            GuidanceBundle(plan, tuple(part(m, i) for m in self.guidance.soft_pyramid)),
             [part(p, i) for p in self.step_maps], tuple(part(y, i) for y in self.measurements))
             for i, plan in enumerate(self.guidance.key_plan.split(n))]
 

@@ -398,8 +398,11 @@ def scaled_dot_attention(q, k, v, keep, chunk=64):
     """softmax(q kᵀ / sqrt(d)) (keep ⊙ v) for [N*T,d] token matrices, single head.
 
     The N samples' T tokens are stacked, and each sample attends only to its own keys, with the
-    gemms it would run alone. `keep` is a constant key mask [N, ...] with T elements per sample
-    (any array or Tensor; no gradient reaches it). The softmax denominator spans every key, but a
+    gemms it would run alone. `keep` is a `KeyPlan`, or a constant key mask [N, ...] with T
+    elements per sample (any array or Tensor; no gradient reaches it) that the op turns into its
+    plan. A caller that attends under one mask more than once builds its plan once and passes it,
+    so no call derives the key order or the kept keys' weights again, and their backward passes
+    keep one copy. The softmax denominator spans every key, but a
     dropped key's value is zero, so the kept keys are permuted to the front
     and only their rows of the score buffer enter the value gemms: E·V forward
     (a ones column beside the values also gives the kept part of each query's

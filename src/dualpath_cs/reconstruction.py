@@ -109,9 +109,11 @@ class DualAttentionUnit(Module):
 class SoftGuidedUNet(Module):
     """Three-scale encoder-decoder with per-scale soft-map modulation.
 
-    Scale widths are (C, 2C, 4C); the soft map is halved per level by bilinear
-    resizing; each scale entry adds the carried features from the previous
-    stage (zero for the first); decoder levels merge skips through 1x1 convs. The carried
+    Scale widths are (C, 2C, 4C); each scale's encoder input is modulated by the
+    soft map at that scale, read from the pyramid (full, half and quarter size)
+    that the hyperprior branch resizes once for every stage; each scale entry
+    adds the carried features from the previous stage (zero for the first);
+    decoder levels merge skips through 1x1 convs. The carried
     state for the next stage is the decoder feature triple (before the final
     image conv).
     """
@@ -132,13 +134,11 @@ class SoftGuidedUNet(Module):
         self.dec1 = DualAttentionUnit(c1, rng)
         self.out = Conv2d(c1, 1, 3, rng)
 
-    def forward(self, att, z_prev, soft_map):
+    def forward(self, att, z_prev, soft_pyramid):
         h, w = att.shape[2], att.shape[3]
         if h % 4 or w % 4:
             raise GeometryError(f"extents {h}x{w} must be divisible by 4 for three scales")
-        m1 = soft_map
-        m2 = ops.bilinear_resize(m1)
-        m3 = ops.bilinear_resize(m2)
+        m1, m2, m3 = soft_pyramid
         f0 = self.align(att)
         e1 = self.enc1(ops.add(ops.mul(m1, f0), z_prev[0]))
         e2 = self.enc2(ops.add(ops.mul(m2, self.down1(e1)), z_prev[1]))
@@ -161,5 +161,5 @@ class ReconstructionStage(Module):
         p = self.step_gen(signal, stage_factor(self.k, self.total, x_prev.shape, dtype=x_prev.dtype))
         r = hgdm_step(x_prev, gram, back, p)
         att = self.hard_att(r, guidance.key_plan)
-        x_next, z_next = self.soft_unet(att, z_prev, guidance.soft_map)
+        x_next, z_next = self.soft_unet(att, z_prev, guidance.soft_pyramid)
         return x_next, z_next, p

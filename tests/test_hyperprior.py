@@ -208,6 +208,21 @@ class TestBranch:
         assert signal.grad_map.dtype == np.float64
         assert np.allclose(signal.grad_map.data, 0.0, rtol=0, atol=1e-13)
 
+    def test_guidance_holds_its_masks_plan_and_its_maps_pyramid(self, rng):
+        branch, sampler = self._branch_and_sampler(seed=9)
+        y1, _ = sample(sampler, tensor(rng.uniform(0, 1, (1, 1, 8, 8)).astype(np.float32)))
+        _, guidance = self._run(branch, sampler, y1)
+        plan = ops.KeyPlan(guidance.hard_mask)
+        assert guidance.key_plan.mask is guidance.hard_mask
+        assert np.array_equal(guidance.key_plan.order, plan.order)
+        assert np.array_equal(guidance.key_plan.weights[0], plan.weights[0])
+        soft = guidance.soft_map.data.astype(np.float64)
+        assert guidance.soft_pyramid[0] is guidance.soft_map
+        for level, size in ((1, 4), (2, 2)):
+            step = 8 // size
+            expect = soft.reshape(1, 1, size, step, size, step).mean(axis=(3, 5))
+            assert np.allclose(guidance.soft_pyramid[level].data, expect, rtol=1e-6, atol=0)
+
     def test_gradients_flow_to_refiner_but_not_through_mask(self, rng):
         branch, sampler = self._branch_and_sampler(seed=7)
         x = tensor(rng.uniform(0, 1, (1, 1, 8, 8)).astype(np.float32))

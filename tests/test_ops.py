@@ -448,6 +448,35 @@ class TestAttention:
             ops.scaled_dot_attention(q, k, v, np.ones((1, 4)), chunk=chunk)
 
 
+class TestKeyPlan:
+    def test_order_puts_each_samples_kept_keys_first(self):
+        plan = ops.KeyPlan(np.array([[0.0, 2.0, 0.0, 1.0, 3.0], [1.0, 0.0, 0.0, 0.0, 1.0]]))
+        assert plan.order.dtype == np.int32
+        assert plan.order.tolist() == [[1, 3, 4, 0, 2], [0, 4, 1, 2, 3]]
+        assert [w.tolist() for w in plan.weights] == [[2.0, 1.0, 3.0], [1.0, 1.0]]
+        assert plan.weights[0].base is not None and plan.weights[0].base is plan.weights[1].base
+
+    def test_mask_without_sample_axis_rejected(self):
+        with pytest.raises(DimensionError, match="sample axis"):
+            ops.KeyPlan(np.ones(4))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_plan_gives_the_bits_of_its_mask(self, rng, dtype):
+        # Two samples of 20 tokens: the plan built once gives every call the bits of the mask it
+        # was built from, output and gradients, and so does a mask in another dtype.
+        keep = (rng.random((2, 1, 4, 5)) < 0.5).astype(np.float32)
+        arrays = [rng.standard_normal((40, 3)).astype(dtype) for _ in range(3)]
+        weight = rng.standard_normal((40, 3)).astype(dtype)
+        plan = ops.KeyPlan(tensor(keep))
+        with precision("f64" if dtype == np.float64 else "f32"):
+            by_mask = TestAttention._forward_backward(
+                lambda q, k, v: ops.scaled_dot_attention(q, k, v, keep.astype(dtype), chunk=8), arrays, weight)
+            for _ in range(2):
+                by_plan = TestAttention._forward_backward(
+                    lambda q, k, v: ops.scaled_dot_attention(q, k, v, plan, chunk=8), arrays, weight)
+                assert all(np.array_equal(a, b) for a, b in zip(by_plan, by_mask))
+
+
 class TestMatmul:
     @pytest.mark.parametrize("constant", [0, 1])
     def test_constant_parent_gets_none(self, rng, constant):

@@ -9,7 +9,7 @@ from dualpath_cs import ops
 from dualpath_cs.autograd import Tensor, backward, no_grad, precision, tensor
 from dualpath_cs.conv import conv2d
 from dualpath_cs.errors import ConfigError, ContractError, GeometryError, ResourceError
-from dualpath_cs.hyperprior import GuidanceBundle, HyperpriorSignal
+from dualpath_cs.hyperprior import HyperpriorSignal, soft_pyramid
 from dualpath_cs.model import DualPathModel
 from dualpath_cs.reconstruction import (
     TOKEN_CAP,
@@ -290,7 +290,7 @@ class TestSoftGuidedUNet:
         unet = SoftGuidedUNet(4, np.random.default_rng(1))
         att, z = self._inputs(rng, 4, (8, 12))
         soft = tensor(rng.uniform(1, 2, (1, 1, 8, 12)).astype(np.float32))
-        x_out, z_out = unet(att, z, soft)
+        x_out, z_out = unet(att, z, soft_pyramid(soft))
         assert x_out.shape == (1, 1, 8, 12)
         assert z_out[0].shape == (1, 4, 8, 12)
         assert z_out[1].shape == (1, 8, 4, 6)
@@ -346,7 +346,7 @@ class TestUnrolledModel:
         p = stage.step_gen(signal, stage_factor(1, 1, (1, 1, 16, 16)))
         r = hgdm_step(x0, gram, back, p)
         att = stage.hard_att(r, guidance.hard_mask)
-        x1, _ = stage.soft_unet(att, (0.0,) * 3, guidance.soft_map)
+        x1, _ = stage.soft_unet(att, (0.0,) * 3, guidance.soft_pyramid)
         assert np.array_equal(trace.output.data, x1.data)
 
     def test_stage_k_of_total_sees_its_progress_map(self, rng):
@@ -362,11 +362,28 @@ class TestUnrolledModel:
 
         p_ref = stage.step_gen(signal, stage_factor(2, 3, x0.shape))
         att = stage.hard_att(hgdm_step(x0, gram, back, p_ref), guidance.hard_mask)
-        ref, z_ref = stage.soft_unet(att, z, guidance.soft_map)
+        ref, z_ref = stage.soft_unet(att, z, guidance.soft_pyramid)
         assert np.array_equal(p.data, p_ref.data)
         assert np.array_equal(out.data, ref.data)
         assert all(np.array_equal(a.data, b.data) for a, b in zip(z_out, z_ref))
         assert not np.array_equal(p.data, stage.step_gen(signal, stage_factor(1, 3, x0.shape)).data)
+
+    def test_split_gives_each_sample_its_own_guidance(self, rng):
+        model = self._model()
+        x = tensor(rng.uniform(0, 1, (3, 1, 16, 16)).astype(np.float32))
+        with no_grad():
+            trace = model(x)
+        guidance, parts = trace.guidance, [part.guidance for part in trace.split(3)]
+        plan = guidance.key_plan
+        assert len({order.tobytes() for order in plan.order}) > 1, "the samples share one mask"
+        for i, part in enumerate(parts):
+            rows = slice(i, i + 1)
+            assert np.array_equal(part.hard_mask.data, guidance.hard_mask.data[rows])
+            assert np.array_equal(part.key_plan.order, plan.order[rows])
+            assert len(part.key_plan.weights) == 1 and np.array_equal(part.key_plan.weights[0], plan.weights[i])
+            assert len(part.soft_pyramid) == 3 and part.soft_map is part.soft_pyramid[0]
+            for got, whole in zip(part.soft_pyramid, guidance.soft_pyramid):
+                assert np.array_equal(got.data, whole.data[rows])
 
     def test_extent_checks(self, rng):
         model = self._model()

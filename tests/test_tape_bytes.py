@@ -2,6 +2,7 @@
 
 import importlib.util
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -55,3 +56,24 @@ def test_tape_keeps_no_concatenation_copy(monkeypatch, patch, batch):
     kept = {tool._op_name(node._backward_fn) for node in tool._tape_nodes(loss)
             for array in tool._closure_arrays(node._backward_fn) if id(tool._owner(array)) in copy_ids}
     assert copies and not kept, f"{len(copies)} concatenations, copies kept by {sorted(kept)}"
+
+
+@pytest.mark.parametrize("patch,batch", [(64, 1), (32, 4)])
+def test_tape_keeps_no_array_twice(patch, batch):
+    """Every stage reads one key plan and one soft-map pyramid, and both sensing matrices one block
+    array: no two arrays the tape reaches, counted by their owners and besides the parameters, have
+    equal shapes, dtypes and bytes. Each stage's rebuilt plan and resized maps, the second
+    blockified image and the index arrays of transpose and concat were 16 such groups at 64x64x1
+    and 22 at 32x32x4."""
+    tool = _load_tool()
+    loss, params = tool.taped_loss(patch, batch)
+    param_ids = {id(tool._owner(p.data)) for p in params}
+    owners = {}
+    for node in tool._tape_nodes(loss):
+        for array in tool._closure_arrays(node._backward_fn):
+            owner = tool._owner(array)
+            if id(owner) not in param_ids:
+                owners[id(owner)] = (owner.shape, owner.dtype.str, owner.tobytes())
+    repeated = [(shape, dtype, n) for (shape, dtype, _), n in Counter(owners.values()).items() if n > 1]
+    assert owners
+    assert not repeated, f"{len(repeated)} groups of equal arrays (shape, dtype, count): {repeated}"
