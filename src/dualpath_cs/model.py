@@ -5,6 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import ops
 from .autograd import Tensor
 from .errors import ConfigError, GeometryError, is_integer
 from .hyperprior import GuidanceBundle, HyperpriorBranch, HyperpriorSignal, check_rho
@@ -39,9 +40,10 @@ class ReconstructionTrace:
         return [ReconstructionTrace(
             part(self.output, i), [part(s, i) for s in self.stages],
             HyperpriorSignal(part(self.signal.features, i), part(self.signal.grad_map, i)),
-            GuidanceBundle(plan, tuple(part(m, i) for m in self.guidance.soft_pyramid)),
+            GuidanceBundle(ops.KeyPlan(part(self.guidance.hard_mask, i)),
+                           tuple(part(m, i) for m in self.guidance.soft_pyramid)),
             [part(p, i) for p in self.step_maps], tuple(part(y, i) for y in self.measurements))
-            for i, plan in enumerate(self.guidance.key_plan.split(n))]
+            for i in range(n)]
 
 
 class DualPathModel(Module):

@@ -389,10 +389,6 @@ class KeyPlan:
     def data(self):
         return self.mask.data
 
-    def split(self, n):
-        """The plans of the mask's n equal parts along the sample axis."""
-        return [KeyPlan(part) for part in np.split(self.data, n)]
-
 
 def scaled_dot_attention(q, k, v, keep, chunk=64):
     """softmax(q kᵀ / sqrt(d)) (keep ⊙ v) for [N*T,d] token matrices, single head.
