@@ -32,15 +32,14 @@ are summed in a contiguous array and then copied into place. A block is as wide
 as `LOWERED_BYTES` holds of its lowered rows, the columns its windows overhang
 included, and of those sums, in whole blocks of 16 columns: BLAS computes a
 last, narrower block with another kernel, whose rounding would make a sample's
-output depend on the batch size. A channel extent of 1 is padded with a zero
-channel, so that no gemm contracts over a single channel. The tape keeps the
-input's array, only for the weight gradient, and the weights', only for the
-input gradient, and nothing derived from them: the backward rebuilds the phase
-buffer and each phase's flipped weights. The phase buffer is filled one channel
-block at a time: a taped channel concatenation (`ops.concat` on axis 1) is kept
-as its parts, and the forward and the backward's rebuild fill the buffer part by
-part, so the concatenated copy does not stay on the tape. Backward returns None
-for a constant parent (one with `requires_grad=False`) and skips its gemms.
+output depend on the batch size. The tape keeps the input's array, only for
+the weight gradient, and the weights', only for the input gradient, and nothing
+derived from them: the backward rebuilds the phase buffer and each phase's
+flipped weights. The phase buffer is filled one channel block at a time: a taped
+channel concatenation (`ops.concat` on axis 1) is kept as its parts, and the
+forward and the backward's rebuild fill the buffer part by part, so the
+concatenated copy does not stay on the tape. Backward returns None for a
+constant parent (one with `requires_grad=False`) and skips its gemms.
 """
 
 from itertools import groupby
@@ -92,13 +91,11 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     # The input buffer's row: to the end of the last phase's last window, and at least all phases.
     cols = max(s * s * phase_cols, (s * s - 1) * phase_cols + (rh - 1) * wq + rw - 1 + span)
     width = max(phase_cols, span)  # the output's wide row: the output columns, and at least the n planes
-    keep = (slice(cout), slice(None), slice(ho), slice(wo))
-    # Zero channels pad Cin in xp and the row weights, and Cout in the output gradient (dx gemms).
-    cin2, cout2 = max(cin, 2), max(cout, 2)
+    keep = np.s_[:, :, :ho, :wo]
     # Row phase a lowers its phases (a, j mod s) at shift j // s for each kernel column j, and its
     # kernel rows i read windows (i // s) * wq into that block.
     row_phases = [([(a * s + j % s) * phase_cols + j // s for j in range(kw)],
-                   [((0, i), i // s * wq, kw * cin2) for i in range(a, kh, s)]) for a in range(min(s, kh))]
+                   [((0, i), i // s * wq, kw * cin) for i in range(a, kh, s)]) for a in range(min(s, kh))]
 
     def planes(flat):
         return flat[:, :phase_cols].reshape(flat.shape[0], n, hq, wq)
@@ -113,7 +110,7 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     # The forward builds this from the input's channel blocks, and the backward builds it again, so
     # that it does not stay on the tape.
     def phase_buffer(x_parts):
-        xp = np.zeros((cin2, cols), dtype=x_dtype)
+        xp = np.zeros((cin, cols), dtype=x_dtype)
         phases = _phases(h, wdt, padding, s)
         c0 = 0
         for part in x_parts:
@@ -125,10 +122,9 @@ def conv2d(x, w, b=None, stride=1, padding=0):
         return xp
 
     xp = phase_buffer(x_parts)
-    w_rows = np.zeros((kh, cout, kw, cin2), dtype=w_dtype)
-    w_rows[..., :cin] = wd.transpose(2, 0, 3, 1)
+    w_rows = np.ascontiguousarray(wd.transpose(2, 0, 3, 1)).reshape(1, kh, cout, kw * cin)
     out_wide = np.empty((cout, width), dtype=x_dtype)  # the columns past span are never read
-    _correlate(xp, row_phases, span, w_rows.reshape(1, kh, cout, kw * cin2), out_wide[None])
+    _correlate(xp, row_phases, span, w_rows, out_wide[None])
     del xp, w_rows
     out = np.ascontiguousarray(planes(out_wide)[keep].transpose(1, 0, 2, 3))
     if b is not None:
@@ -142,16 +138,16 @@ def conv2d(x, w, b=None, stride=1, padding=0):
         # windows start up to `lead` columns before the output column they compute.
         lead = (rh - 1) * wq + rw - 1
         dspan = _whole_blocks(phase_cols)  # each phase's input-gradient columns
-        g_pad = np.zeros((cout2, lead + dspan + rw - 1), dtype=g.dtype)
+        g_pad = np.zeros((cout, lead + dspan + rw - 1), dtype=g.dtype)
         planes(g_pad[:, lead:])[keep] = g.transpose(1, 0, 2, 3)
         dw = dx = None
         if need_w:
             xp = phase_buffer(x_kept)
-            dw_rows = np.zeros((kh, kw * cin2, cout), dtype=w_dtype)  # transposed: the faster gemm
+            dw_rows = np.zeros((kh, kw * cin, cout), dtype=w_dtype)  # transposed: the faster gemm
             for cols_at, (_, i), window in _lowered_windows(xp, row_phases, span, 0):
-                dw_rows[i] += window @ g_pad[:cout, lead + cols_at.start:lead + cols_at.stop].T
+                dw_rows[i] += window @ g_pad[:, lead + cols_at.start:lead + cols_at.stop].T
             del xp, window  # the phase buffer and the last lowered block, before the dx buffers
-            dw = np.ascontiguousarray(dw_rows.reshape(kh, kw, cin2, cout)[:, :, :cin].transpose(3, 2, 0, 1))
+            dw = np.ascontiguousarray(dw_rows.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1))
         if need_x:
             # Phase (a, c) of dx correlates the gradient with w's kernel rows a, a+s, ... and columns
             # c, c+s, ..., flipped and transposed: th rows of tw columns. Flipped row r is the first
@@ -161,17 +157,16 @@ def conv2d(x, w, b=None, stride=1, padding=0):
                 a, c = divmod(ph, s)
                 th, tw = len(range(a, kh, s)), len(range(c, kw, s))
                 if th and tw:
-                    rows = np.zeros((th, cin2, tw, cout2), dtype=w_dtype)
-                    rows[:, :cin, :, :cout] = w_kept[:, :, a::s, c::s][:, :, ::-1, ::-1].transpose(2, 1, 3, 0)
-                    d_rows[ph] = rows.reshape(th, cin2, tw * cout2)
-                    windows += [((ph, r), lead - (th - 1 - r) * wq - (tw - 1), tw * cout2) for r in range(th)]
-            dxp = np.empty((s * s, cin2, dspan), dtype=x_dtype)  # only the phases with taps are written
+                    rows = w_kept[:, :, a::s, c::s][:, :, ::-1, ::-1].transpose(2, 1, 3, 0)
+                    d_rows[ph] = np.ascontiguousarray(rows).reshape(th, cin, tw * cout)
+                    windows += [((ph, r), lead - (th - 1 - r) * wq - (tw - 1), tw * cout) for r in range(th)]
+            dxp = np.empty((s * s, cin, dspan), dtype=x_dtype)  # only the phases with taps are written
             _correlate(g_pad, [(range(rw), windows)], dspan, d_rows, dxp)
             del g_pad  # read for the last time, before the input gradient is allocated
             dx = np.empty((n, cin, h, wdt), dtype=x_dtype)
             for ph, (ys, ry), (xs, rx) in _phases(h, wdt, padding, s):
                 # A phase that no kernel tap reads gets no gradient.
-                dx[:, :, ys, xs] = planes(dxp[ph])[:cin, :, ry, rx].transpose(1, 0, 2, 3) if ph in d_rows else 0
+                dx[:, :, ys, xs] = planes(dxp[ph])[:, :, ry, rx].transpose(1, 0, 2, 3) if ph in d_rows else 0
         if no_bias:
             return dx, dw
         return dx, dw, g.sum(axis=(0, 2, 3))

@@ -24,21 +24,24 @@ def check_architecture(stages, channels, rho):
 
 @dataclass
 class ReconstructionTrace:
-    """Final estimate plus per-stage diagnostics of one forward pass."""
+    """Per-stage estimates and diagnostics of one forward pass; `output` is the final estimate."""
 
-    output: Tensor
     stages: list = field(default_factory=list)  # x^(0) .. x^(K)
     signal: HyperpriorSignal = None
     guidance: GuidanceBundle = None
     step_maps: list = field(default_factory=list)
     measurements: tuple = None
 
+    @property
+    def output(self):
+        return self.stages[-1]
+
     def split(self, n):
         """One trace per sample of a forward over n samples, as constant tensors."""
         def part(t, i):
             return Tensor(np.split(t.data, n)[i])
         return [ReconstructionTrace(
-            part(self.output, i), [part(s, i) for s in self.stages],
+            [part(s, i) for s in self.stages],
             HyperpriorSignal(part(self.signal.features, i), part(self.signal.grad_map, i)),
             GuidanceBundle(ops.KeyPlan(part(self.guidance.hard_mask, i)),
                            tuple(part(m, i) for m in self.guidance.soft_pyramid)),
@@ -79,7 +82,7 @@ class DualPathModel(Module):
             x, z, p = stage(x, gram, back, signal, guidance, z)
             stages.append(x)
             step_maps.append(p)
-        return ReconstructionTrace(output=x, stages=stages, signal=signal, guidance=guidance,
+        return ReconstructionTrace(stages=stages, signal=signal, guidance=guidance,
                                    step_maps=step_maps, measurements=(y1, y2))
 
     def forward(self, image):

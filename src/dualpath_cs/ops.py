@@ -11,8 +11,8 @@ exponentiates a positive argument; and the half-size bilinear resize is the
 2x2 block mean it equals. Attention keeps only a per-query base-2 log-sum-exp
 for its backward pass and recomputes the probabilities a chunk of queries at a
 time in one reused T×chunk buffer, so its memory is linear in the token count;
-it reads a key mask through its `KeyPlan` (each sample's key order with the
-kept keys first, and the kept keys' weights), built once per mask and shared
+it reads a binary key mask only through its `KeyPlan` (each sample's key order
+with the kept keys first, and its kept count), built once per mask and shared
 by every call under it, skips the dropped keys' values in its value gemms, and
 its backward splits the dq and dk gemms at the kept keys, scaling the small
 side of the dropped-key ones by -rowdot. An elementwise activation keeps one
@@ -363,16 +363,15 @@ def mse(pred, target):
 
 
 class KeyPlan:
-    """A constant key mask and what attention reads of it, built once for every call under it.
+    """A constant binary key mask and what attention reads of it, built once for every call under it.
 
-    `mask` is the mask Tensor, [N, ...] with T elements per sample (no gradient reaches it), and
-    `data` its array. `order` [N, T] holds each sample's key indices as int32, its kept (nonzero)
-    keys first and its dropped keys after them, each part ascending. `weights` holds, per sample,
-    its kept keys' mask values in that order; the kept count is their length. The N samples'
-    weights are views of one array.
+    `mask` is the mask Tensor, [N, ...] with T elements per sample, each 0 or 1 (no gradient
+    reaches it), and `data` its array. `order` [N, T] holds each sample's key indices as int32, its
+    kept keys (the ones) first and its dropped keys after them, each part ascending, and `counts`
+    [N] each sample's kept count. A mask value other than 0 or 1 raises ContractError.
     """
 
-    __slots__ = ("mask", "order", "weights")
+    __slots__ = ("mask", "order", "counts")
 
     def __init__(self, mask):
         self.mask = mask if isinstance(mask, Tensor) else Tensor(np.asarray(mask))
@@ -381,25 +380,25 @@ class KeyPlan:
             raise DimensionError(f"key mask of shape {data.shape} has no sample axis [N, ...]")
         rows = data.reshape(data.shape[0], -1)
         dropped = rows == 0
+        if not np.all(dropped | (rows == 1)):
+            raise ContractError("a key mask holds only 0 (dropped) and 1 (kept)")
         self.order = np.argsort(dropped, axis=1, kind="stable").astype(np.int32)
-        counts = rows.shape[1] - np.count_nonzero(dropped, axis=1)
-        self.weights = np.split(rows[~dropped], np.cumsum(counts)[:-1])
+        self.counts = rows.shape[1] - np.count_nonzero(dropped, axis=1)
 
     @property
     def data(self):
         return self.mask.data
 
 
-def scaled_dot_attention(q, k, v, keep, chunk=64):
-    """softmax(q kᵀ / sqrt(d)) (keep ⊙ v) for [N*T,d] token matrices, single head.
+def scaled_dot_attention(q, k, v, plan, chunk=64):
+    """softmax(q kᵀ / sqrt(d)) (mask ⊙ v) for [N*T,d] token matrices, single head.
 
     The N samples' T tokens are stacked, and each sample attends only to its own keys, with the
-    gemms it would run alone. `keep` is a `KeyPlan`, or a constant key mask [N, ...] with T
-    elements per sample (any array or Tensor; no gradient reaches it) that the op turns into its
-    plan. A caller that attends under one mask more than once builds its plan once and passes it,
-    so no call derives the key order or the kept keys' weights again, and their backward passes
-    keep one copy. The softmax denominator spans every key, but a
-    dropped key's value is zero, so the kept keys are permuted to the front
+    gemms it would run alone. `plan` is the `KeyPlan` of a binary key mask [N, ...] with T
+    elements per sample (no gradient reaches it); anything else raises ContractError. A caller
+    that attends under one mask more than once passes the same plan, so no call derives the key
+    order again, and their backward passes keep one copy. The softmax denominator spans every
+    key, but a dropped key's value is zero, so the kept keys are permuted to the front
     and only their rows of the score buffer enter the value gemms: E·V forward
     (a ones column beside the values also gives the kept part of each query's
     sum), dv and dp backward, where a dropped key's dp is exactly -rowdot.
@@ -435,12 +434,13 @@ def scaled_dot_attention(q, k, v, keep, chunk=64):
         raise DimensionError("attention operands must be [N*T,d]")
     if q.shape != k.shape or k.shape[0] != v.shape[0]:
         raise DimensionError(f"attention shapes inconsistent: {q.shape}, {k.shape}, {v.shape}")
-    plan = keep if isinstance(keep, KeyPlan) else KeyPlan(keep)
+    if not isinstance(plan, KeyPlan):
+        raise ContractError(f"attention takes its key mask as an ops.KeyPlan, got {type(plan).__name__}")
     if plan.order.size != q.shape[0]:
         raise DimensionError(f"attention key mask of shape {plan.data.shape} is not [N, ...] for {q.shape[0]} tokens")
     n = plan.order.shape[0]
     out = np.empty(v.shape, dtype=q.dtype)
-    samples = zip(*(np.split(a, n) for a in (q.data, k.data, v.data, out)), plan.order, plan.weights)
+    samples = zip(*(np.split(a, n) for a in (q.data, k.data, v.data, out)), plan.order, plan.counts)
     backs = [_attend(*sample, chunk) for sample in samples]
 
     def bwd(g):
@@ -450,14 +450,12 @@ def scaled_dot_attention(q, k, v, keep, chunk=64):
     return make(out, (q, k, v), bwd)
 
 
-def _attend(q, k, v, out, order, weight, chunk):
-    """One sample of `scaled_dot_attention` into `out`, under its row of a `KeyPlan`; returns its
-    backward pass."""
+def _attend(q, k, v, out, order, nk, chunk):
+    """One sample of `scaled_dot_attention` into `out`, under its row of a `KeyPlan` (its key order
+    and kept count `nk`); returns its backward pass."""
     t, d = q.shape
     dt = q.dtype
-    nk = weight.size
     kept = order[:nk]
-    weight = weight.astype(dt, copy=False)[:, None]
     scale = dt.type(1.0 / np.sqrt(d))
     # The queries scaled by log2(e)/sqrt(d), so the scores are in bits, with a last column of minus
     # each row's softmax shift: against the ones column beside the keys, one gemm gives the
@@ -467,7 +465,7 @@ def _attend(q, k, v, out, order, weight, chunk):
     np.multiply(q, np.asarray(_LOG2E / np.sqrt(d), dtype=dt), out=qs)
     k_one = np.hstack([k[order], np.ones((t, 1), dtype=dt)])
     kp = k_one[:, :d]
-    v_one = np.hstack([v[kept] * weight, np.ones((nk, 1), dtype=dt)])
+    v_one = np.hstack([v[kept], np.ones((nk, 1), dtype=dt)])
     ones = np.ones(t - nk, dtype=dt)
     buf = np.empty((t, min(chunk, t)), dtype=dt)
     # Cauchy-Schwarz: |q_i·k_j| <= |q_i| max_j |k_j| = bound_i, so no shifted score is above 0
@@ -527,7 +525,7 @@ def _attend(q, k, v, out, order, weight, chunk):
         dk = np.empty_like(dkp)
         dk[order] = dkp
         dv = np.zeros_like(out)
-        dv[kept] = dvk * weight
+        dv[kept] = dvk
         return dq, dk, dv
 
     return bwd

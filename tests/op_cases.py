@@ -161,23 +161,23 @@ def case_attention(rng):
     t, d = int(rng.integers(2, 6)), int(rng.integers(2, 4))
     q, k, v = (rng.standard_normal((t, d)) for _ in range(3))
     reduce = _weighted((t, d), rng)
-    return lambda x, y, z: reduce(ops.scaled_dot_attention(x, y, z, np.ones((1, t)))), [q, k, v]
+    return lambda x, y, z: reduce(ops.scaled_dot_attention(x, y, z, ops.KeyPlan(np.ones((1, t))))), [q, k, v]
 
 
 def case_attention_multi_chunk(rng):
     """Five tokens in chunks of two: dk and dv accumulate across three chunks."""
     q, k, v = (rng.standard_normal((5, 3)) for _ in range(3))
     reduce = _weighted((5, 3), rng)
-    return lambda x, y, z: reduce(ops.scaled_dot_attention(x, y, z, np.ones((1, 5)), chunk=2)), [q, k, v]
+    return lambda x, y, z: reduce(ops.scaled_dot_attention(x, y, z, ops.KeyPlan(np.ones((1, 5))), chunk=2)), [q, k, v]
 
 
 def case_attention_masked(rng):
     """Keys 1 and 4 of six dropped, in chunks of two: every key still shapes the
     softmax, so q and k get gradients through the dropped keys, and their v rows get 0."""
     q, k, v = (rng.standard_normal((6, 3)) for _ in range(3))
-    keep = np.array([[1.0, 0.0, 1.0, 1.0, 0.0, 1.0]])
+    plan = ops.KeyPlan(np.array([[1.0, 0.0, 1.0, 1.0, 0.0, 1.0]]))
     reduce = _weighted((6, 3), rng)
-    return lambda x, y, z: reduce(ops.scaled_dot_attention(x, y, z, keep, chunk=2)), [q, k, v]
+    return lambda x, y, z: reduce(ops.scaled_dot_attention(x, y, z, plan, chunk=2)), [q, k, v]
 
 
 def case_data_grad_gram(rng):

@@ -228,10 +228,14 @@ class TestBatchInvariance:
         pytest.param(32, 32, 4, 3, id="32-32-4"), pytest.param(32, 64, 4, 3, id="32-64-4"),
         pytest.param(64, 32, 4, 3, id="64-32-4"), pytest.param(32, 16, 8, 3, id="32-16-8"),
         pytest.param(16, 16, 16, 3, id="16-16-16"), pytest.param(2, 1, 32, 7, id="2-1-32-k7"),
+        pytest.param(1, 16, 64, 3, id="1-16-64"), pytest.param(16, 1, 64, 3, id="16-1-64"),
+        pytest.param(1, 8, 16, 1, id="1-8-16-k1"),
     ])
     @pytest.mark.parametrize("n", [2, 3])
     def test_sample_gets_the_same_bits_in_any_batch(self, rng, cin, cout, size, k, n):
-        # The last case is the model's 7x7 spatial gate, whose windows overhang six rows.
+        # 2-1-32-k7 is the model's 7x7 spatial gate, whose windows overhang six rows. The one-channel
+        # cases are the model's head and tail convs, and a 1x1 conv whose forward gemm contracts
+        # over a single row.
         x = rng.standard_normal((1, cin, size, size)).astype(np.float32)
         w = tensor(rng.standard_normal((cout, cin, k, k)).astype(np.float32))
         g = rng.standard_normal((1, cout, size, size)).astype(np.float32)

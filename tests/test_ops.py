@@ -245,7 +245,7 @@ class TestAttention:
     def test_matches_op_composition(self, rng):
         with precision("f64"):
             q, k, v = (tensor(rng.standard_normal((7, 3))) for _ in range(3))
-            fused = ops.scaled_dot_attention(q, k, v, np.ones((1, 7)))
+            fused = ops.scaled_dot_attention(q, k, v, ops.KeyPlan(np.ones((1, 7))))
             scores = ops.mul(ops.matmul(q, ops.transpose(k, (1, 0))), 1.0 / np.sqrt(3))
             composed = ops.matmul(ops.softmax(scores, axis=1), v)
             assert np.allclose(fused.data, composed.data, atol=1e-12)
@@ -255,15 +255,17 @@ class TestAttention:
         with precision("f64"):
             q, k, v = (rng.standard_normal((9, 4)) for _ in range(3))
             shift = rng.standard_normal((1, 4))
-            base = ops.scaled_dot_attention(tensor(q), tensor(k), tensor(v), np.ones((1, 9)))
-            shifted = ops.scaled_dot_attention(tensor(q), tensor(k + shift), tensor(v), np.ones((1, 9)))
+            plan = ops.KeyPlan(np.ones((1, 9)))
+            base = ops.scaled_dot_attention(tensor(q), tensor(k), tensor(v), plan)
+            shifted = ops.scaled_dot_attention(tensor(q), tensor(k + shift), tensor(v), plan)
             assert np.allclose(shifted.data, base.data, rtol=0, atol=1e-12)
 
     def test_chunking_invariance(self, rng):
         with precision("f64"):
             q, k, v = (tensor(rng.standard_normal((9, 4))) for _ in range(3))
-            a = ops.scaled_dot_attention(q, k, v, np.ones((1, 9)), chunk=3)
-            b = ops.scaled_dot_attention(q, k, v, np.ones((1, 9)), chunk=512)
+            plan = ops.KeyPlan(np.ones((1, 9)))
+            a = ops.scaled_dot_attention(q, k, v, plan, chunk=3)
+            b = ops.scaled_dot_attention(q, k, v, plan, chunk=512)
             assert np.allclose(a.data, b.data, atol=1e-14)
 
     @staticmethod
@@ -296,7 +298,7 @@ class TestAttention:
         with precision("f64"):
             arrays = [2.0 * rng.standard_normal((t, 3)) for _ in range(3)]
             weight = rng.standard_normal((t, 3))
-            fused = self._forward_backward(lambda q, k, v: ops.scaled_dot_attention(q, k, v, np.ones((1, t))), arrays, weight)
+            fused = self._forward_backward(lambda q, k, v: ops.scaled_dot_attention(q, k, v, ops.KeyPlan(np.ones((1, t)))), arrays, weight)
             reference = self._forward_backward(self._composed(np.ones(t), 3), arrays, weight)
         for got, expect in zip(fused, reference):
             assert np.allclose(got, expect, rtol=0, atol=1e-12)
@@ -305,9 +307,9 @@ class TestAttention:
         with precision("f64"):
             arrays = [rng.standard_normal((70, 4)) for _ in range(3)]
             weight = rng.standard_normal((70, 4))
-            keep = np.ones((1, 70))
-            small = self._forward_backward(lambda q, k, v: ops.scaled_dot_attention(q, k, v, keep, chunk=3), arrays, weight)
-            default = self._forward_backward(lambda q, k, v: ops.scaled_dot_attention(q, k, v, keep), arrays, weight)
+            plan = ops.KeyPlan(np.ones((1, 70)))
+            small = self._forward_backward(lambda q, k, v: ops.scaled_dot_attention(q, k, v, plan, chunk=3), arrays, weight)
+            default = self._forward_backward(lambda q, k, v: ops.scaled_dot_attention(q, k, v, plan), arrays, weight)
         for a, b in zip(small, default):
             assert np.allclose(a, b, rtol=0, atol=1e-12)
 
@@ -316,10 +318,6 @@ class TestAttention:
     def test_masked_matches_op_composition(self, rng, t, fraction):
         # Every key stays in the softmax denominator; only kept keys' values reach the output.
         self._check_masked(rng, (rng.permutation(t) < round(fraction * t)).astype(np.float64))
-
-    def test_weighted_keep_scales_values(self, rng):
-        keep = rng.uniform(0.5, 2.0, 70) * (rng.permutation(70) < 30)
-        self._check_masked(rng, keep)
 
     @pytest.mark.parametrize("scale, wide", [(6.0, "some"), (20.0, "all")])
     def test_wide_rows_match_op_composition(self, rng, scale, wide):
@@ -332,7 +330,7 @@ class TestAttention:
         with precision("f64"), np.errstate(over="raise", divide="raise", invalid="raise"):
             arrays = [scale * rng.standard_normal((t, 3)) for _ in range(3)]
             weight = rng.standard_normal((t, 3))
-            fused = self._forward_backward(lambda q, k, v: ops.scaled_dot_attention(q, k, v, keep[None]), arrays, weight)
+            fused = self._forward_backward(lambda q, k, v: ops.scaled_dot_attention(q, k, v, ops.KeyPlan(keep[None])), arrays, weight)
             reference = self._forward_backward(self._composed(keep, 3), arrays, weight)
         # Scores, and with them their rounding, grow as scale squared.
         for got, expect in zip(fused, reference):
@@ -350,7 +348,7 @@ class TestAttention:
         arrays = [scale * rng.standard_normal((t, d)) for _ in range(3)]
         weight = rng.standard_normal((t, d))
         with precision("f32"), np.errstate(over="raise", divide="raise", invalid="raise"):
-            fused = self._forward_backward(lambda q, k, v: ops.scaled_dot_attention(q, k, v, keep[None]), arrays, weight)
+            fused = self._forward_backward(lambda q, k, v: ops.scaled_dot_attention(q, k, v, ops.KeyPlan(keep[None])), arrays, weight)
         with precision("f64"):
             reference = self._forward_backward(self._composed(keep, d), arrays, weight)
         assert self._wide_rows(arrays[0].astype(np.float32), arrays[1].astype(np.float32), np.float32) == wide
@@ -369,7 +367,7 @@ class TestAttention:
         keep = (rng.permutation(t) < t // 2).astype(np.float64)
         arrays = [rng.standard_normal((t, d)) for _ in range(3)]
         weight = rng.standard_normal((t, d))
-        attend = lambda q, k, v: ops.scaled_dot_attention(q, k, v, keep[None])
+        attend = lambda q, k, v: ops.scaled_dot_attention(q, k, v, ops.KeyPlan(keep[None]))
         with precision("f32"), np.errstate(over="raise", divide="raise", invalid="raise"):
             fused = self._forward_backward(attend, arrays, weight)
         with precision("f64"):
@@ -389,7 +387,7 @@ class TestAttention:
         keep = (rng.permutation(t) < t // 2).astype(np.float64)
         arrays = [rng.standard_normal((t, d)) for _ in range(3)]
         weight = rng.standard_normal((t, d))
-        attend = lambda q, k, v: ops.scaled_dot_attention(q, k, v, keep[None])
+        attend = lambda q, k, v: ops.scaled_dot_attention(q, k, v, ops.KeyPlan(keep[None]))
         with precision("f32"), np.errstate(over="raise", divide="raise", invalid="raise"):
             fused = self._forward_backward(attend, arrays, weight)
         with precision("f64"):
@@ -405,7 +403,7 @@ class TestAttention:
         # A 1-d mask has no sample axis, even with one element per token.
         q, k, v = (tensor(rng.standard_normal((5, 2))) for _ in range(3))
         with pytest.raises(DimensionError):
-            ops.scaled_dot_attention(q, k, v, np.ones(shape))
+            ops.scaled_dot_attention(q, k, v, ops.KeyPlan(np.ones(shape)))
 
     def test_samples_attend_only_to_their_own_keys(self, rng):
         # Three samples of 70 tokens (two chunks each) stacked: output and
@@ -416,7 +414,7 @@ class TestAttention:
             weight = rng.standard_normal((210, 4))
 
             def run(mask, rows):
-                attend = lambda q, k, v: ops.scaled_dot_attention(q, k, v, mask)
+                attend = lambda q, k, v: ops.scaled_dot_attention(q, k, v, ops.KeyPlan(mask))
                 return self._forward_backward(attend, [a[rows] for a in arrays], weight[rows])
 
             stacked = run(keep, slice(None))
@@ -432,7 +430,7 @@ class TestAttention:
         keep = (np.arange(t) < t // 2)[None]
         tracemalloc.start()
         try:
-            backward(ops.reduce_sum(ops.mul(ops.scaled_dot_attention(q, k, v, keep), weight)))
+            backward(ops.reduce_sum(ops.mul(ops.scaled_dot_attention(q, k, v, ops.KeyPlan(keep)), weight)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -445,32 +443,41 @@ class TestAttention:
     def test_chunk_not_a_positive_integer_rejected(self, rng, chunk):
         q, k, v = (tensor(rng.standard_normal((4, 2))) for _ in range(3))
         with pytest.raises(ContractError, match="chunk"):
-            ops.scaled_dot_attention(q, k, v, np.ones((1, 4)), chunk=chunk)
+            ops.scaled_dot_attention(q, k, v, ops.KeyPlan(np.ones((1, 4))), chunk=chunk)
 
 
 class TestKeyPlan:
     def test_order_puts_each_samples_kept_keys_first(self):
-        plan = ops.KeyPlan(np.array([[0.0, 2.0, 0.0, 1.0, 3.0], [1.0, 0.0, 0.0, 0.0, 1.0]]))
+        plan = ops.KeyPlan(np.array([[0.0, 1.0, 0.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0, 1.0]]))
         assert plan.order.dtype == np.int32
         assert plan.order.tolist() == [[1, 3, 4, 0, 2], [0, 4, 1, 2, 3]]
-        assert [w.tolist() for w in plan.weights] == [[2.0, 1.0, 3.0], [1.0, 1.0]]
-        assert plan.weights[0].base is not None and plan.weights[0].base is plan.weights[1].base
+        assert plan.counts.tolist() == [3, 2]
 
     def test_mask_without_sample_axis_rejected(self):
         with pytest.raises(DimensionError, match="sample axis"):
             ops.KeyPlan(np.ones(4))
 
+    @pytest.mark.parametrize("value", [0.5, 2.0])
+    def test_mask_value_other_than_0_or_1_rejected(self, value):
+        with pytest.raises(ContractError, match="only 0"):
+            ops.KeyPlan(np.array([[1.0, 0.0, value, 1.0]]))
+
+    def test_raw_mask_as_plan_rejected(self, rng):
+        q, k, v = (tensor(rng.standard_normal((4, 2))) for _ in range(3))
+        with pytest.raises(ContractError, match="KeyPlan"):
+            ops.scaled_dot_attention(q, k, v, np.ones((1, 4)))
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_plan_gives_the_bits_of_its_mask(self, rng, dtype):
-        # Two samples of 20 tokens: the plan built once gives every call the bits of the mask it
-        # was built from, output and gradients, and so does a mask in another dtype.
+        # Two samples of 20 tokens: the plan built once gives every call the bits of a plan built
+        # afresh for the call, output and gradients, and so does a mask in another dtype.
         keep = (rng.random((2, 1, 4, 5)) < 0.5).astype(np.float32)
         arrays = [rng.standard_normal((40, 3)).astype(dtype) for _ in range(3)]
         weight = rng.standard_normal((40, 3)).astype(dtype)
         plan = ops.KeyPlan(tensor(keep))
         with precision("f64" if dtype == np.float64 else "f32"):
             by_mask = TestAttention._forward_backward(
-                lambda q, k, v: ops.scaled_dot_attention(q, k, v, keep.astype(dtype), chunk=8), arrays, weight)
+                lambda q, k, v: ops.scaled_dot_attention(q, k, v, ops.KeyPlan(keep.astype(dtype)), chunk=8), arrays, weight)
             for _ in range(2):
                 by_plan = TestAttention._forward_backward(
                     lambda q, k, v: ops.scaled_dot_attention(q, k, v, plan, chunk=8), arrays, weight)

@@ -209,12 +209,12 @@ class TestHardMaskedAttention:
         att, r = self._build()
         h, w = r.shape[2], r.shape[3]
         ones = Tensor(np.ones((1, 1, h, w), dtype=np.float32))
-        out_masked = att(r, ones)
+        out_masked = att(r, ops.KeyPlan(ones))
 
         feats = att.proj(r)
         tok = lambda t: ops.transpose(ops.reshape(t, (att.channels, h * w)), (1, 0))
         q, k, v = tok(att.to_q(feats)), tok(conv2d(feats, att.to_k)), tok(att.to_v(feats))
-        unmasked = ops.scaled_dot_attention(q, k, v, np.ones((1, h * w)))
+        unmasked = ops.scaled_dot_attention(q, k, v, ops.KeyPlan(np.ones((1, h * w))))
         reference = ops.add(ops.reshape(ops.transpose(unmasked, (1, 0)), (1, att.channels, h, w)), feats)
         assert out_masked.data.tobytes() == reference.data.tobytes()
 
@@ -222,7 +222,7 @@ class TestHardMaskedAttention:
         att, r = self._build(seed=3)
         h, w = r.shape[2], r.shape[3]
         zeros = Tensor(np.zeros((1, 1, h, w), dtype=np.float32))
-        out = att(r, zeros)
+        out = att(r, ops.KeyPlan(zeros))
         feats = att.proj(r)
         assert np.array_equal(out.data, feats.data)
 
@@ -233,7 +233,7 @@ class TestHardMaskedAttention:
         v = np.array([[2.0, -1.0], [0.5, 3.0]])
         got = ops.scaled_dot_attention(tensor(q, dtype=np.float64),
                                        tensor(k, dtype=np.float64),
-                                       tensor(v, dtype=np.float64), np.ones((1, 2))).data
+                                       tensor(v, dtype=np.float64), ops.KeyPlan(np.ones((1, 2)))).data
         inv_sqrt2 = 1.0 / np.sqrt(2.0)
         scores = np.array([[inv_sqrt2, 0.0], [0.0, inv_sqrt2]])
         expect = np.zeros((2, 2))
@@ -249,7 +249,7 @@ class TestHardMaskedAttention:
         assert 128 * 129 > TOKEN_CAP
         r = tensor(np.zeros((1, 1, 128, 129), dtype=np.float32))
         with pytest.raises(ResourceError):
-            att(r, Tensor(np.ones((1, 1, 128, 129), dtype=np.float32)))
+            att(r, ops.KeyPlan(np.ones((1, 1, 128, 129), dtype=np.float32)))
 
     def test_no_grad_128_forward_is_memory_linear(self):
         # 16384 tokens: a kept T x T float32 probability matrix alone would be 1 GB.
@@ -345,7 +345,7 @@ class TestUnrolledModel:
         stage = model.stages[0]
         p = stage.step_gen(signal, stage_factor(1, 1, (1, 1, 16, 16)))
         r = hgdm_step(x0, gram, back, p)
-        att = stage.hard_att(r, guidance.hard_mask)
+        att = stage.hard_att(r, guidance.key_plan)
         x1, _ = stage.soft_unet(att, (0.0,) * 3, guidance.soft_pyramid)
         assert np.array_equal(trace.output.data, x1.data)
 
@@ -361,7 +361,7 @@ class TestUnrolledModel:
         out, z_out, p = stage(x0, gram, back, signal, guidance, z)
 
         p_ref = stage.step_gen(signal, stage_factor(2, 3, x0.shape))
-        att = stage.hard_att(hgdm_step(x0, gram, back, p_ref), guidance.hard_mask)
+        att = stage.hard_att(hgdm_step(x0, gram, back, p_ref), guidance.key_plan)
         ref, z_ref = stage.soft_unet(att, z, guidance.soft_pyramid)
         assert np.array_equal(p.data, p_ref.data)
         assert np.array_equal(out.data, ref.data)
@@ -380,7 +380,7 @@ class TestUnrolledModel:
             rows = slice(i, i + 1)
             assert np.array_equal(part.hard_mask.data, guidance.hard_mask.data[rows])
             assert np.array_equal(part.key_plan.order, plan.order[rows])
-            assert len(part.key_plan.weights) == 1 and np.array_equal(part.key_plan.weights[0], plan.weights[i])
+            assert np.array_equal(part.key_plan.counts, plan.counts[rows])
             assert len(part.soft_pyramid) == 3 and part.soft_map is part.soft_pyramid[0]
             for got, whole in zip(part.soft_pyramid, guidance.soft_pyramid):
                 assert np.array_equal(got.data, whole.data[rows])
