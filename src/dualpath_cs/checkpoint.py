@@ -132,7 +132,7 @@ def save_checkpoint(path, model, epoch=0, config=None):
             fh.write(struct.pack("<I", len(entries)))
             for entry in entries:
                 fh.write(entry)
-    except OSError as err:
+    except (OSError, TypeError, ValueError) as err:  # TypeError and ValueError: not a path
         raise CheckpointError(f"cannot write checkpoint {path}: {err}") from err
 
 
@@ -141,7 +141,7 @@ def load_checkpoint(path):
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
-    except OSError as err:
+    except (OSError, TypeError, ValueError) as err:  # TypeError and ValueError: not a path
         raise CheckpointError(f"cannot read checkpoint {path}: {err}") from err
     reader = _Reader(blob)
     magic = reader.take(8)
@@ -149,7 +149,7 @@ def load_checkpoint(path):
         raise CheckpointMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
     version = reader.u32()
     if version != VERSION:
-        raise CheckpointVersionError(version, VERSION)
+        raise CheckpointVersionError(f"checkpoint version {version} not supported (expected {VERSION})")
     try:
         header = json.loads(reader.text("header"))
     except (json.JSONDecodeError, RecursionError) as err:
@@ -180,9 +180,12 @@ def restore_model(model, header, tensors):
     Every entry is checked against the model before the first write: a header
     that `load_checkpoint` would refuse raises CheckpointFormatError, and a
     missing or unexpected name, shape or dtype, or a `steps` table that does not
-    name exactly the model's parameters, raises CheckpointMismatchError; either
-    leaves the model untouched.
+    name exactly the model's parameters, raises CheckpointMismatchError, as does
+    an entry that is not an ndarray; `tensors` not a dict raises ContractError.
+    Each leaves the model untouched.
     """
+    if not isinstance(tensors, dict):
+        raise ContractError(f"tensors must be a dict of name to ndarray, got {type(tensors).__name__}")
     _check_header(header)
     steps = header["steps"]
     params = list(model.named_parameters())
@@ -201,6 +204,8 @@ def restore_model(model, header, tensors):
         arr = tensors.get(key)
         if arr is None:
             raise CheckpointMismatchError(f"checkpoint missing {key}")
+        if not isinstance(arr, np.ndarray):
+            raise CheckpointMismatchError(f"{key}: checkpoint entry is a {type(arr).__name__}, not an ndarray")
         if arr.shape != like.shape or arr.dtype != like.dtype:
             raise CheckpointMismatchError(
                 f"{key}: checkpoint has {arr.dtype} {arr.shape}, model expects {like.dtype} {like.shape}"

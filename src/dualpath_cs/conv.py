@@ -39,7 +39,7 @@ flipped weights. The phase buffer is filled one channel block at a time: a taped
 channel concatenation (`ops.concat` on axis 1) is kept as its parts, and the
 forward and the backward's rebuild fill the buffer part by part, so the
 concatenated copy does not stay on the tape. Backward returns None for a
-constant parent (one with `requires_grad=False`) and skips its gemms.
+constant input or weight (one with `requires_grad=False`) and skips its gemms.
 """
 
 from itertools import groupby
@@ -246,7 +246,7 @@ def _phases(h, wdt, padding, s):
     return [(a * s + c, axes[0][a], axes[1][c]) for a in range(s) for c in range(s)]
 
 
-def conv_transpose2x(x, w, b=None):
+def conv_transpose2x(x, w, b):
     """Stride-2 transposed convolution with a 2x2 kernel: exact 2x upsampling.
 
     Weight layout is [Cin, Cout, 2, 2]; every input pixel paints one disjoint
@@ -259,7 +259,7 @@ def conv_transpose2x(x, w, b=None):
         raise DimensionError(f"conv_transpose2x channel mismatch: input {x.shape[1]}, weight {w.shape[0]}")
     n, cin, h, wdt = x.shape
     cout = w.shape[1]
-    if b is not None and b.data.shape != (cout,):
+    if b.data.shape != (cout,):
         raise DimensionError("conv_transpose2x bias must be [Cout]")
 
     def x_rows(xd):
@@ -268,10 +268,9 @@ def conv_transpose2x(x, w, b=None):
     xd, w_mat = x.data, w.data.reshape(cin, cout * 4)  # the arrays this call saw, as in conv2d
     out = (x_rows(xd) @ w_mat).reshape(n, h, wdt, cout, 2, 2)
     out = np.ascontiguousarray(out.transpose(0, 3, 1, 4, 2, 5)).reshape(n, cout, 2 * h, 2 * wdt)
-    if b is not None:
-        out = out + b.data[None, :, None, None]
+    out = out + b.data[None, :, None, None]
 
-    need_x, need_w, no_bias = x.requires_grad, w.requires_grad, b is None
+    need_x, need_w = x.requires_grad, w.requires_grad
     x_kept, w_kept = xd if need_w else None, w_mat if need_x else None  # as in conv2d
 
     def bwd(g):
@@ -282,9 +281,6 @@ def conv_transpose2x(x, w, b=None):
             dx = np.ascontiguousarray((g_mat @ w_kept.T).reshape(n, h, wdt, cin).transpose(0, 3, 1, 2))
         if need_w:
             dw = (x_rows(x_kept).T @ g_mat).reshape(cin, cout, 2, 2)
-        if no_bias:
-            return dx, dw
         return dx, dw, g.sum(axis=(0, 2, 3))
 
-    parents = (x, w) if b is None else (x, w, b)
-    return make(out, parents, bwd)
+    return make(out, (x, w, b), bwd)

@@ -54,10 +54,6 @@ class IngestionError(DualPathError):
 class TrainingDivergenceError(DualPathError):
     """Loss became non-finite during training."""
 
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = history or []
-
 
 class CheckpointError(DualPathError):
     """Base class for checkpoint failures; raised itself when the file cannot be read or written."""
@@ -69,11 +65,6 @@ class CheckpointMagicError(CheckpointError):
 
 class CheckpointVersionError(CheckpointError):
     """Checkpoint format version is not supported."""
-
-    def __init__(self, found, expected):
-        super().__init__(f"checkpoint version {found} not supported (expected {expected})")
-        self.found = found
-        self.expected = expected
 
 
 class CheckpointTruncatedError(CheckpointError):

@@ -19,7 +19,9 @@ side of the dropped-key ones by -rowdot. An elementwise activation keeps one
 array for its backward: gelu its slope Φ(x) + x·φ(x), computed after the
 forward only when the output is taped; relu and sigmoid read their derivative
 off their own output. A parent with requires_grad=False gets None from the
-backward closure.
+backward closure, except in three ops that compute every gradient: `concat`,
+whose gradients are views of g, and `layer_norm` and `scaled_dot_attention`,
+which the model never sends a constant parent.
 """
 
 import math
@@ -36,6 +38,7 @@ _INV_SQRT2PI = 0.3989422804014327
 _LOG2E = 1.4426950408889634
 _LN2 = 0.6931471805599453
 LAYER_NORM_EPS = 1e-5
+ATTENTION_CHUNK = 64  # queries per score block in scaled_dot_attention
 
 
 def _as_tensor(x, like):
@@ -354,10 +357,12 @@ def mse(pred, target):
     dtype = pred.dtype
     out = np.asarray((diff * diff).mean(), dtype=dtype)
     n = pred.size
+    need_pred, need_target = pred.requires_grad, target.requires_grad
 
     def bwd(g):
         base = (2.0 / n) * g * diff
-        return base.astype(dtype, copy=False), (-base).astype(dtype, copy=False)
+        return (base.astype(dtype, copy=False) if need_pred else None,
+                (-base).astype(dtype, copy=False) if need_target else None)
 
     return make(out, (pred, target), bwd)
 
@@ -390,7 +395,7 @@ class KeyPlan:
         return self.mask.data
 
 
-def scaled_dot_attention(q, k, v, plan, chunk=64):
+def scaled_dot_attention(q, k, v, plan):
     """softmax(q kᵀ / sqrt(d)) (mask ⊙ v) for [N*T,d] token matrices, single head.
 
     The N samples' T tokens are stacked, and each sample attends only to its own keys, with the
@@ -414,7 +419,7 @@ def scaled_dot_attention(q, k, v, plan, chunk=64):
     limit as 21.8 and 177 nats) could underflow its largest term and shifts by its exact max
     instead, found in a pre-pass over only those rows.
 
-    Memory-linear: queries are processed `chunk` at a time through one reused
+    Memory-linear: queries are processed `ATTENTION_CHUNK` at a time through one reused
     key-major T×chunk score buffer (a row per key, kept keys first, so the kept
     and the dropped keys are two contiguous row blocks), and only the per-query
     base-2 log-sum-exp is kept for the backward pass, which rebuilds each chunk
@@ -428,8 +433,6 @@ def scaled_dot_attention(q, k, v, plan, chunk=64):
     of the dropped-key ones instead, the chunk's rows of dq after its gemm and
     its queries before theirs.
     """
-    if not (is_integer(chunk) and chunk >= 1):
-        raise ContractError(f"attention chunk must be an integer >= 1, got {chunk!r}")
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
         raise DimensionError("attention operands must be [N*T,d]")
     if q.shape != k.shape or k.shape[0] != v.shape[0]:
@@ -441,7 +444,7 @@ def scaled_dot_attention(q, k, v, plan, chunk=64):
     n = plan.order.shape[0]
     out = np.empty(v.shape, dtype=q.dtype)
     samples = zip(*(np.split(a, n) for a in (q.data, k.data, v.data, out)), plan.order, plan.counts)
-    backs = [_attend(*sample, chunk) for sample in samples]
+    backs = [_attend(*sample) for sample in samples]
 
     def bwd(g):
         grads = zip(*(back(g_s) for back, g_s in zip(backs, np.split(g, n))))
@@ -450,11 +453,12 @@ def scaled_dot_attention(q, k, v, plan, chunk=64):
     return make(out, (q, k, v), bwd)
 
 
-def _attend(q, k, v, out, order, nk, chunk):
+def _attend(q, k, v, out, order, nk):
     """One sample of `scaled_dot_attention` into `out`, under its row of a `KeyPlan` (its key order
     and kept count `nk`); returns its backward pass."""
     t, d = q.shape
     dt = q.dtype
+    chunk = ATTENTION_CHUNK
     kept = order[:nk]
     scale = dt.type(1.0 / np.sqrt(d))
     # The queries scaled by log2(e)/sqrt(d), so the scores are in bits, with a last column of minus

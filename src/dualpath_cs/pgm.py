@@ -27,7 +27,7 @@ def read_pgm(path):
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
-    except OSError as err:
+    except (OSError, TypeError, ValueError) as err:  # TypeError and ValueError: not a path
         raise IngestionError(f"cannot read PGM file {path}: {err}") from err
     magic, pos = _read_token(blob, 0)
     if magic != b"P5":
@@ -77,5 +77,5 @@ def write_pgm(path, image):
         with open(path, "wb") as fh:
             fh.write(f"P5\n{w} {h}\n255\n".encode())
             fh.write(data.tobytes())
-    except OSError as err:
+    except (OSError, TypeError, ValueError) as err:  # TypeError and ValueError: not a path
         raise IngestionError(f"cannot write PGM file {path}: {err}") from err

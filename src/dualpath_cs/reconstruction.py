@@ -64,7 +64,6 @@ class HardMaskedAttention(Module):
     """
 
     def __init__(self, channels, rng):
-        self.channels = channels
         self.proj = Conv2d(1, channels, 3, rng)
         self.to_q = Conv2d(channels, channels, 1, rng)
         self.to_k = nn.Parameter(nn.uniform_fan_in(rng, (channels, channels, 1, 1), channels))
@@ -77,13 +76,13 @@ class HardMaskedAttention(Module):
         feats = self.proj(r)
 
         def to_tokens(t):
-            return ops.reshape(ops.transpose(t, (0, 2, 3, 1)), (n * h * w, self.channels))
+            return ops.reshape(ops.transpose(t, (0, 2, 3, 1)), (n * h * w, -1))
 
         q = to_tokens(self.to_q(feats))
         k = to_tokens(nn.conv2d(feats, self.to_k))
         v = to_tokens(self.to_v(feats))
         att = ops.scaled_dot_attention(q, k, v, key_plan)
-        att_map = ops.transpose(ops.reshape(att, (n, h, w, self.channels)), (0, 3, 1, 2))
+        att_map = ops.transpose(ops.reshape(att, (n, h, w, -1)), (0, 3, 1, 2))
         return ops.add(att_map, feats)
 
 

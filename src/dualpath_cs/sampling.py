@@ -62,15 +62,10 @@ class BlockSensingMatrix(Module):
         check_block_size(block_size)
         if not (is_integer(rows) and 1 <= rows <= block_size * block_size):
             raise ConfigError(f"rows must be an integer in [1, B^2], got {rows!r} for B={block_size}")
-        self.rows = rows
         self.block_size = block_size
         self.weights = Parameter(weights)
         if self.weights.shape != (rows, block_size * block_size):
             raise DimensionError(f"weights must be [{rows}, {block_size * block_size}], got {self.weights.shape}")
-
-    def apply(self, x):
-        """Measure [N,1,H,W] images: per-block measurement vectors [N*num_blocks, rows]."""
-        return self.measure(blockify(x, self.block_size))
 
     def measure(self, blocks):
         """Measure `blockify`'s rows [N*num_blocks, B*B]: [N*num_blocks, rows]."""

@@ -1,13 +1,13 @@
-"""Patch ingestion, the MSE training loop, and the single-image overfit harness."""
+"""The training configuration, the model and optimizer it builds, patch ingestion, and the MSE
+training step that drives sampler, hyperprior branch and unfolded stages end to end."""
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import ops
-from .autograd import no_grad, tensor
+from .autograd import tensor
 from .errors import ConfigError, ContractError, DimensionError, IngestionError, TrainingDivergenceError, is_integer
-from .metrics import psnr
 from .model import DualPathModel, check_architecture
 from .nn import Adam, adam_settings
 from .sampling import split_rows
@@ -150,45 +150,3 @@ def train_step(batch, model, optimizer):
         for p in params:
             p.grad = None
     return loss_value, trace.split(len(batch))
-
-
-@dataclass
-class OverfitResult:
-    losses: list = field(default_factory=list)
-    psnrs: list = field(default_factory=list)
-    model: DualPathModel = None
-    initial_psnr_x0: float = float("nan")
-    final_psnr_x0: float = float("nan")
-    final_psnr_xk: float = float("nan")
-
-
-def overfit_single_image(image, config, steps, progress=None):
-    """Train on one image (a single whole-image patch) and record loss/PSNR curves.
-
-    Deterministic for a fixed config seed. Raises TrainingDivergenceError with
-    the curves collected so far if the loss becomes non-finite.
-    """
-    arr = np.asarray(image, dtype=np.float64)
-    if arr.ndim == 2:
-        arr = arr.reshape(1, 1, *arr.shape)
-    model = build_model(config)
-    optimizer = build_optimizer(model, config)
-    result = OverfitResult(model=model)
-    gt = arr[0, 0]
-    with no_grad():
-        result.initial_psnr_x0 = psnr(model(tensor(arr)).stages[0].data[0, 0], gt)
-    for step in range(steps):
-        try:
-            loss, (trace,) = train_step([arr], model, optimizer)
-        except TrainingDivergenceError as err:
-            err.history = list(zip(result.losses, result.psnrs))
-            raise
-        result.losses.append(loss)
-        result.psnrs.append(psnr(trace.output.data[0, 0], gt))
-        if progress is not None:
-            progress(step, loss, result.psnrs[-1])
-    with no_grad():
-        trace = model(tensor(arr))
-    result.final_psnr_x0 = psnr(trace.stages[0].data[0, 0], gt)
-    result.final_psnr_xk = psnr(trace.output.data[0, 0], gt)
-    return result

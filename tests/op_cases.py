@@ -165,19 +165,22 @@ def case_attention(rng):
 
 
 def case_attention_multi_chunk(rng):
-    """Five tokens in chunks of two: dk and dv accumulate across three chunks."""
-    q, k, v = (rng.standard_normal((5, 3)) for _ in range(3))
-    reduce = _weighted((5, 3), rng)
-    return lambda x, y, z: reduce(ops.scaled_dot_attention(x, y, z, ops.KeyPlan(np.ones((1, 5))), chunk=2)), [q, k, v]
+    """A full chunk of queries and a one-query remainder: dk and dv accumulate across two chunks."""
+    t = ops.ATTENTION_CHUNK + 1
+    q, k, v = (rng.standard_normal((t, 2)) for _ in range(3))
+    reduce = _weighted((t, 2), rng)
+    return lambda x, y, z: reduce(ops.scaled_dot_attention(x, y, z, ops.KeyPlan(np.ones((1, t))))), [q, k, v]
 
 
 def case_attention_masked(rng):
-    """Keys 1 and 4 of six dropped, in chunks of two: every key still shapes the
-    softmax, so q and k get gradients through the dropped keys, and their v rows get 0."""
-    q, k, v = (rng.standard_normal((6, 3)) for _ in range(3))
-    plan = ops.KeyPlan(np.array([[1.0, 0.0, 1.0, 1.0, 0.0, 1.0]]))
-    reduce = _weighted((6, 3), rng)
-    return lambda x, y, z: reduce(ops.scaled_dot_attention(x, y, z, plan, chunk=2)), [q, k, v]
+    """Every third key dropped, over a full chunk of queries and a one-query remainder: every key
+    still shapes the softmax, so q and k get gradients through the dropped keys, and their v rows
+    get 0."""
+    t = ops.ATTENTION_CHUNK + 1
+    q, k, v = (rng.standard_normal((t, 2)) for _ in range(3))
+    plan = ops.KeyPlan((np.arange(t) % 3 != 1)[None].astype(np.float64))
+    reduce = _weighted((t, 2), rng)
+    return lambda x, y, z: reduce(ops.scaled_dot_attention(x, y, z, plan)), [q, k, v]
 
 
 def case_data_grad_gram(rng):

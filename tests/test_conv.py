@@ -121,7 +121,7 @@ class TestConvTranspose:
     def test_doubles_extents(self, rng):
         x = tensor(rng.standard_normal((1, 4, 5, 7)))
         w = tensor(rng.standard_normal((4, 2, 2, 2)))
-        assert conv_transpose2x(x, w).shape == (1, 2, 10, 14)
+        assert conv_transpose2x(x, w, tensor(np.zeros(2))).shape == (1, 2, 10, 14)
 
 
 class TestConstantParents:
@@ -151,7 +151,7 @@ class TestConstantParents:
     @pytest.mark.parametrize("op,shapes", [
         (lambda x, w: conv2d(x, w, padding=1), [(1, 3, 8, 8), (4, 3, 3, 3)]),
         (lambda x, w: conv2d(x, w, stride=2, padding=1), [(1, 3, 9, 9), (4, 3, 3, 3)]),
-        (conv_transpose2x, [(1, 3, 4, 4), (3, 2, 2, 2)]),
+        (lambda x, w: conv_transpose2x(x, w, tensor(np.zeros(2, np.float32))), [(1, 3, 4, 4), (3, 2, 2, 2)]),
     ], ids=["conv2d", "conv2d-stride2", "conv_transpose2x"])
     @pytest.mark.parametrize("constant", [0, 1])
     def test_closure_keeps_only_the_array_the_other_gradient_reads(self, rng, op, shapes, constant):
@@ -436,13 +436,14 @@ class TestTapeKeepsNoDerivedBuffer:
     def test_taped_transposed_conv_keeps_only_its_output(self, rng):
         x = tensor(rng.standard_normal((1, 16, 32, 32)).astype(np.float32), requires_grad=True)
         w = tensor(rng.standard_normal((16, 16, 2, 2)).astype(np.float32), requires_grad=True)
-        out, kept = _kept_bytes(lambda: conv_transpose2x(x, w))
+        b = tensor(np.zeros(16, np.float32), requires_grad=True)
+        out, kept = _kept_bytes(lambda: conv_transpose2x(x, w, b))
         assert kept <= out.data.nbytes + TAPE_SLACK, f"{kept} bytes kept, output {out.data.nbytes}"
 
     @pytest.mark.parametrize("op,shapes", [
         (lambda x, w: conv2d(x, w, padding=1), [(2, 3, 9, 9), (4, 3, 3, 3)]),
         (lambda x, w: conv2d(x, w, stride=2, padding=1), [(2, 3, 9, 9), (4, 3, 3, 3)]),
-        (conv_transpose2x, [(2, 3, 5, 5), (3, 4, 2, 2)]),
+        (conv_transpose2x, [(2, 3, 5, 5), (3, 4, 2, 2), (4,)]),
     ], ids=["conv2d", "conv2d-stride2", "conv_transpose2x"])
     def test_backward_reads_the_forwards_arrays(self, rng, op, shapes):
         arrays = [rng.standard_normal(shape).astype(np.float32) for shape in shapes]

@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "conv_shapes.py"
-TOTAL = re.compile(r"(train|eval) \d+x\d+x\d+ calls=(\d+) fwd_ms=\d+\.\d\d bwd_ms=\d+\.\d\d")
+TOTAL = re.compile(r"(train|eval) \d+x\d+x\d+ calls=(\d+) fwd_ms=\d+\.\d\d bwd_ms=\d+\.\d\d kernel_ms=\d+\.\d\d")
 SHAPE = re.compile(r"  \d+x\d+x\d+x\d+ cout=\d+ k=\d+ s=\d+ calls=(\d+) fwd_ms=\d+\.\d{3} bwd_ms=(\d+\.\d{3}|-)")
 
 

@@ -159,7 +159,7 @@ class TestBranch:
             if p.data.ndim == 1:  # biases
                 p.data = np.zeros_like(p.data)
         nb = 4
-        y1 = tensor(np.zeros((nb, sampler.phi1.rows), dtype=np.float32))
+        y1 = tensor(np.zeros((nb, sampler.phi1.weights.shape[0]), dtype=np.float32))
         signal, guidance = self._run(branch, sampler, y1)
         assert np.allclose(signal.grad_map.data, 0.0)
         assert np.allclose(guidance.soft_map.data, 1.5)

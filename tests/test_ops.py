@@ -85,6 +85,17 @@ class TestElementwise:
         assert skipped[constant] is None
         assert np.array_equal(skipped[1 - constant], full[1 - constant])
 
+    @pytest.mark.parametrize("constant", [0, 1])
+    def test_mse_constant_parent_gets_none(self, rng, constant):
+        # A training step's target is a constant: a gradient for it would only be dropped.
+        arrays = [rng.standard_normal((2, 3, 4)).astype(np.float32) for _ in range(2)]
+        g = np.float32(1.5)
+        full = ops.mse(*(tensor(a, requires_grad=True) for a in arrays))._backward_fn(g)
+        parents = [tensor(a, requires_grad=i != constant) for i, a in enumerate(arrays)]
+        skipped = ops.mse(*parents)._backward_fn(g)
+        assert skipped[constant] is None
+        assert np.array_equal(skipped[1 - constant], full[1 - constant])
+
 
 def _kept_after_dropping_input(rng, activation):
     """(output, bytes left allocated) after `activation` of a taped op output whose Tensor is then
@@ -260,14 +271,6 @@ class TestAttention:
             shifted = ops.scaled_dot_attention(tensor(q), tensor(k + shift), tensor(v), plan)
             assert np.allclose(shifted.data, base.data, rtol=0, atol=1e-12)
 
-    def test_chunking_invariance(self, rng):
-        with precision("f64"):
-            q, k, v = (tensor(rng.standard_normal((9, 4))) for _ in range(3))
-            plan = ops.KeyPlan(np.ones((1, 9)))
-            a = ops.scaled_dot_attention(q, k, v, plan, chunk=3)
-            b = ops.scaled_dot_attention(q, k, v, plan, chunk=512)
-            assert np.allclose(a.data, b.data, atol=1e-14)
-
     @staticmethod
     def _forward_backward(attend, arrays, weight):
         """Output, then the gradients of q, k and v, of sum(weight ⊙ attend(q, k, v))."""
@@ -294,7 +297,7 @@ class TestAttention:
 
     @pytest.mark.parametrize("t", [5, 64, 70, 130])
     def test_gradients_match_op_composition(self, rng, t):
-        # 70 and 130 tokens span two and three default chunks.
+        # 70 and 130 tokens span two and three chunks.
         with precision("f64"):
             arrays = [2.0 * rng.standard_normal((t, 3)) for _ in range(3)]
             weight = rng.standard_normal((t, 3))
@@ -302,16 +305,6 @@ class TestAttention:
             reference = self._forward_backward(self._composed(np.ones(t), 3), arrays, weight)
         for got, expect in zip(fused, reference):
             assert np.allclose(got, expect, rtol=0, atol=1e-12)
-
-    def test_chunk_size_leaves_gradients_unchanged(self, rng):
-        with precision("f64"):
-            arrays = [rng.standard_normal((70, 4)) for _ in range(3)]
-            weight = rng.standard_normal((70, 4))
-            plan = ops.KeyPlan(np.ones((1, 70)))
-            small = self._forward_backward(lambda q, k, v: ops.scaled_dot_attention(q, k, v, plan, chunk=3), arrays, weight)
-            default = self._forward_backward(lambda q, k, v: ops.scaled_dot_attention(q, k, v, plan), arrays, weight)
-        for a, b in zip(small, default):
-            assert np.allclose(a, b, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("fraction", [0.0, 0.3, 1.0])
     @pytest.mark.parametrize("t", [5, 64, 70, 130])
@@ -358,7 +351,7 @@ class TestAttention:
             assert rel <= bound, rel
 
     def test_float32_matches_float64_at_1024_tokens(self, rng):
-        # A 32x32 image's token count in 16 default chunks, half the keys kept, and no row on the
+        # A 32x32 image's token count in 16 chunks, half the keys kept, and no row on the
         # exact max: each output and gradient sums 1024 float32 terms. The f64 op is the reference;
         # the tests above hold it to the op composition. The bound is about twice the largest error,
         # relative to the largest magnitude, that the earlier query-major layout of this op (a row
@@ -380,7 +373,7 @@ class TestAttention:
 
     def test_float32_matches_float64_at_4096_tokens(self, rng):
         # The train64 benchmark's attention: a 64x64 image's tokens, d = 16, half the keys kept, in
-        # 64 default chunks, against the f64 op. The bound is about twice the largest error,
+        # 64 chunks, against the f64 op. The bound is about twice the largest error,
         # relative to the largest magnitude, that the natural-base form of this op (exp, and the
         # dropped-key rows of p scaled by -rowdot) had on these inputs: 9.4e-7, on the output.
         t, d = 4096, 16
@@ -439,13 +432,6 @@ class TestAttention:
         assert peak < t * t * 4 // 8, f"peak {peak / 2**20:.1f} MiB"
 
 
-    @pytest.mark.parametrize("chunk", [0, -1, 2.0, True, None])
-    def test_chunk_not_a_positive_integer_rejected(self, rng, chunk):
-        q, k, v = (tensor(rng.standard_normal((4, 2))) for _ in range(3))
-        with pytest.raises(ContractError, match="chunk"):
-            ops.scaled_dot_attention(q, k, v, ops.KeyPlan(np.ones((1, 4))), chunk=chunk)
-
-
 class TestKeyPlan:
     def test_order_puts_each_samples_kept_keys_first(self):
         plan = ops.KeyPlan(np.array([[0.0, 1.0, 0.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0, 1.0]]))
@@ -477,10 +463,10 @@ class TestKeyPlan:
         plan = ops.KeyPlan(tensor(keep))
         with precision("f64" if dtype == np.float64 else "f32"):
             by_mask = TestAttention._forward_backward(
-                lambda q, k, v: ops.scaled_dot_attention(q, k, v, ops.KeyPlan(keep.astype(dtype)), chunk=8), arrays, weight)
+                lambda q, k, v: ops.scaled_dot_attention(q, k, v, ops.KeyPlan(keep.astype(dtype))), arrays, weight)
             for _ in range(2):
                 by_plan = TestAttention._forward_backward(
-                    lambda q, k, v: ops.scaled_dot_attention(q, k, v, plan, chunk=8), arrays, weight)
+                    lambda q, k, v: ops.scaled_dot_attention(q, k, v, plan), arrays, weight)
                 assert all(np.array_equal(a, b) for a, b in zip(by_plan, by_mask))
 
 

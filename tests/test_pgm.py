@@ -68,6 +68,15 @@ class TestMalformed:
             read_pgm(tmp_path / name)
         assert isinstance(err.value.__cause__, OSError)
 
+    @pytest.mark.parametrize("path", [None, 3.5, "a\0b"], ids=["none", "float", "nul-byte"])
+    @pytest.mark.parametrize("write", [False, True], ids=["read", "write"])
+    def test_not_a_path_rejected_with_ingestion_error(self, path, write):
+        with pytest.raises(IngestionError, match="cannot"):
+            if write:
+                write_pgm(path, np.zeros((2, 2)))
+            else:
+                read_pgm(path)
+
     @pytest.mark.parametrize("name", ["missing/out.pgm", "."], ids=["missing-parent", "directory"])
     def test_unwritable_path_rejected_with_ingestion_error(self, tmp_path, name):
         with pytest.raises(IngestionError) as err:

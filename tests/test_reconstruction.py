@@ -19,7 +19,7 @@ from dualpath_cs.reconstruction import (
     hgdm_step,
     stage_factor,
 )
-from dualpath_cs.sampling import BlockSensingMatrix, DualSampler, initial_recon, sample
+from dualpath_cs.sampling import BlockSensingMatrix, DualSampler, blockify, initial_recon, sample
 from dualpath_cs.training import TrainConfig, build_model
 from gradcheck import max_gradient_error, numeric_gradients
 
@@ -48,7 +48,7 @@ def gram_terms(sampler, y1, y2, hw):
 def two_stream_step(x, y1, y2, sampler, p):
     """Oracle: x - p * (phi1T(phi1 x - y1) + phi2T(phi2 x - y2)), one stream at a time."""
     hw = (x.shape[2], x.shape[3])
-    grads = [phi.adjoint(ops.sub(phi.apply(x), y), hw)
+    grads = [phi.adjoint(ops.sub(phi.measure(blockify(x, phi.block_size)), y), hw)
              for phi, y in ((sampler.phi1, y1), (sampler.phi2, y2))]
     return ops.sub(x, ops.mul(p, ops.add(grads[0], grads[1])))
 
@@ -212,10 +212,10 @@ class TestHardMaskedAttention:
         out_masked = att(r, ops.KeyPlan(ones))
 
         feats = att.proj(r)
-        tok = lambda t: ops.transpose(ops.reshape(t, (att.channels, h * w)), (1, 0))
+        tok = lambda t: ops.transpose(ops.reshape(t, (-1, h * w)), (1, 0))
         q, k, v = tok(att.to_q(feats)), tok(conv2d(feats, att.to_k)), tok(att.to_v(feats))
         unmasked = ops.scaled_dot_attention(q, k, v, ops.KeyPlan(np.ones((1, h * w))))
-        reference = ops.add(ops.reshape(ops.transpose(unmasked, (1, 0)), (1, att.channels, h, w)), feats)
+        reference = ops.add(ops.reshape(ops.transpose(unmasked, (1, 0)), (1, -1, h, w)), feats)
         assert out_masked.data.tobytes() == reference.data.tobytes()
 
     def test_all_zeros_mask_returns_projection_exactly(self):

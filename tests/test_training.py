@@ -29,7 +29,6 @@ from dualpath_cs.training import (
     build_model,
     build_optimizer,
     extract_patches,
-    overfit_single_image,
     train_step,
 )
 
@@ -45,6 +44,19 @@ def tiny_config(**overrides):
 
 def random_image(rng, size=16):
     return rng.uniform(0, 1, (size, size))
+
+
+def train(cfg, image, steps):
+    """The model `cfg` builds after `steps` train_steps on one [H,W] image, and each step's
+    (loss, trace)."""
+    model = build_model(cfg)
+    optimizer = build_optimizer(model, cfg)
+    batch = [image.reshape(1, 1, *image.shape)]
+    history = []
+    for _ in range(steps):
+        loss, (trace,) = train_step(batch, model, optimizer)
+        history.append((loss, trace))
+    return model, history
 
 
 class TestTrainConfig:
@@ -212,7 +224,7 @@ class TestTrainStep:
                 assert np.allclose(got.data, expect.data, rtol=1e-5, atol=1e-6)
             assert np.array_equal(trace.guidance.hard_mask.data, ref.guidance.hard_mask.data)
             for y, y_ref, phi in zip(trace.measurements, ref.measurements, (model.sampler.phi1, model.sampler.phi2)):
-                assert y.shape == (nb, phi.rows)
+                assert y.shape == (nb, phi.weights.shape[0])
                 assert np.allclose(y.data, y_ref.data, rtol=1e-5, atol=1e-6)
 
     def test_batch_loss_and_gradients_are_sample_means(self, rng):
@@ -311,51 +323,31 @@ class TestTrainStep:
 
 
 class TestOverfit:
-    def test_zero_steps_noop(self, rng):
-        cfg = tiny_config()
-        result = overfit_single_image(random_image(rng), cfg, steps=0)
-        assert result.losses == [] and result.psnrs == []
-        fresh = build_model(cfg)
-        for (n1, p1), (n2, p2) in zip(result.model.named_parameters(), fresh.named_parameters()):
-            assert n1 == n2 and np.array_equal(p1.data, p2.data)
+    """train_step, run again and again on one image."""
 
     def test_deterministic_curves(self, rng):
         img = random_image(rng)
         with precision("f64"):
-            r1 = overfit_single_image(img, tiny_config(), steps=4)
-            r2 = overfit_single_image(img, tiny_config(), steps=4)
-        assert r1.losses == r2.losses
-        assert r1.psnrs == r2.psnrs
+            curves = [[(loss, psnr(trace.output.data[0, 0], img)) for loss, trace in train(tiny_config(), img, 4)[1]]
+                      for _ in range(2)]
+        assert curves[0] == curves[1]
 
     def test_loss_decreases_with_training(self, rng):
-        img = random_image(rng)
-        result = overfit_single_image(img, tiny_config(lr=1e-3), steps=30)
-        assert result.losses[-1] < result.losses[0]
-
-    def test_initial_x0_psnr_measured_before_training(self, rng):
-        img = random_image(rng)
-        cfg = tiny_config(lr=1e-3)
-        result = overfit_single_image(img, cfg, steps=3)
-        with no_grad():
-            fresh = build_model(cfg)(tensor(img.reshape(1, 1, 16, 16)))
-        assert result.initial_psnr_x0 == psnr(fresh.stages[0].data[0, 0], img)
-        assert result.final_psnr_x0 != result.initial_psnr_x0
+        _, steps = train(tiny_config(lr=1e-3), random_image(rng), 30)
+        assert steps[-1][0] < steps[0][0]
 
     def test_frozen_sampler_untouched(self, rng):
         cfg = tiny_config(freeze_sampler=True)
-        result = overfit_single_image(random_image(rng), cfg, steps=3)
+        model, _ = train(cfg, random_image(rng), 3)
         fresh = build_model(cfg)
-        assert np.array_equal(result.model.sampler.phi1.weights.data,
-                              fresh.sampler.phi1.weights.data)
-        assert np.array_equal(result.model.sampler.phi2.weights.data,
-                              fresh.sampler.phi2.weights.data)
+        assert np.array_equal(model.sampler.phi1.weights.data, fresh.sampler.phi1.weights.data)
+        assert np.array_equal(model.sampler.phi2.weights.data, fresh.sampler.phi2.weights.data)
 
 
 class TestCheckpoint:
     def _trained_model(self, rng, steps=2):
         cfg = tiny_config()
-        result = overfit_single_image(random_image(rng), cfg, steps=steps)
-        return cfg, result.model
+        return cfg, train(cfg, random_image(rng), steps)[0]
 
     def test_save_load_save_byte_identical(self, tmp_path, rng):
         cfg, model = self._trained_model(rng)
@@ -382,15 +374,15 @@ class TestCheckpoint:
         with precision("f64"):
             img = random_image(rng)
             cfg = tiny_config()
-            warm = overfit_single_image(img, cfg, steps=3)
+            warm, _ = train(cfg, img, 3)
             path = tmp_path / "warm.ckpt"
-            save_checkpoint(path, warm.model, config=cfg.to_dict())
+            save_checkpoint(path, warm, config=cfg.to_dict())
 
             arr = img.reshape(1, 1, 16, 16)
             direct_losses = []
-            opt = build_optimizer(warm.model, cfg)
+            opt = build_optimizer(warm, cfg)
             for _ in range(3):
-                loss, _ = train_step([arr], warm.model, opt)
+                loss, _ = train_step([arr], warm, opt)
                 direct_losses.append(loss)
 
             header, tensors = load_checkpoint(path)
@@ -407,6 +399,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(tmp_path / name)
         assert isinstance(err.value.__cause__, OSError)
+
+    @pytest.mark.parametrize("path", [None, 3.5, "a\0b"], ids=["none", "float", "nul-byte"])
+    @pytest.mark.parametrize("write", [False, True], ids=["load", "save"])
+    def test_not_a_path_rejected_with_checkpoint_error(self, path, write):
+        with pytest.raises(CheckpointError, match="cannot"):
+            if write:
+                save_checkpoint(path, build_model(tiny_config()))
+            else:
+                load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
@@ -551,7 +552,7 @@ class TestRestoreValidation:
     @pytest.fixture
     def saved(self, tmp_path, rng):
         cfg = tiny_config()
-        model = overfit_single_image(random_image(rng), cfg, steps=1).model
+        model, _ = train(cfg, random_image(rng), 1)
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model, config=cfg.to_dict())
         return load_checkpoint(path)
@@ -605,6 +606,17 @@ class TestRestoreValidation:
         save_checkpoint(path, build_model(wide), config=wide.to_dict())
         header, tensors = load_checkpoint(path)
         self._assert_rejected_untouched(build_model(tiny_config()), header, tensors)
+
+    def test_entries_not_arrays(self, saved):
+        # A table of lists raised a bare AttributeError on the first entry's shape.
+        header, tensors = saved
+        lists = {name: arr.tolist() for name, arr in tensors.items()}
+        self._assert_rejected_untouched(build_model(tiny_config()), header, lists)
+
+    def test_table_not_a_dict(self, saved):
+        # A list of (name, array) pairs raised a bare TypeError: unhashable type.
+        header, tensors = saved
+        self._assert_rejected_untouched(build_model(tiny_config()), header, list(tensors.items()), ContractError)
 
     def test_wrong_dtype(self, saved):
         header, tensors = saved

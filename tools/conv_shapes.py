@@ -13,7 +13,12 @@ as
 
     PYTHONPATH=src python tools/conv_shapes.py [--repeats R]
 
-BLAS runs on one thread, as in the benchmark.
+BLAS runs on one thread, as in the benchmark. A shared host's speed drifts by
+tens of percent between runs, so, as the benchmark scales `step_s`, each run
+times the benchmark's calibration kernel (`perfbench/calibration.py`) before
+each timed repeat and after the last one, prints its median as `kernel_ms=` on
+the run's header line, and scales every ms it prints by REFERENCE_S over that
+median: the figures read as ms on a host where the kernel takes REFERENCE_S.
 """
 
 import argparse
@@ -23,12 +28,19 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy loads
 
 import statistics  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
 from time import perf_counter  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from dualpath_cs import nn, ops, training  # noqa: E402
 from dualpath_cs.autograd import no_grad, tensor  # noqa: E402
+
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.append(PERFBENCH)
+from calibration import REFERENCE_S, kernel_seconds  # noqa: E402
 
 RUNS = (("train 64x64x1", 64, 1, True), ("train 32x32x4", 32, 4, True), ("eval 64x64x1", 64, 1, False))
 DATA_SEED = 0
@@ -58,18 +70,22 @@ def _timed(conv, times):
 
 
 def measure(patch, batch, train, repeats):
-    """{shape key: (calls per run, median fwd ms, median bwd ms or None)} over `repeats` timed runs."""
+    """({shape key: (calls per run, median fwd ms, median bwd ms or None)} over `repeats` timed
+    runs, the median calibration kernel ms around them); the shapes' ms are not scaled."""
     config = training.TrainConfig(patch_size=patch, batch_size=batch)
     model = training.build_model(config)
     rng = np.random.default_rng(DATA_SEED)
     target = tensor(rng.uniform(0.0, 1.0, (batch, 1, patch, patch)))
     times = []
+    kernel = []
     conv = nn.conv2d
     nn.conv2d = _timed(conv, times)
     try:
         for run in range(repeats + 1):
             if run == 1:
                 times.clear()  # the warm-up run
+            if run >= 1:
+                kernel.append(kernel_seconds())
             if train:
                 ops.mse(model(target).output, target).backward()
                 for p in model.parameters():
@@ -77,6 +93,7 @@ def measure(patch, batch, train, repeats):
             else:
                 with no_grad():
                     model(target)
+        kernel.append(kernel_seconds())
     finally:
         nn.conv2d = conv
     table = {}
@@ -84,7 +101,7 @@ def measure(patch, batch, train, repeats):
         fwd = [t for k, kind, t in times if k == key and kind == "fwd"]
         bwd = [t for k, kind, t in times if k == key and kind == "bwd"]
         table[key] = (len(fwd) // repeats, 1e3 * statistics.median(fwd), 1e3 * statistics.median(bwd) if bwd else None)
-    return table
+    return table, 1e3 * statistics.median(kernel)
 
 
 def main(argv=None):
@@ -94,15 +111,16 @@ def main(argv=None):
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     for label, patch, batch, train in RUNS:
-        table = measure(patch, batch, train, args.repeats)
+        table, kernel_ms = measure(patch, batch, train, args.repeats)
+        scale = 1e3 * REFERENCE_S / kernel_ms
         calls = sum(c for c, _, _ in table.values())
-        fwd = sum(c * f for c, f, _ in table.values())
-        bwd = sum(c * b for c, _, b in table.values() if b is not None)
-        print(f"{label} calls={calls} fwd_ms={fwd:.2f} bwd_ms={bwd:.2f}")
+        fwd = scale * sum(c * f for c, f, _ in table.values())
+        bwd = scale * sum(c * b for c, _, b in table.values() if b is not None)
+        print(f"{label} calls={calls} fwd_ms={fwd:.2f} bwd_ms={bwd:.2f} kernel_ms={kernel_ms:.2f}")
         for (shape, cout, k, stride), (calls, fwd, bwd) in sorted(table.items(), key=lambda item: -item[1][1] * item[1][0]):
             n, cin, h, w = shape
-            bwd_text = "-" if bwd is None else f"{bwd:.3f}"
-            print(f"  {n}x{cin}x{h}x{w} cout={cout} k={k} s={stride} calls={calls} fwd_ms={fwd:.3f} bwd_ms={bwd_text}")
+            bwd_text = "-" if bwd is None else f"{scale * bwd:.3f}"
+            print(f"  {n}x{cin}x{h}x{w} cout={cout} k={k} s={stride} calls={calls} fwd_ms={scale * fwd:.3f} bwd_ms={bwd_text}")
 
 
 if __name__ == "__main__":
