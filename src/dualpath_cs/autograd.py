@@ -142,10 +142,6 @@ class Tensor:
             self._node.grad = value
 
     @property
-    def _parents(self):
-        return () if self._node is None else self._node._parents
-
-    @property
     def _backward_fn(self):
         return None if self._node is None else self._node._backward_fn
 

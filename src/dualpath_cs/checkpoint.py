@@ -20,6 +20,7 @@ any byte after the last tensor, is a format error.
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -124,7 +125,7 @@ def save_checkpoint(path, model, epoch=0, config=None):
         raise ContractError(f"checkpoint header is not JSON-serializable: {err}") from None
     entries = [_tensor_entry(name, arr) for name, arr in tensors]
     try:
-        with open(path, "wb") as fh:
+        with open(os.fspath(path), "wb") as fh:  # fspath refuses an int, which open() takes as a descriptor it closes
             fh.write(MAGIC)
             fh.write(struct.pack("<I", VERSION))
             fh.write(struct.pack("<I", len(header_bytes)))
@@ -139,7 +140,7 @@ def save_checkpoint(path, model, epoch=0, config=None):
 def load_checkpoint(path):
     """Parse a checkpoint into (header dict, {name: array}); no model mutation."""
     try:
-        with open(path, "rb") as fh:
+        with open(os.fspath(path), "rb") as fh:  # fspath refuses an int, which open() takes as a descriptor it closes
             blob = fh.read()
     except (OSError, TypeError, ValueError) as err:  # TypeError and ValueError: not a path
         raise CheckpointError(f"cannot read checkpoint {path}: {err}") from err

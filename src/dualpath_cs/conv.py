@@ -1,32 +1,33 @@
 """Convolutions as one gemm per kernel row over a lowered input, with no column matrix.
 
-`conv2d` pads its input once into a wide buffer of phase planes. A stride s
-splits the padded planes into s*s phases: phase (a, c) holds padded rows a,
-a+s, ... and columns c, c+s, ..., zero-filled to one ceil(Hp/s) x ceil(Wp/s)
-extent Hq x Wq. Each channel is one flat row of the buffer: the phases one after
-another, each the N phase planes end to end, then zeros. Kernel tap (i, j)
-reads phase (i mod s, j mod s) in the window of every row that starts
-(i//s)*Wq + j//s into that phase, so the strided output, laid out Wq wide with
-the N planes end to end, is the sum over taps of `w[:, :, i, j] @ window`, and
-a strided conv computes none of the stride-1 outputs it would drop. Stride 1 is
-the one-phase case. The columns and rows of that layout whose window wraps
-into the next row, plane or phase are dropped.
+`conv2d` takes odd square k x k kernels only and zero-pads its input by k // 2,
+a "same" convolution of output extent ceil(H/s) x ceil(W/s) at stride s, once,
+into a wide buffer of phase planes. The stride splits the padded planes into s*s
+phases: phase (a, c) holds padded rows a, a+s, ... and columns c, c+s, ...,
+zero-filled to one ceil(Hp/s) x ceil(Wp/s) extent Hq x Wq. Each channel is one
+flat row of the buffer: the phases one after another, each the N phase planes
+end to end, then zeros. Kernel tap (i, j) reads phase (i mod s, j mod s) in the
+window of every row that starts (i//s)*Wq + j//s into that phase, so the strided
+output, laid out Wq wide with the N planes end to end, is the sum over taps of
+`w[:, :, i, j] @ window`, and a strided conv computes none of the stride-1
+outputs it would drop. Stride 1 is the one-phase case. The columns and rows of
+that layout whose window wraps into the next row, plane or phase are dropped.
 
 The taps of one kernel row differ only in their column shift, so that sum runs
 as one gemm per kernel row, as in MEC (Cho & Brand, "MEC: Memory-efficient
 Convolution for Deep Neural Network", ICML 2017, arXiv:1706.06873). The
-lowered buffer stacks the kw column-shifted copies of the phase buffer along
-the contraction, K = kw*Cin, and kernel row i is `w_row[i] @ window`, with a
+lowered buffer stacks the k column-shifted copies of the phase buffer along
+the contraction, K = k*Cin, and kernel row i is `w_row[i] @ window`, with a
 window that starts (i//s)*Wq into the lowered buffer of its row phase i mod s.
 The weight gradient runs the same windows, `window @ g_wide.T`. The input
 gradient of each phase is a stride-1 correlation of the output gradient, laid
 out wide with zeros in every dropped place, with that phase's taps flipped and
-transposed; its lowered buffer stacks the gradient's ceil(kw/s) column shifts,
-K = ceil(kw/s)*Cout, and each phase's result fills its rows and columns of the
-[N, Cin, H, W] input gradient. Every stride and kernel takes this one path; a
+transposed; its lowered buffer stacks the gradient's ceil(k/s) column shifts,
+K = ceil(k/s)*Cout, and each phase's result fills its rows and columns of the
+[N, Cin, H, W] input gradient. Every stride and kernel size takes this one path; a
 lowered buffer of one shift, as a 1x1 kernel's, is its source itself.
 
-A lowered buffer is kw times its source, so it is built a block of output
+A lowered buffer is k times its source, so it is built a block of output
 columns at a time, into one buffer that every block reuses. A block's row gemms
 are summed in a contiguous array and then copied into place. A block is as wide
 as `LOWERED_BYTES` holds of its lowered rows, the columns its windows overhang
@@ -54,31 +55,25 @@ from .errors import DimensionError, GeometryError, is_integer
 LOWERED_BYTES = 256 * 1024
 
 
-def conv2d(x, w, b=None, stride=1, padding=0):
-    """Cross-correlate [N,Cin,H,W] with [Cout,Cin,kH,kW]; odd kernels only."""
-    if not (is_integer(stride) and is_integer(padding)):
-        raise GeometryError(f"conv2d stride and padding must be integers, got {stride!r} and {padding!r}")
+def conv2d(x, w, b=None, stride=1):
+    """Cross-correlate [N,Cin,H,W] with [Cout,Cin,k,k], zero-padded by k // 2; odd square kernels only."""
+    if not (is_integer(stride) and stride >= 1):
+        raise GeometryError(f"conv2d strides must be integers >= 1, got {stride!r}")
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d expects 4-d input/weight, got {x.shape} / {w.shape}")
     if x.shape[1] != w.shape[1]:
         raise DimensionError(f"conv2d channel mismatch: input {x.shape[1]}, weight {w.shape[1]}")
-    kh, kw = w.shape[2], w.shape[3]
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise DimensionError(f"conv2d kernels must be odd, got {kh}x{kw}")
-    if padding < 0 or stride < 1:
-        raise GeometryError("conv2d needs padding >= 0 and stride >= 1")
-    if padding > kh - 1 or padding > kw - 1:
-        raise GeometryError("conv2d supports padding <= kernel-1")
     n, cin, h, wdt = x.shape
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (wdt + 2 * padding - kw) // stride + 1
+    cout, _, k, kw = w.shape
+    if k % 2 == 0 or kw != k:
+        raise DimensionError(f"conv2d kernels must be odd and square, got {k}x{kw}")
+    ho, wo = -(-h // stride), -(-wdt // stride)
     if ho < 1 or wo < 1:
         raise GeometryError(f"conv2d output extent would be {ho}x{wo}")
-    if b is not None and b.data.shape != (w.shape[0],):
+    if b is not None and b.data.shape != (cout,):
         raise DimensionError("conv2d bias must be [Cout]")
 
-    cout = w.shape[0]
-    hp, wp = h + 2 * padding, wdt + 2 * padding
+    hp, wp = h + k - 1, wdt + k - 1  # padded by k // 2 on each side
     # Phase (a, c) holds the padded rows a, a+s, ... and columns c, c+s, ..., zero-filled to one
     # hq x wq extent, so every phase plane has the same layout; a phase's n planes are phase_cols long.
     s = stride
@@ -87,15 +82,15 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     phase_cols = n * plane
     # Output columns: to the end of the last plane's output rows, in whole 16-column blocks.
     span = _whole_blocks((n - 1) * plane + ho * wq)
-    rh, rw = -(-kh // s), -(-kw // s)  # kernel rows and columns of phase (0, 0), the largest
+    taps = -(-k // s)  # kernel rows, and columns, of phase (0, 0), the largest
     # The input buffer's row: to the end of the last phase's last window, and at least all phases.
-    cols = max(s * s * phase_cols, (s * s - 1) * phase_cols + (rh - 1) * wq + rw - 1 + span)
+    cols = max(s * s * phase_cols, (s * s - 1) * phase_cols + (taps - 1) * wq + taps - 1 + span)
     width = max(phase_cols, span)  # the output's wide row: the output columns, and at least the n planes
     keep = np.s_[:, :, :ho, :wo]
     # Row phase a lowers its phases (a, j mod s) at shift j // s for each kernel column j, and its
     # kernel rows i read windows (i // s) * wq into that block.
-    row_phases = [([(a * s + j % s) * phase_cols + j // s for j in range(kw)],
-                   [((0, i), i // s * wq, kw * cin) for i in range(a, kh, s)]) for a in range(min(s, kh))]
+    row_phases = [([(a * s + j % s) * phase_cols + j // s for j in range(k)],
+                   [((0, i), i // s * wq, k * cin) for i in range(a, k, s)]) for a in range(min(s, k))]
 
     def planes(flat):
         return flat[:, :phase_cols].reshape(flat.shape[0], n, hq, wq)
@@ -111,7 +106,7 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     # that it does not stay on the tape.
     def phase_buffer(x_parts):
         xp = np.zeros((cin, cols), dtype=x_dtype)
-        phases = _phases(h, wdt, padding, s)
+        phases = _phases(h, wdt, k // 2, s)
         c0 = 0
         for part in x_parts:
             c1 = c0 + part.shape[1]
@@ -122,7 +117,7 @@ def conv2d(x, w, b=None, stride=1, padding=0):
         return xp
 
     xp = phase_buffer(x_parts)
-    w_rows = np.ascontiguousarray(wd.transpose(2, 0, 3, 1)).reshape(1, kh, cout, kw * cin)
+    w_rows = np.ascontiguousarray(wd.transpose(2, 0, 3, 1)).reshape(1, k, cout, k * cin)
     out_wide = np.empty((cout, width), dtype=x_dtype)  # the columns past span are never read
     _correlate(xp, row_phases, span, w_rows, out_wide[None])
     del xp, w_rows
@@ -136,18 +131,18 @@ def conv2d(x, w, b=None, stride=1, padding=0):
     def bwd(g):
         # The output gradient, laid out wide `lead` zero columns into its row: the input gradient's
         # windows start up to `lead` columns before the output column they compute.
-        lead = (rh - 1) * wq + rw - 1
+        lead = (taps - 1) * wq + taps - 1
         dspan = _whole_blocks(phase_cols)  # each phase's input-gradient columns
-        g_pad = np.zeros((cout, lead + dspan + rw - 1), dtype=g.dtype)
+        g_pad = np.zeros((cout, lead + dspan + taps - 1), dtype=g.dtype)
         planes(g_pad[:, lead:])[keep] = g.transpose(1, 0, 2, 3)
         dw = dx = None
         if need_w:
             xp = phase_buffer(x_kept)
-            dw_rows = np.zeros((kh, kw * cin, cout), dtype=w_dtype)  # transposed: the faster gemm
+            dw_rows = np.zeros((k, k * cin, cout), dtype=w_dtype)  # transposed: the faster gemm
             for cols_at, (_, i), window in _lowered_windows(xp, row_phases, span, 0):
                 dw_rows[i] += window @ g_pad[:, lead + cols_at.start:lead + cols_at.stop].T
             del xp, window  # the phase buffer and the last lowered block, before the dx buffers
-            dw = np.ascontiguousarray(dw_rows.reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1))
+            dw = np.ascontiguousarray(dw_rows.reshape(k, k, cin, cout).transpose(3, 2, 0, 1))
         if need_x:
             # Phase (a, c) of dx correlates the gradient with w's kernel rows a, a+s, ... and columns
             # c, c+s, ..., flipped and transposed: th rows of tw columns. Flipped row r is the first
@@ -155,16 +150,16 @@ def conv2d(x, w, b=None, stride=1, padding=0):
             d_rows, windows = {}, []
             for ph in range(s * s):
                 a, c = divmod(ph, s)
-                th, tw = len(range(a, kh, s)), len(range(c, kw, s))
+                th, tw = len(range(a, k, s)), len(range(c, k, s))
                 if th and tw:
                     rows = w_kept[:, :, a::s, c::s][:, :, ::-1, ::-1].transpose(2, 1, 3, 0)
                     d_rows[ph] = np.ascontiguousarray(rows).reshape(th, cin, tw * cout)
                     windows += [((ph, r), lead - (th - 1 - r) * wq - (tw - 1), tw * cout) for r in range(th)]
             dxp = np.empty((s * s, cin, dspan), dtype=x_dtype)  # only the phases with taps are written
-            _correlate(g_pad, [(range(rw), windows)], dspan, d_rows, dxp)
+            _correlate(g_pad, [(range(taps), windows)], dspan, d_rows, dxp)
             del g_pad  # read for the last time, before the input gradient is allocated
             dx = np.empty((n, cin, h, wdt), dtype=x_dtype)
-            for ph, (ys, ry), (xs, rx) in _phases(h, wdt, padding, s):
+            for ph, (ys, ry), (xs, rx) in _phases(h, wdt, k // 2, s):
                 # A phase that no kernel tap reads gets no gradient.
                 dx[:, :, ys, xs] = planes(dxp[ph])[:, :, ry, rx].transpose(1, 0, 2, 3) if ph in d_rows else 0
         if no_bias:
@@ -228,19 +223,19 @@ def _correlate(src, groups, span, weights, targets):
         targets[t][:, cols_at] = total
 
 
-def _phases(h, wdt, padding, s):
+def _phases(h, wdt, pad, s):
     """(phase index, (input rows, phase rows), (input columns, phase columns)) of each phase.
 
-    Input row y is padded row padding + y, which phase (padding + y) mod s holds as its row
-    (padding + y) // s, so phase a's first input row is (a - padding) mod s; likewise for the
+    Input row y is padded row pad + y, which phase (pad + y) mod s holds as its row
+    (pad + y) // s, so phase a's first input row is (a - pad) mod s; likewise for the
     columns. Rebuilt where needed rather than kept on the tape.
     """
     axes = []
     for extent in (h, wdt):
         axis = []
         for a in range(s):
-            y0 = (a - padding) % s
-            start = (padding + y0) // s
+            y0 = (a - pad) % s
+            start = (pad + y0) // s
             axis.append((slice(y0, extent, s), slice(start, start + len(range(y0, extent, s)))))
         axes.append(axis)
     return [(a * s + c, axes[0][a], axes[1][c]) for a in range(s) for c in range(s)]

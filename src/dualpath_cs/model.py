@@ -22,6 +22,17 @@ def check_architecture(stages, channels, rho):
     check_rho(rho)
 
 
+def check_extents(hw, block_size):
+    """Raise GeometryError unless H and W are divisible by the block size and by 4 (the U-Net's scales)."""
+    if not (isinstance(hw, (tuple, list)) and len(hw) == 2 and all(is_integer(e) and e > 0 for e in hw)):
+        raise GeometryError(f"extents must be two positive integers, got {hw!r}")
+    h, w = hw
+    if h % block_size or w % block_size:
+        raise GeometryError(f"extents {h}x{w} not divisible by block size {block_size}")
+    if h % 4 or w % 4:
+        raise GeometryError(f"extents {h}x{w} not divisible by 4 (scale pyramid)")
+
+
 @dataclass
 class ReconstructionTrace:
     """Per-stage estimates and diagnostics of one forward pass; `output` is the final estimate."""
@@ -36,10 +47,11 @@ class ReconstructionTrace:
     def output(self):
         return self.stages[-1]
 
-    def split(self, n):
-        """One trace per sample of a forward over n samples, as constant tensors."""
+    def split(self):
+        """One trace per sample of the forward, as constant tensors."""
         def part(t, i):
             return Tensor(np.split(t.data, n)[i])
+        n = len(self.output.data)
         return [ReconstructionTrace(
             [part(s, i) for s in self.stages],
             HyperpriorSignal(part(self.signal.features, i), part(self.signal.grad_map, i)),
@@ -61,18 +73,9 @@ class DualPathModel(Module):
         self.hyperprior = HyperpriorBranch(channels, rho, rng)
         self.stages = [ReconstructionStage(channels, rng, k, stages) for k in range(1, stages + 1)]
 
-    def check_extents(self, hw):
-        if not (isinstance(hw, (tuple, list)) and len(hw) == 2 and all(is_integer(e) and e > 0 for e in hw)):
-            raise GeometryError(f"extents must be two positive integers, got {hw!r}")
-        h, w = hw
-        if h % self.block_size or w % self.block_size:
-            raise GeometryError(f"extents {h}x{w} not divisible by block size {self.block_size}")
-        if h % 4 or w % 4:
-            raise GeometryError(f"extents {h}x{w} not divisible by 4 (scale pyramid)")
-
     def reconstruct(self, y1, y2, hw):
         """Run the hyperprior branch and all K stages on given measurements."""
-        self.check_extents(hw)
+        check_extents(hw, self.block_size)
         x, x1, gram1, gram, back = initial_recon(self.sampler, y1, y2, self.fusion, hw)
         signal, guidance = self.hyperprior(x1, gram1, self.block_size)
         del x1, gram1  # the stages need only G and b; without a tape this frees them

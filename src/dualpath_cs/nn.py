@@ -76,16 +76,15 @@ def uniform_fan_in(rng, shape, fan_in):
 
 
 class Conv2d(Module):
-    """Biased odd-kernel conv with "same" zero padding (kernel // 2)."""
+    """Biased conv with an odd square kernel; `conv2d` zero-pads by kernel // 2, a "same" conv."""
 
     def __init__(self, cin, cout, kernel, rng, stride=1):
         self.stride = stride
-        self.padding = kernel // 2
         self.weight = Parameter(uniform_fan_in(rng, (cout, cin, kernel, kernel), cin * kernel * kernel))
         self.bias = Parameter(np.zeros(cout, dtype=default_dtype()))
 
     def forward(self, x):
-        return conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+        return conv2d(x, self.weight, self.bias, stride=self.stride)
 
 
 class ConvTranspose2x(Module):

@@ -1,5 +1,7 @@
 """Binary PGM (P5, 8-bit) image I/O; pixel values map to [0, 1]."""
 
+import os
+
 import numpy as np
 
 from .errors import IngestionError
@@ -25,7 +27,7 @@ def _read_token(blob, pos):
 def read_pgm(path):
     """Read a P5 grayscale image as a float64 [H,W] array in [0, 1] (pixel / maxval)."""
     try:
-        with open(path, "rb") as fh:
+        with open(os.fspath(path), "rb") as fh:  # fspath refuses an int, which open() takes as a descriptor it closes
             blob = fh.read()
     except (OSError, TypeError, ValueError) as err:  # TypeError and ValueError: not a path
         raise IngestionError(f"cannot read PGM file {path}: {err}") from err
@@ -74,7 +76,7 @@ def write_pgm(path, image):
     data = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
     h, w = data.shape
     try:
-        with open(path, "wb") as fh:
+        with open(os.fspath(path), "wb") as fh:  # fspath refuses an int, which open() takes as a descriptor it closes
             fh.write(f"P5\n{w} {h}\n255\n".encode())
             fh.write(data.tobytes())
     except (OSError, TypeError, ValueError) as err:  # TypeError and ValueError: not a path

@@ -11,7 +11,7 @@ features are modulated by the soft confidence map and carried across stages.
 import numpy as np
 
 from . import nn, ops
-from .autograd import Tensor, default_dtype
+from .autograd import Tensor
 from .errors import ContractError, GeometryError, ResourceError
 from .nn import ChannelGate, Conv2d, ConvTranspose2x, LayerNormChannels, Module, SpatialGate
 from .sampling import data_grad
@@ -19,11 +19,11 @@ from .sampling import data_grad
 TOKEN_CAP = 16384  # attention tokens (pixels) per stage, 128x128: bounds the quadratic time; memory is linear
 
 
-def stage_factor(k, total, shape, dtype=None):
-    """Constant map k/total of the given shape: the relative progress of stage k of `total`."""
+def stage_factor(k, total, like):
+    """Constant map k/total of the shape and dtype of `like`: the relative progress of stage k of `total`."""
     if not 1 <= k <= total:
         raise ContractError(f"stage index {k} outside [1, {total}]")
-    return Tensor(np.full(shape, k / total, dtype=dtype or default_dtype()))
+    return Tensor(np.full(like.shape, k / total, dtype=like.dtype))
 
 
 class StepSizeGenerator(Module):
@@ -156,7 +156,7 @@ class ReconstructionStage(Module):
         self.soft_unet = SoftGuidedUNet(channels, rng)
 
     def forward(self, x_prev, gram, back, signal, guidance, z_prev):
-        p = self.step_gen(signal, stage_factor(self.k, self.total, x_prev.shape, dtype=x_prev.dtype))
+        p = self.step_gen(signal, stage_factor(self.k, self.total, x_prev))
         r = hgdm_step(x_prev, gram, back, p)
         att = self.hard_att(r, guidance.key_plan)
         x_next, z_next = self.soft_unet(att, z_prev, guidance.soft_pyramid)

@@ -36,14 +36,16 @@ def blockify(x, block_size):
     return ops.reshape(grid, (n * (h // b) * (w // b), b * b))
 
 
-def unblockify(blocks, block_size, hw):
-    """Inverse of :func:`blockify` for a target (H, W): [N*num_blocks, B*B] -> [N,1,H,W]."""
+def unblockify(blocks, hw):
+    """Inverse of :func:`blockify` for a target (H, W): [N*num_blocks, B*B] -> [N,1,H,W], B from the row width."""
+    b = math.isqrt(blocks.shape[1]) if blocks.ndim == 2 else 0
+    if b == 0 or b * b != blocks.shape[1]:
+        raise DimensionError(f"expected [N*num_blocks, B*B] blocks, got {blocks.shape}")
     h, w = hw
-    b = block_size
     if h % b or w % b:
         raise GeometryError(f"extents {h}x{w} not divisible by block size {b}")
     nb = (h // b) * (w // b)
-    if blocks.ndim != 2 or blocks.shape[1] != b * b or blocks.shape[0] % nb or not blocks.shape[0]:
+    if blocks.shape[0] % nb or not blocks.shape[0]:
         raise DimensionError(f"expected [N*{nb},{b * b}] blocks for {h}x{w}, got {blocks.shape}")
     grid = ops.reshape(blocks, (-1, h // b, w // b, b, b))
     grid = ops.transpose(grid, (0, 1, 3, 2, 4))
@@ -73,7 +75,7 @@ class BlockSensingMatrix(Module):
 
     def adjoint(self, y, hw):
         """Transpose-apply measurements [N*num_blocks, rows] back to [N,1,H,W] images."""
-        return unblockify(ops.matmul(y, self.weights), self.block_size, hw)
+        return unblockify(ops.matmul(y, self.weights), hw)
 
     def gram(self):
         """phiT phi [B*B, B*B]: the per-block normal operator."""
@@ -132,9 +134,8 @@ def sample(sampler, x):
 def data_grad(gram, x, back):
     """sum_i phi_iT(phi_i x - y_i) as G x - b, given G = sum_i phi_iT phi_i and
     back = sum_i phi_iT y_i; G is symmetric, so block rows multiply it on the right."""
-    b = math.isqrt(gram.shape[0])
-    blocks = ops.matmul(blockify(x, b), gram)
-    return ops.sub(unblockify(blocks, b, x.shape[2:]), back)
+    blocks = ops.matmul(blockify(x, math.isqrt(gram.shape[0])), gram)
+    return ops.sub(unblockify(blocks, x.shape[2:]), back)
 
 
 def initial_recon(sampler, y1, y2, fuse_conv, hw):

@@ -7,8 +7,9 @@ import numpy as np
 
 from . import ops
 from .autograd import tensor
-from .errors import ConfigError, ContractError, DimensionError, IngestionError, TrainingDivergenceError, is_integer
-from .model import DualPathModel, check_architecture
+from .errors import (ConfigError, ContractError, DimensionError, GeometryError, IngestionError, TrainingDivergenceError,
+                     is_integer)
+from .model import DualPathModel, check_architecture, check_extents
 from .nn import Adam, adam_settings
 from .sampling import split_rows
 
@@ -37,9 +38,10 @@ class TrainConfig:
             value = getattr(self, name)
             if not (is_integer(value) and value >= least):
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
-        align = 4 * self.block_size
-        if self.patch_size % align:
-            raise ConfigError(f"patch size {self.patch_size} must be divisible by 4*block_size={align}")
+        try:
+            check_extents((self.patch_size, self.patch_size), self.block_size)
+        except GeometryError as err:
+            raise ConfigError(str(err)) from None
         if adam_settings(self.lr, self.betas)[0] == 0.0:
             raise ConfigError(f"lr must be positive as a float, got {self.lr!r}")
         self.betas = tuple(self.betas)
@@ -149,4 +151,4 @@ def train_step(batch, model, optimizer):
     finally:
         for p in params:
             p.grad = None
-    return loss_value, trace.split(len(batch))
+    return loss_value, trace.split()

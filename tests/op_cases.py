@@ -206,7 +206,7 @@ def case_conv2d(rng):
     w = rng.standard_normal((cout, cin, 3, 3))
     b = rng.standard_normal(cout)
     reduce = _weighted((1, cout, h, h), rng)
-    return lambda xx, ww, bb: reduce(conv2d(xx, ww, bb, stride=1, padding=1)), [x, w, b]
+    return lambda xx, ww, bb: reduce(conv2d(xx, ww, bb)), [x, w, b]
 
 
 def case_conv2d_concat_input(rng):
@@ -217,7 +217,7 @@ def case_conv2d_concat_input(rng):
     w = rng.standard_normal((2, 3, 3, 3))
     ho = (h + 2 - 3) // 2 + 1
     reduce = _weighted((2, 2, ho, ho), rng)
-    return lambda aa, cc, ww: reduce(conv2d(ops.concat([aa, cc], axis=1), ww, stride=2, padding=1)), [a, c, w]
+    return lambda aa, cc, ww: reduce(conv2d(ops.concat([aa, cc], axis=1), ww, stride=2)), [a, c, w]
 
 
 def case_conv2d_strided(rng):
@@ -226,14 +226,7 @@ def case_conv2d_strided(rng):
     w = rng.standard_normal((2, 2, 3, 3))
     ho = (h + 2 - 3) // 2 + 1
     reduce = _weighted((1, 2, ho, ho), rng)
-    return lambda xx, ww: reduce(conv2d(xx, ww, stride=2, padding=1)), [x, w]
-
-
-def case_conv2d_nopad(rng):
-    x = rng.standard_normal((1, 1, 5, 5))
-    w = rng.standard_normal((2, 1, 3, 3))
-    reduce = _weighted((1, 2, 3, 3), rng)
-    return lambda xx, ww: reduce(conv2d(xx, ww, stride=1, padding=0)), [x, w]
+    return lambda xx, ww: reduce(conv2d(xx, ww, stride=2)), [x, w]
 
 
 def case_conv2d_wide_kernel(rng):
@@ -243,7 +236,7 @@ def case_conv2d_wide_kernel(rng):
     w = rng.standard_normal((1, 2, 7, 7))
     b = rng.standard_normal(1)
     reduce = _weighted((1, 1, 5, 9), rng)
-    return lambda xx, ww, bb: reduce(conv2d(xx, ww, bb, stride=1, padding=3)), [x, w, b]
+    return lambda xx, ww, bb: reduce(conv2d(xx, ww, bb)), [x, w, b]
 
 
 def case_conv2d_pointwise(rng):

@@ -248,7 +248,7 @@ class TestAdam:
 
 def _tape_nodes(out):
     """The nodes reachable from `out` that record a backward closure."""
-    seen, stack, nodes = set(), [out], []
+    seen, stack, nodes = set(), [out._node], []
     while stack:
         node = stack.pop()
         if id(node) in seen or node._backward_fn is None:
@@ -287,7 +287,7 @@ class TestLayersOnTheTape:
     def test_conv_records_its_parameters_as_parents(self, rng):
         conv = Conv2d(2, 3, 3, rng)
         x = tensor(rng.standard_normal((1, 2, 5, 5)))
-        parents = conv(x)._parents
+        parents = conv(x)._node._parents
         assert len(parents) == 3
         assert parents[0] is x and parents[1] is conv.weight and parents[2] is conv.bias
 
@@ -296,5 +296,6 @@ class TestLayersOnTheTape:
         x = tensor(rng.standard_normal((2, 4, 3, 5)), requires_grad=True)
         out = norm(x)
         assert len(_tape_nodes(out)) == 1
-        assert len(out._parents) == 3
-        assert out._parents[0] is x and out._parents[1] is norm.gain and out._parents[2] is norm.shift
+        parents = out._node._parents
+        assert len(parents) == 3
+        assert parents[0] is x and parents[1] is norm.gain and parents[2] is norm.shift

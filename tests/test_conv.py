@@ -14,10 +14,11 @@ from test_tape_bytes import _load_tool
 tape_tool = _load_tool()
 
 
-def naive_conv2d(x, w, b=None, stride=1, padding=0):
-    """Direct-loop cross-correlation, independent of the gemm path."""
+def naive_conv2d(x, w, b=None, stride=1):
+    """Direct-loop cross-correlation, zero-padded by kernel // 2, independent of the gemm path."""
     n, cin, h, wid = x.shape
     cout, _, kh, kw = w.shape
+    padding = kh // 2
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (wid + 2 * padding - kw) // stride + 1
@@ -53,39 +54,38 @@ class TestConvForward:
     def test_all_ones_hand_values(self):
         x = tensor(np.ones((1, 1, 3, 3)))
         w = tensor(np.ones((1, 1, 3, 3)))
-        out = conv2d(x, w, padding=1).data.reshape(3, 3)
+        out = conv2d(x, w).data.reshape(3, 3)
         assert out[1, 1] == 9.0
         assert all(out[i, j] == 4.0 for i, j in [(0, 0), (0, 2), (2, 0), (2, 2)])
 
     def test_zero_kernel_zero_output(self, rng):
         x = tensor(rng.standard_normal((1, 2, 4, 4)))
         w = tensor(np.zeros((3, 2, 3, 3)))
-        assert np.all(conv2d(x, w, padding=1).data == 0.0)
+        assert np.all(conv2d(x, w).data == 0.0)
 
     def test_one_by_one_kernel_scales(self):
         x = tensor(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
         w = tensor(np.array([2.0]).reshape(1, 1, 1, 1))
         assert np.array_equal(conv2d(x, w).data.reshape(2, 2), [[2.0, 4.0], [6.0, 8.0]])
 
-    @pytest.mark.parametrize("stride,padding,hw,k", [
-        (1, 1, (5, 5), 3), (1, 0, (6, 6), 3), (2, 1, (6, 6), 3), (2, 1, (7, 7), 3), (1, 2, (4, 4), 3),
-        (1, 3, (5, 9), 7), (2, 3, (10, 7), 7), (3, 1, (8, 10), 3), (3, 2, (11, 7), 5), (2, 0, (9, 8), 3),
-    ], ids=["1-1-5", "1-0-6", "2-1-6", "2-1-7", "1-2-4", "1-3-5x9-k7", "2-3-10x7-k7", "3-1-8x10", "3-2-11x7-k5",
-            "2-0-9x8"])
-    def test_matches_naive_oracle(self, rng, stride, padding, hw, k):
+    @pytest.mark.parametrize("stride,hw,k", [
+        (1, (5, 5), 3), (2, (6, 6), 3), (2, (7, 7), 3), (1, (5, 9), 7), (2, (10, 7), 7), (3, (8, 10), 3),
+        (3, (11, 7), 5),
+    ], ids=["1-1-5", "2-1-6", "2-1-7", "1-3-5x9-k7", "2-3-10x7-k7", "3-1-8x10", "3-2-11x7-k5"])
+    def test_matches_naive_oracle(self, rng, stride, hw, k):
         x = rng.standard_normal((2, 3, *hw))
         w = rng.standard_normal((4, 3, k, k))
         b = rng.standard_normal(4)
-        got = conv2d(tensor(x), tensor(w), tensor(b), stride=stride, padding=padding).data
-        assert np.allclose(got, naive_conv2d(x, w, b, stride, padding), atol=1e-4)
+        got = conv2d(tensor(x), tensor(w), tensor(b), stride=stride).data
+        assert np.allclose(got, naive_conv2d(x, w, b, stride), atol=1e-4)
 
     def test_linearity(self, rng):
         w = tensor(rng.standard_normal((2, 1, 3, 3)).astype(np.float32))
         x = tensor(rng.standard_normal((1, 1, 6, 6)).astype(np.float32))
         y = tensor(rng.standard_normal((1, 1, 6, 6)).astype(np.float32))
         a, b = 1.7, -0.4
-        combo = conv2d(tensor(a * x.data + b * y.data), w, padding=1).data
-        parts = a * conv2d(x, w, padding=1).data + b * conv2d(y, w, padding=1).data
+        combo = conv2d(tensor(a * x.data + b * y.data), w).data
+        parts = a * conv2d(x, w).data + b * conv2d(y, w).data
         assert np.allclose(combo, parts, atol=1e-5)
 
 
@@ -98,16 +98,19 @@ class TestConvErrors:
         with pytest.raises(DimensionError):
             conv2d(tensor(np.zeros((1, 2, 4, 4))), tensor(np.zeros((1, 3, 3, 3))))
 
+    def test_non_square_kernel_rejected(self):
+        with pytest.raises(DimensionError):
+            conv2d(tensor(np.zeros((1, 1, 4, 4))), tensor(np.zeros((1, 1, 3, 1))))
+
     def test_nonpositive_output_extent(self):
         with pytest.raises(GeometryError):
-            conv2d(tensor(np.zeros((1, 1, 2, 2))), tensor(np.zeros((1, 1, 3, 3))), padding=0)
+            conv2d(tensor(np.zeros((1, 1, 0, 2))), tensor(np.zeros((1, 1, 3, 3))))
 
-    @pytest.mark.parametrize("stride,padding", [(1.5, 1), (2.0, 1), ("2", 1), (None, 1), (1, 0.5), (1, True), (True, 1)],
-                             ids=["stride-1.5", "stride-2.0", "stride-str", "stride-None", "padding-0.5", "padding-True",
-                                  "stride-True"])
-    def test_stride_and_padding_not_integers_rejected(self, stride, padding):
+    @pytest.mark.parametrize("stride", [1.5, 2.0, "2", None, True],
+                             ids=["stride-1.5", "stride-2.0", "stride-str", "stride-None", "stride-True"])
+    def test_stride_and_padding_not_integers_rejected(self, stride):
         with pytest.raises(GeometryError, match="integers"):
-            conv2d(tensor(np.zeros((1, 1, 4, 4))), tensor(np.zeros((1, 1, 3, 3))), stride=stride, padding=padding)
+            conv2d(tensor(np.zeros((1, 1, 4, 4))), tensor(np.zeros((1, 1, 3, 3))), stride=stride)
 
 
 class TestConvTranspose:
@@ -135,7 +138,7 @@ class TestConstantParents:
         return out._backward_fn(g)
 
     @pytest.mark.parametrize("op,shapes", [
-        (lambda x, w, b: conv2d(x, w, b, stride=2, padding=1), [(1, 2, 7, 7), (3, 2, 3, 3), (3,)]),
+        (lambda x, w, b: conv2d(x, w, b, stride=2), [(1, 2, 7, 7), (3, 2, 3, 3), (3,)]),
         (conv_transpose2x, [(1, 3, 4, 4), (3, 2, 2, 2), (2,)]),
     ])
     @pytest.mark.parametrize("constant", [0, 1])
@@ -149,8 +152,8 @@ class TestConstantParents:
                 assert np.array_equal(a, b), i
 
     @pytest.mark.parametrize("op,shapes", [
-        (lambda x, w: conv2d(x, w, padding=1), [(1, 3, 8, 8), (4, 3, 3, 3)]),
-        (lambda x, w: conv2d(x, w, stride=2, padding=1), [(1, 3, 9, 9), (4, 3, 3, 3)]),
+        (lambda x, w: conv2d(x, w), [(1, 3, 8, 8), (4, 3, 3, 3)]),
+        (lambda x, w: conv2d(x, w, stride=2), [(1, 3, 9, 9), (4, 3, 3, 3)]),
         (lambda x, w: conv_transpose2x(x, w, tensor(np.zeros(2, np.float32))), [(1, 3, 4, 4), (3, 2, 2, 2)]),
     ], ids=["conv2d", "conv2d-stride2", "conv_transpose2x"])
     @pytest.mark.parametrize("constant", [0, 1])
@@ -165,11 +168,12 @@ class TestConstantParents:
         assert id(parents[1 - constant].data) not in reached
 
 
-def dense_conv2d_f64(x, w, g, stride, padding):
-    """Output, dx and dw of a conv in float64 from sliding windows and einsum,
-    independent of the lowered row gemms; g is the output gradient."""
+def dense_conv2d_f64(x, w, g, stride):
+    """Output, dx and dw of a conv in float64, zero-padded by kernel // 2, from sliding windows
+    and einsum, independent of the lowered row gemms; g is the output gradient."""
     x, w, g = (a.astype(np.float64) for a in (x, w, g))
     kh, kw = w.shape[2:]
+    padding = kh // 2
     pad = ((0, 0), (0, 0), (padding, padding), (padding, padding))
     win = np.lib.stride_tricks.sliding_window_view(np.pad(x, pad), (kh, kw), axis=(2, 3))
     win = win[:, :, ::stride, ::stride]
@@ -196,10 +200,10 @@ class TestFloat32Accuracy:
         x = rng.standard_normal((1, cin, 64, 64)).astype(np.float32)
         w = (rng.standard_normal((cout, cin, k, k)) / np.sqrt(cin * k * k)).astype(np.float32)
         xt, wt = tensor(x, requires_grad=True), tensor(w, requires_grad=True)
-        out = conv2d(xt, wt, stride=stride, padding=k // 2)
+        out = conv2d(xt, wt, stride=stride)
         g = rng.standard_normal(out.shape).astype(np.float32)
         dx, dw = out._backward_fn(g)
-        for got, ref in zip((out.data, dx, dw), dense_conv2d_f64(x, w, g, stride, k // 2)):
+        for got, ref in zip((out.data, dx, dw), dense_conv2d_f64(x, w, g, stride)):
             assert got.dtype == np.float32 and got.shape == ref.shape
             rel = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
             assert rel <= 4e-6, rel
@@ -207,18 +211,18 @@ class TestFloat32Accuracy:
 
 class TestPhaseGradients:
     """A strided conv's gradients against the float64 sliding-window oracle, where the stride's
-    phases of the padded input have unequal extents (odd extents, stride 3, no padding)."""
+    phases of the padded input have unequal extents (odd extents, stride 3)."""
 
-    @pytest.mark.parametrize("stride,padding,hw,k", [
-        (2, 0, (9, 8), 3), (3, 1, (8, 10), 3), (3, 2, (11, 7), 5), (2, 0, (7, 7), 1),
-    ], ids=["2-0-9x8", "3-1-8x10", "3-2-11x7-k5", "2-0-7-k1"])
-    def test_gradients_match_dense_float64(self, rng, stride, padding, hw, k):
+    @pytest.mark.parametrize("stride,hw,k", [
+        (3, (8, 10), 3), (3, (11, 7), 5), (2, (7, 7), 1),
+    ], ids=["3-1-8x10", "3-2-11x7-k5", "2-0-7-k1"])
+    def test_gradients_match_dense_float64(self, rng, stride, hw, k):
         x = rng.standard_normal((2, 3, *hw))
         w = rng.standard_normal((4, 3, k, k))
         with precision("f64"):
-            out = conv2d(tensor(x, requires_grad=True), tensor(w, requires_grad=True), stride=stride, padding=padding)
+            out = conv2d(tensor(x, requires_grad=True), tensor(w, requires_grad=True), stride=stride)
         g = rng.standard_normal(out.shape)
-        for got, ref in zip((out.data, *out._backward_fn(g)), dense_conv2d_f64(x, w, g, stride, padding)):
+        for got, ref in zip((out.data, *out._backward_fn(g)), dense_conv2d_f64(x, w, g, stride)):
             assert got.shape == ref.shape
             assert np.allclose(got, ref, rtol=0, atol=1e-12)
 
@@ -239,8 +243,8 @@ class TestBatchInvariance:
         x = rng.standard_normal((1, cin, size, size)).astype(np.float32)
         w = tensor(rng.standard_normal((cout, cin, k, k)).astype(np.float32))
         g = rng.standard_normal((1, cout, size, size)).astype(np.float32)
-        single = conv2d(tensor(x, requires_grad=True), w, padding=k // 2)
-        batch = conv2d(tensor(np.concatenate([x] * n), requires_grad=True), w, padding=k // 2)
+        single = conv2d(tensor(x, requires_grad=True), w)
+        batch = conv2d(tensor(np.concatenate([x] * n), requires_grad=True), w)
         dx_single = single._backward_fn(g)[0]
         dx_batch = batch._backward_fn(np.concatenate([g] * n))[0]
         for s in range(n):
@@ -254,9 +258,9 @@ class TestBatchInvariance:
         # to end, so a sample's windows sit elsewhere in a larger batch; its bits must not move.
         x = rng.standard_normal((1, cin, size, size)).astype(np.float32)
         w = tensor(rng.standard_normal((cout, cin, 3, 3)).astype(np.float32))
-        single = conv2d(tensor(x, requires_grad=True), w, stride=2, padding=1)
+        single = conv2d(tensor(x, requires_grad=True), w, stride=2)
         g = rng.standard_normal(single.shape).astype(np.float32)
-        batch = conv2d(tensor(np.concatenate([x] * n), requires_grad=True), w, stride=2, padding=1)
+        batch = conv2d(tensor(np.concatenate([x] * n), requires_grad=True), w, stride=2)
         dx_single = single._backward_fn(g)[0]
         dx_batch = batch._backward_fn(np.concatenate([g] * n))[0]
         for s in range(n):
@@ -272,7 +276,7 @@ class TestTapeMemory:
         w = tensor(rng.standard_normal((16, 16, 3, 3)).astype(np.float32), requires_grad=True)
         tracemalloc.start()
         try:
-            out = conv2d(x, w, padding=1)
+            out = conv2d(x, w)
             kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -289,7 +293,7 @@ class TestTapeMemory:
         w = tensor(rng.standard_normal((32, 16, 3, 3)).astype(np.float32), requires_grad=True)
         tracemalloc.start()
         try:
-            out = conv2d(x, w, stride=2, padding=1)
+            out = conv2d(x, w, stride=2)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -311,7 +315,7 @@ class TestLoweredBlocks:
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
-                out = conv2d(x, w, padding=1)
+                out = conv2d(x, w)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -327,7 +331,7 @@ class TestLoweredBlocks:
         gradients included. Holding it to the end read 1.43 and 1.47 MB."""
         x = tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
         w = tensor(rng.standard_normal((16, 32, 3, 3)).astype(np.float32), requires_grad=True)
-        out = conv2d(x, w, padding=1)
+        out = conv2d(x, w)
         g = rng.standard_normal(out.shape).astype(np.float32)
         tracemalloc.start()
         try:
@@ -377,21 +381,21 @@ class TestConcatenatedInput:
         parts = [rng.standard_normal((n, c, 12, 12)).astype(np.float32) for c in channels]
         w = rng.standard_normal((cout, sum(channels), k, k)).astype(np.float32)
         b = rng.standard_normal(cout).astype(np.float32)
-        _same_bits_as_plain(lambda x, ww, bb: conv2d(x, ww, bb, stride=stride, padding=k // 2), parts, 1, [w, b], rng)
+        _same_bits_as_plain(lambda x, ww, bb: conv2d(x, ww, bb, stride=stride), parts, 1, [w, b], rng)
 
     @pytest.mark.parametrize("axis", [0, 3])
     def test_concatenation_off_the_channel_axis_is_kept_whole(self, rng, axis):
         shapes = [(1, 3, 8, 8), (2, 3, 8, 8)] if axis == 0 else [(2, 3, 8, 5), (2, 3, 8, 3)]
         parts = [rng.standard_normal(s).astype(np.float32) for s in shapes]
         w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
-        _same_bits_as_plain(lambda x, ww: conv2d(x, ww, stride=2, padding=1), parts, axis, [w], rng)
+        _same_bits_as_plain(lambda x, ww: conv2d(x, ww, stride=2), parts, axis, [w], rng)
 
     def test_phase_buffer_takes_the_inputs_dtype(self, rng):
         """A float32 part beside a float64 one makes a float64 concatenation; its phase buffer is
         float64 too, so the float32 part is not rounded on its way in."""
         parts = [rng.standard_normal((2, 2, 9, 9)).astype(np.float32), rng.standard_normal((2, 3, 9, 9))]
         w = rng.standard_normal((4, 5, 3, 3))
-        _same_bits_as_plain(lambda x, ww: conv2d(x, ww, padding=1), parts, 1, [w], rng)
+        _same_bits_as_plain(lambda x, ww: conv2d(x, ww), parts, 1, [w], rng)
 
 
 # Bytes of Python objects a taped forward may leave besides its arrays: the node, its closure, cells.
@@ -430,7 +434,7 @@ class TestTapeKeepsNoDerivedBuffer:
     def test_taped_conv_keeps_only_its_output(self, rng, stride):
         x = tensor(rng.standard_normal((1, 16, 64, 64)).astype(np.float32), requires_grad=True)
         w = tensor(rng.standard_normal((16, 16, 3, 3)).astype(np.float32), requires_grad=True)
-        out, kept = _kept_bytes(lambda: conv2d(x, w, stride=stride, padding=1))
+        out, kept = _kept_bytes(lambda: conv2d(x, w, stride=stride))
         assert kept <= out.data.nbytes + TAPE_SLACK, f"{kept} bytes kept, output {out.data.nbytes}"
 
     def test_taped_transposed_conv_keeps_only_its_output(self, rng):
@@ -441,8 +445,8 @@ class TestTapeKeepsNoDerivedBuffer:
         assert kept <= out.data.nbytes + TAPE_SLACK, f"{kept} bytes kept, output {out.data.nbytes}"
 
     @pytest.mark.parametrize("op,shapes", [
-        (lambda x, w: conv2d(x, w, padding=1), [(2, 3, 9, 9), (4, 3, 3, 3)]),
-        (lambda x, w: conv2d(x, w, stride=2, padding=1), [(2, 3, 9, 9), (4, 3, 3, 3)]),
+        (lambda x, w: conv2d(x, w), [(2, 3, 9, 9), (4, 3, 3, 3)]),
+        (lambda x, w: conv2d(x, w, stride=2), [(2, 3, 9, 9), (4, 3, 3, 3)]),
         (conv_transpose2x, [(2, 3, 5, 5), (3, 4, 2, 2), (4,)]),
     ], ids=["conv2d", "conv2d-stride2", "conv_transpose2x"])
     def test_backward_reads_the_forwards_arrays(self, rng, op, shapes):

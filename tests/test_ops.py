@@ -551,7 +551,7 @@ class TestGradients:
         with precision("f64"):
             for name, case in ALL_CASES.items():
                 build, arrays = case(np.random.default_rng(zlib.crc32(name.encode())))
-                stack = [build(*(tensor(a, requires_grad=True) for a in arrays))]
+                stack = [build(*(tensor(a, requires_grad=True) for a in arrays))._node]
                 seen = set()
                 while stack:
                     node = stack.pop()

@@ -1,5 +1,7 @@
 """Binary PGM I/O: exact round trips, maxval scaling, header comments, malformed and fuzzed files."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,14 +70,18 @@ class TestMalformed:
             read_pgm(tmp_path / name)
         assert isinstance(err.value.__cause__, OSError)
 
-    @pytest.mark.parametrize("path", [None, 3.5, "a\0b"], ids=["none", "float", "nul-byte"])
+    @pytest.mark.parametrize("path", [None, 3.5, "a\0b", "fd"], ids=["none", "float", "nul-byte", "fd"])
     @pytest.mark.parametrize("write", [False, True], ids=["read", "write"])
-    def test_not_a_path_rejected_with_ingestion_error(self, path, write):
+    def test_not_a_path_rejected_with_ingestion_error(self, tmp_path, path, write):
+        if path == "fd":  # open() would take an int as a descriptor, and close it
+            path = os.open(write_bytes(tmp_path, b"P5\n2 2\n255\n\0\0\0\0"), os.O_RDWR)
         with pytest.raises(IngestionError, match="cannot"):
             if write:
                 write_pgm(path, np.zeros((2, 2)))
             else:
                 read_pgm(path)
+        if isinstance(path, int):
+            os.close(path)  # raises EBADF had the call closed it
 
     @pytest.mark.parametrize("name", ["missing/out.pgm", "."], ids=["missing-parent", "directory"])
     def test_unwritable_path_rejected_with_ingestion_error(self, tmp_path, name):

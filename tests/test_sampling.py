@@ -272,8 +272,13 @@ class TestBlockViews:
     def test_blockify_round_trip(self, rng):
         x = rng.standard_normal((1, 1, 8, 12)).astype(np.float32)
         blocks = blockify(tensor(x), 4)
-        back = unblockify(blocks, 4, (8, 12))
+        back = unblockify(blocks, (8, 12))
         assert np.array_equal(back.data, x)
+
+    @pytest.mark.parametrize("shape", [(6, 15), (6, 0), (16,)], ids=["width-15", "width-0", "1-d"])
+    def test_unblockify_needs_square_row_width(self, shape):
+        with pytest.raises(DimensionError):
+            unblockify(tensor(np.zeros(shape)), (8, 12))
 
     def test_blockify_row_major_flattening(self):
         x = np.arange(16.0).reshape(1, 1, 4, 4)

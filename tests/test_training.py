@@ -1,5 +1,6 @@
 """Training loop mechanics, determinism, and checkpoint persistence."""
 
+import os
 import struct
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from dualpath_cs.errors import (
     ConfigError,
     ContractError,
     DimensionError,
+    GeometryError,
     IngestionError,
     TrainingDivergenceError,
 )
@@ -62,7 +64,21 @@ def train(cfg, image, steps):
 class TestTrainConfig:
     def test_patch_alignment_enforced(self):
         with pytest.raises(ConfigError):
-            TrainConfig(patch_size=40, block_size=8)
+            TrainConfig(patch_size=36, block_size=8)
+
+    @pytest.mark.parametrize("patch", [24, 36, 40, 44, 48])
+    def test_patch_accepted_exactly_when_the_model_reconstructs_it(self, rng, patch):
+        """At B = 8 the model reconstructs every multiple of 8, not only the multiples of 4*B."""
+        fields = dict(block_size=8, stages=1, channels=4)
+        image = random_image(rng, patch)
+        if patch % 8:
+            with pytest.raises(GeometryError):
+                build_model(tiny_config(**fields))(tensor(image.reshape(1, 1, patch, patch)))
+            with pytest.raises(ConfigError, match="not divisible by block size 8"):
+                tiny_config(**fields, patch_size=patch)
+        else:
+            _, [(loss, trace)] = train(tiny_config(**fields, patch_size=patch), image, steps=1)
+            assert np.isfinite(loss) and trace.output.shape == (1, 1, patch, patch)
 
     def test_rho_range(self):
         with pytest.raises(ConfigError):
@@ -400,14 +416,20 @@ class TestCheckpoint:
             load_checkpoint(tmp_path / name)
         assert isinstance(err.value.__cause__, OSError)
 
-    @pytest.mark.parametrize("path", [None, 3.5, "a\0b"], ids=["none", "float", "nul-byte"])
+    @pytest.mark.parametrize("path", [None, 3.5, "a\0b", "fd"], ids=["none", "float", "nul-byte", "fd"])
     @pytest.mark.parametrize("write", [False, True], ids=["load", "save"])
-    def test_not_a_path_rejected_with_checkpoint_error(self, path, write):
+    def test_not_a_path_rejected_with_checkpoint_error(self, tmp_path, path, write):
+        model = build_model(tiny_config())
+        if path == "fd":  # open() would take an int as a descriptor, and close it
+            save_checkpoint(tmp_path / "model.ckpt", model)
+            path = os.open(tmp_path / "model.ckpt", os.O_RDWR)
         with pytest.raises(CheckpointError, match="cannot"):
             if write:
-                save_checkpoint(path, build_model(tiny_config()))
+                save_checkpoint(path, model)
             else:
                 load_checkpoint(path)
+        if isinstance(path, int):
+            os.close(path)  # raises EBADF had the call closed it
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -14,11 +14,12 @@ as
     PYTHONPATH=src python tools/conv_shapes.py [--repeats R]
 
 BLAS runs on one thread, as in the benchmark. A shared host's speed drifts by
-tens of percent between runs, so, as the benchmark scales `step_s`, each run
+tens of percent between runs, so, as the benchmark scales each step, each run
 times the benchmark's calibration kernel (`perfbench/calibration.py`) before
-each timed repeat and after the last one, prints its median as `kernel_ms=` on
-the run's header line, and scales every ms it prints by REFERENCE_S over that
-median: the figures read as ms on a host where the kernel takes REFERENCE_S.
+each timed repeat and after the last one, and scales every time taken in a
+repeat by REFERENCE_S over the mean of the kernel times just before and after
+it: the figures read as ms on a host where the kernel takes REFERENCE_S. The
+run's header line prints the kernel's median as `kernel_ms=`.
 """
 
 import argparse
@@ -49,10 +50,10 @@ DATA_SEED = 0
 def _timed(conv, times):
     """`conv` that appends (shape key, 'fwd' or 'bwd', seconds) to `times` for itself and its backward."""
 
-    def call(x, w, b=None, stride=1, padding=0):
+    def call(x, w, b=None, stride=1):
         key = (x.shape, w.shape[0], w.shape[2], stride)
         start = perf_counter()
-        out = conv(x, w, b, stride=stride, padding=padding)
+        out = conv(x, w, b, stride=stride)
         times.append((key, "fwd", perf_counter() - start))
         if out.requires_grad:
             bwd = out._backward_fn
@@ -71,13 +72,14 @@ def _timed(conv, times):
 
 def measure(patch, batch, train, repeats):
     """({shape key: (calls per run, median fwd ms, median bwd ms or None)} over `repeats` timed
-    runs, the median calibration kernel ms around them); the shapes' ms are not scaled."""
+    runs, each scaled by the calibration kernel times around its run, and the median kernel ms)."""
     config = training.TrainConfig(patch_size=patch, batch_size=batch)
     model = training.build_model(config)
     rng = np.random.default_rng(DATA_SEED)
     target = tensor(rng.uniform(0.0, 1.0, (batch, 1, patch, patch)))
     times = []
-    kernel = []
+    kernel = []  # seconds, before each timed run and after the last
+    starts = []  # where each timed run's entries in `times` begin
     conv = nn.conv2d
     nn.conv2d = _timed(conv, times)
     try:
@@ -86,6 +88,7 @@ def measure(patch, batch, train, repeats):
                 times.clear()  # the warm-up run
             if run >= 1:
                 kernel.append(kernel_seconds())
+                starts.append(len(times))
             if train:
                 ops.mse(model(target).output, target).backward()
                 for p in model.parameters():
@@ -96,6 +99,11 @@ def measure(patch, batch, train, repeats):
         kernel.append(kernel_seconds())
     finally:
         nn.conv2d = conv
+    starts.append(len(times))
+    for run, (before, after) in enumerate(zip(kernel, kernel[1:])):
+        run_times = slice(starts[run], starts[run + 1])
+        scale = 2 * REFERENCE_S / (before + after)
+        times[run_times] = [(key, kind, t * scale) for key, kind, t in times[run_times]]
     table = {}
     for key in dict.fromkeys(key for key, _, _ in times):
         fwd = [t for k, kind, t in times if k == key and kind == "fwd"]
@@ -112,15 +120,14 @@ def main(argv=None):
         parser.error("--repeats must be at least 1")
     for label, patch, batch, train in RUNS:
         table, kernel_ms = measure(patch, batch, train, args.repeats)
-        scale = 1e3 * REFERENCE_S / kernel_ms
         calls = sum(c for c, _, _ in table.values())
-        fwd = scale * sum(c * f for c, f, _ in table.values())
-        bwd = scale * sum(c * b for c, _, b in table.values() if b is not None)
+        fwd = sum(c * f for c, f, _ in table.values())
+        bwd = sum(c * b for c, _, b in table.values() if b is not None)
         print(f"{label} calls={calls} fwd_ms={fwd:.2f} bwd_ms={bwd:.2f} kernel_ms={kernel_ms:.2f}")
         for (shape, cout, k, stride), (calls, fwd, bwd) in sorted(table.items(), key=lambda item: -item[1][1] * item[1][0]):
             n, cin, h, w = shape
-            bwd_text = "-" if bwd is None else f"{scale * bwd:.3f}"
-            print(f"  {n}x{cin}x{h}x{w} cout={cout} k={k} s={stride} calls={calls} fwd_ms={scale * fwd:.3f} bwd_ms={bwd_text}")
+            bwd_text = "-" if bwd is None else f"{bwd:.3f}"
+            print(f"  {n}x{cin}x{h}x{w} cout={cout} k={k} s={stride} calls={calls} fwd_ms={fwd:.3f} bwd_ms={bwd_text}")
 
 
 if __name__ == "__main__":
