@@ -28,9 +28,9 @@ its phase buffer part by part; mul rebuilds the concatenation with `joined`).
 A closure captures the arrays themselves, never `t.data` at backward time:
 `Adam.step` rebinds a parameter's `.data`.
 
-Precision is a process-global switch: float32 for training/inference and a
-float64 mode for gradient verification (finite differences in float32 are too
-noisy to check against).
+Precision is process-global: float32 for training and inference, and float64
+inside `precision("f64")`, the one way to switch it, for gradient verification
+(finite differences in float32 are too noisy to check against).
 """
 
 import heapq
@@ -49,24 +49,18 @@ _check_finite = False
 _creation = count()
 
 
-def set_default_dtype(mode):
-    """Set the global precision, 'f32' or 'f64'."""
-    global _default_dtype
-    if mode not in _DTYPES:
-        raise ContractError(f"unknown precision {mode!r}, expected 'f32' or 'f64'")
-    _default_dtype = _DTYPES[mode]
-
-
 def default_dtype():
     return _default_dtype
 
 
 @contextmanager
 def precision(mode):
-    """Temporarily switch the global precision."""
+    """Temporarily switch the global precision to 'f32' or 'f64'."""
     global _default_dtype
+    if mode not in _DTYPES:
+        raise ContractError(f"unknown precision {mode!r}, expected 'f32' or 'f64'")
     saved = _default_dtype
-    set_default_dtype(mode)
+    _default_dtype = _DTYPES[mode]
     try:
         yield
     finally:
@@ -86,11 +80,11 @@ def no_grad():
 
 
 @contextmanager
-def finite_checks(enabled=True):
-    """Check every op output and backward gradient for NaN/Inf (slow; meant for tests)."""
+def finite_checks():
+    """Check every op output and backward gradient for NaN/Inf inside the block (slow; meant for tests)."""
     global _check_finite
     saved = _check_finite
-    _check_finite = enabled
+    _check_finite = True
     try:
         yield
     finally:

@@ -19,6 +19,11 @@ def is_finite_real(value):
         return False
 
 
+def is_real_array(array):
+    """An ndarray of bools, integers or real floats: not complex, strings or objects."""
+    return array.dtype.kind in "biuf"
+
+
 class DualPathError(Exception):
     """Base class for all package errors."""
 

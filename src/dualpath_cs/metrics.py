@@ -5,7 +5,8 @@ import math
 import numpy as np
 
 from .autograd import Tensor
-from .errors import ConfigError, ContractError, DimensionError, GeometryError, NumericsError, is_finite_real, is_integer
+from .errors import (ConfigError, ContractError, DimensionError, GeometryError, NumericsError, is_finite_real,
+                     is_integer, is_real_array)
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
@@ -14,7 +15,11 @@ SSIM_K2 = 0.03
 
 
 def _as_array(x):
-    return x.data if isinstance(x, Tensor) else np.asarray(x)
+    """x's array; ContractError unless it holds bools, integers or real floats."""
+    arr = x.data if isinstance(x, Tensor) else np.asarray(x)
+    if not is_real_array(arr):
+        raise ContractError(f"expected a real-valued array, got dtype {arr.dtype}")
+    return arr
 
 
 def _require_finite(metric, *arrays):
@@ -28,9 +33,9 @@ def psnr(a, b):
     Reports must render the infinite case as a distinguished "identical"
     outcome rather than a number. An MSE below float64's normal range is taken
     of the difference scaled by its largest magnitude, so unequal inputs get a
-    finite PSNR however small their difference. Empty images raise
-    DimensionError, and a non-finite pixel or an error past float64's range
-    raises NumericsError.
+    finite PSNR however small their difference. Images that are not bool, integer
+    or real float raise ContractError, empty images DimensionError, and a
+    non-finite pixel or an error past float64's range NumericsError.
     """
     av, bv = _as_array(a), _as_array(b)
     if av.shape != bv.shape:
@@ -66,10 +71,9 @@ def _windowed_mean(img, kernel):
 
 def ssim(a, b):
     """Single-scale SSIM: 11x11 Gaussian window sigma 1.5, K1/K2 = 0.01/0.03,
-    dynamic range 1.0, averaged over valid (unpadded) positions. Images whose
-    windowed second moments overflow float64 raise NumericsError."""
-    av, bv = _as_array(a).astype(np.float64), _as_array(b).astype(np.float64)
-    av, bv = av.squeeze(), bv.squeeze()
+    dynamic range 1.0, averaged over valid (unpadded) positions. Images not of bools, integers
+    or real floats raise ContractError, and windowed second moments past float64 NumericsError."""
+    av, bv = _as_array(a).astype(np.float64).squeeze(), _as_array(b).astype(np.float64).squeeze()
     if av.shape != bv.shape:
         raise DimensionError(f"ssim shapes differ: {av.shape} vs {bv.shape}")
     _require_finite("ssim", av, bv)

@@ -66,7 +66,6 @@ class DualPathModel(Module):
 
     def __init__(self, gamma, split, block_size, stages, channels, rho, seed):
         check_architecture(stages, channels, rho)
-        self.block_size = block_size
         self.sampler = build_dual_sampler(gamma, split, block_size, seed)  # it refuses a bad seed
         rng = np.random.default_rng(seed)
         self.fusion = Conv2d(2, 1, 3, rng)
@@ -75,9 +74,9 @@ class DualPathModel(Module):
 
     def reconstruct(self, y1, y2, hw):
         """Run the hyperprior branch and all K stages on given measurements."""
-        check_extents(hw, self.block_size)
+        check_extents(hw, self.sampler.phi1.block_size)
         x, x1, gram1, gram, back = initial_recon(self.sampler, y1, y2, self.fusion, hw)
-        signal, guidance = self.hyperprior(x1, gram1, self.block_size)
+        signal, guidance = self.hyperprior(x1, gram1, self.sampler.phi1.block_size)
         del x1, gram1  # the stages need only G and b; without a tape this frees them
         stages, step_maps = [x], []
         z = (0.0,) * 3  # stage 1 carries no U-Net features: a zero at every scale

@@ -11,6 +11,8 @@ from .autograd import Tensor, default_dtype
 from .conv import conv2d, conv_transpose2x
 from .errors import ConfigError, ContractError, is_finite_real
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
@@ -139,22 +141,20 @@ class ChannelGate(Module):
         return ops.mul(x, ops.transpose(gate, (0, 3, 1, 2)))
 
 
-def adam_settings(lr, betas):
-    """(lr, beta1, beta2) as floats; ConfigError unless, as floats, lr >= 0 and both betas lie in [0, 1)."""
+def adam_settings(lr):
+    """lr as a float; ConfigError unless it is a finite number >= 0 as a float."""
     if not (is_finite_real(lr) and float(lr) >= 0.0):
         raise ConfigError(f"lr must be a finite number >= 0, got {lr!r}")
-    if not (isinstance(betas, (tuple, list)) and len(betas) == 2
-            and all(is_finite_real(b) and 0.0 <= float(b) < 1.0 for b in betas)):
-        raise ConfigError(f"betas must be two numbers in [0, 1), got {betas!r}")
-    return float(lr), float(betas[0]), float(betas[1])
+    return float(lr)
 
 
 class Adam:
-    """Adam with bias correction; clears gradients after each step. lr=0 updates nothing."""
+    """Adam with bias correction and betas `ADAM_BETA1`, `ADAM_BETA2`; clears gradients after
+    each step. lr=0 updates nothing."""
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999):
+    def __init__(self, params, lr):
         self.params = list(params)
-        self.lr, self.beta1, self.beta2 = adam_settings(lr, (beta1, beta2))
+        self.lr = adam_settings(lr)
 
     def step(self):
         """Update every parameter, or none: a missing gradient raises before any update."""
@@ -165,9 +165,9 @@ class Adam:
             g = p.grad
             p.step_count += 1
             t = p.step_count
-            p.adam_m = self.beta1 * p.adam_m + (1.0 - self.beta1) * g
-            p.adam_v = self.beta2 * p.adam_v + (1.0 - self.beta2) * (g * g)
-            m_hat = p.adam_m / (1.0 - self.beta1 ** t)
-            v_hat = p.adam_v / (1.0 - self.beta2 ** t)
+            p.adam_m = ADAM_BETA1 * p.adam_m + (1.0 - ADAM_BETA1) * g
+            p.adam_v = ADAM_BETA2 * p.adam_v + (1.0 - ADAM_BETA2) * (g * g)
+            m_hat = p.adam_m / (1.0 - ADAM_BETA1 ** t)
+            v_hat = p.adam_v / (1.0 - ADAM_BETA2 ** t)
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             p.grad = None

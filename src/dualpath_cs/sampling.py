@@ -58,16 +58,20 @@ def check_block_size(block_size):
 
 
 class BlockSensingMatrix(Module):
-    """One learnable per-block sensing matrix of shape [rows, B*B]."""
+    """One learnable per-block sensing matrix. Its weights fix its geometry: they must be
+    [rows, B*B] with B >= 2 and 1 <= rows <= B*B, or DimensionError is raised."""
 
-    def __init__(self, rows, block_size, weights):
-        check_block_size(block_size)
-        if not (is_integer(rows) and 1 <= rows <= block_size * block_size):
-            raise ConfigError(f"rows must be an integer in [1, B^2], got {rows!r} for B={block_size}")
-        self.block_size = block_size
+    def __init__(self, weights):
         self.weights = Parameter(weights)
-        if self.weights.shape != (rows, block_size * block_size):
-            raise DimensionError(f"weights must be [{rows}, {block_size * block_size}], got {self.weights.shape}")
+        shape = self.weights.shape
+        b = math.isqrt(shape[1]) if len(shape) == 2 else 0
+        if b < 2 or b * b != shape[1] or not 1 <= shape[0] <= b * b:
+            raise DimensionError(f"weights must be [rows, B*B] with B >= 2 and 1 <= rows <= B*B, got {shape}")
+
+    @property
+    def block_size(self):
+        """B, the integer square root of the weights' width."""
+        return math.isqrt(self.weights.shape[1])
 
     def measure(self, blocks):
         """Measure `blockify`'s rows [N*num_blocks, B*B]: [N*num_blocks, rows]."""
@@ -121,7 +125,7 @@ def build_dual_sampler(gamma, split, block_size, seed):
     dt = default_dtype()
     w1 = (rng.standard_normal((m1, block_size * block_size)) * sigma).astype(dt)
     w2 = (rng.standard_normal((m2, block_size * block_size)) * sigma).astype(dt)
-    return DualSampler(BlockSensingMatrix(m1, block_size, w1), BlockSensingMatrix(m2, block_size, w2))
+    return DualSampler(BlockSensingMatrix(w1), BlockSensingMatrix(w2))
 
 
 def sample(sampler, x):

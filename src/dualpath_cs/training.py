@@ -8,7 +8,7 @@ import numpy as np
 from . import ops
 from .autograd import tensor
 from .errors import (ConfigError, ContractError, DimensionError, GeometryError, IngestionError, TrainingDivergenceError,
-                     is_integer)
+                     is_integer, is_real_array)
 from .model import DualPathModel, check_architecture, check_extents
 from .nn import Adam, adam_settings
 from .sampling import split_rows
@@ -16,6 +16,9 @@ from .sampling import split_rows
 
 @dataclass
 class TrainConfig:
+    """A training run's settings; Adam's betas are the constants `nn.ADAM_BETA1` and `ADAM_BETA2`.
+    `batch_size` is validated but read nowhere in the package, and `patch_size` only feeds the extent check."""
+
     gamma: float = 0.25
     split: tuple = (1, 4)
     block_size: int = 8
@@ -23,7 +26,6 @@ class TrainConfig:
     channels: int = 16
     rho: float = 0.5
     lr: float = 1e-4
-    betas: tuple = (0.9, 0.999)
     batch_size: int = 4
     patch_size: int = 64
     seed: int = 0
@@ -42,16 +44,14 @@ class TrainConfig:
             check_extents((self.patch_size, self.patch_size), self.block_size)
         except GeometryError as err:
             raise ConfigError(str(err)) from None
-        if adam_settings(self.lr, self.betas)[0] == 0.0:
+        if adam_settings(self.lr) == 0.0:
             raise ConfigError(f"lr must be positive as a float, got {self.lr!r}")
-        self.betas = tuple(self.betas)
         if not isinstance(self.freeze_sampler, bool):
             raise ConfigError(f"freeze_sampler must be a bool, got {self.freeze_sampler!r}")
 
     def to_dict(self):
         d = asdict(self)
         d["split"] = list(self.split)
-        d["betas"] = list(self.betas)
         return d
 
     @classmethod
@@ -85,36 +85,25 @@ def build_model(config):
 def build_optimizer(model, config):
     """Adam over the model's parameters that take gradients."""
     params = [p for p in model.parameters() if p.requires_grad]
-    return Adam(params, lr=config.lr, beta1=config.betas[0], beta2=config.betas[1])
+    return Adam(params, lr=config.lr)
 
 
-def extract_patches(image, patch, stride=None, augment=False, seed=0):
-    """Tile an [H,W] image into [1,1,patch,patch] arrays, row-major, optionally
-    flipped/rotated (each with probability 1/2, seeded)."""
-    arr = np.asarray(image, dtype=np.float64)
+def extract_patches(image, patch):
+    """Tile an [H,W] image into non-overlapping [1,1,patch,patch] float64 arrays, row-major, dropping
+    edge pixels that fill no whole tile. An image not 2-d, real-valued and one tile wide raises IngestionError."""
+    if not (is_integer(patch) and patch >= 1):
+        raise ContractError(f"patch must be an integer >= 1, got {patch!r}")
+    arr = np.asarray(image)
+    if not is_real_array(arr):
+        raise IngestionError(f"expected a real-valued image, got dtype {arr.dtype}")
     if arr.ndim != 2:
         raise IngestionError(f"expected a 2-d grayscale image, got shape {arr.shape}")
-    stride = patch if stride is None else stride
-    for name, value, least in (("patch", patch, 1), ("stride", stride, 1), ("seed", seed, 0)):
-        if not (is_integer(value) and value >= least):
-            raise ContractError(f"{name} must be an integer >= {least}, got {value!r}")
     h, w = arr.shape
     if h < patch or w < patch:
         raise IngestionError(f"image {h}x{w} smaller than patch {patch}")
-    rng = np.random.default_rng(seed)
-    patches = []
-    for i in range(0, h - patch + 1, stride):
-        for j in range(0, w - patch + 1, stride):
-            tile = arr[i:i + patch, j:j + patch].copy()
-            if augment:
-                if rng.random() < 0.5:
-                    tile = tile[:, ::-1]
-                if rng.random() < 0.5:
-                    tile = tile[::-1, :]
-                if rng.random() < 0.5:
-                    tile = np.rot90(tile)
-            patches.append(np.ascontiguousarray(tile).reshape(1, 1, patch, patch))
-    return patches
+    rows, cols = h // patch, w // patch
+    tiles = arr[:rows * patch, :cols * patch].astype(np.float64).reshape(rows, patch, cols, patch)
+    return list(tiles.transpose(0, 2, 1, 3).reshape(rows * cols, 1, 1, patch, patch))
 
 
 def train_step(batch, model, optimizer):
@@ -122,8 +111,9 @@ def train_step(batch, model, optimizer):
 
     The patches run stacked as one [N,1,H,W] batch through one forward and one
     backward of the MSE over all of them. An empty batch, or an optimizer with a
-    parameter not of `model`, raises ContractError, and patches not all [1,1,H,W]
-    of one extent raise DimensionError, each before the forward pass. Every model
+    parameter not of `model`, raises ContractError, patches not all [1,1,H,W]
+    of one extent raise DimensionError, and a patch that is not bool, integer or
+    real float raises IngestionError, each before the forward pass. Every model
     parameter ends the step with no gradient, whether the step succeeds or raises, so a frozen
     parameter or a failed step leaves nothing for the next backward to add to.
     The backward pass consumes the tape, so the returned traces hold values but
@@ -134,6 +124,9 @@ def train_step(batch, model, optimizer):
     shapes = sorted({np.shape(item) for item in batch})
     if len(shapes) != 1 or len(shapes[0]) != 4 or shapes[0][:2] != (1, 1):
         raise DimensionError(f"train_step expects [1,1,H,W] patches of one extent, got {shapes}")
+    for item in batch:
+        if not is_real_array(arr := np.asarray(item)):
+            raise IngestionError(f"train_step expects bool, integer or real float patches, got dtype {arr.dtype}")
     params = model.parameters()
     owned = {id(p) for p in params}
     for p in optimizer.params:

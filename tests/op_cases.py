@@ -189,7 +189,7 @@ def case_data_grad_gram(rng):
     x = rng.standard_normal((1, 1, 4, 6))
     w1, w2 = rng.standard_normal((2, 4)), rng.standard_normal((1, 4))
     back = rng.standard_normal((1, 1, 4, 6))
-    phi1, phi2 = BlockSensingMatrix(2, 2, w1), BlockSensingMatrix(1, 2, w2)
+    phi1, phi2 = BlockSensingMatrix(w1), BlockSensingMatrix(w2)
     reduce = _weighted((1, 1, 4, 6), rng)
 
     def build(xx, ww1, ww2, bb):

@@ -196,7 +196,7 @@ class TestBranch:
         with precision("f64"):
             # Square orthonormal phi1: the adjoint back-projection of y1 = phi1 x is x.
             q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-            sampler = DualSampler(BlockSensingMatrix(4, 2, q), BlockSensingMatrix(1, 2, q[:1].copy()))
+            sampler = DualSampler(BlockSensingMatrix(q), BlockSensingMatrix(q[:1].copy()))
             branch = HyperpriorBranch(8, 0.5, np.random.default_rng(1))
             y1, _ = sample(sampler, tensor(rng.standard_normal((1, 1, 8, 8))))
             signal, _ = self._run(branch, sampler, y1)

@@ -93,6 +93,22 @@ class TestPsnr:
             psnr(np.array([1e300, 0.0]), np.array([-1e300, 0.0]))
 
 
+class TestRealInput:
+    @pytest.mark.parametrize("metric", [psnr, ssim], ids=["psnr", "ssim"])
+    @pytest.mark.parametrize("dtype", [complex, str, object], ids=["complex", "str", "object"])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_real_image_rejected(self, rng, metric, dtype, side):
+        # Complex images scored their real part; strings leaked a bare TypeError or ValueError.
+        images = [rng.uniform(0, 1, (16, 16)) for _ in range(2)]
+        images[side] = images[side].astype(dtype)
+        with pytest.raises(ContractError, match="real-valued"):
+            metric(*images)
+
+    def test_psnr_of_strings_rejected(self):
+        with pytest.raises(ContractError):
+            psnr("ab", "cd")
+
+
 class TestGaussianNoise:
     def test_seed_fixes_the_noise(self):
         y = np.zeros(32)

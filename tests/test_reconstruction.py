@@ -32,8 +32,8 @@ def orthonormal_dual_sampler(block_size, seed):
     rows = q.T.astype(np.float64)
     half = n // 2
     return DualSampler(
-        BlockSensingMatrix(half, block_size, rows[:half].copy()),
-        BlockSensingMatrix(n - half, block_size, rows[half:].copy()),
+        BlockSensingMatrix(rows[:half].copy()),
+        BlockSensingMatrix(rows[half:].copy()),
     )
 
 
@@ -140,9 +140,8 @@ class TestGradientStep:
 
     def test_matches_dense_matrix_oracle(self, rng):
         with precision("f64"):
-            b = 2
-            phi1 = BlockSensingMatrix(2, b, rng.standard_normal((2, 4)))
-            phi2 = BlockSensingMatrix(3, b, rng.standard_normal((3, 4)))
+            phi1 = BlockSensingMatrix(rng.standard_normal((2, 4)))
+            phi2 = BlockSensingMatrix(rng.standard_normal((3, 4)))
             sampler = DualSampler(phi1, phi2)
             from test_sampling import dense_block_operator
 
@@ -163,8 +162,8 @@ class TestGradientStep:
         # Value and gradients w.r.t. x, phi1 and phi2: phi reaches the Gram
         # form through G = phiT phi (both factors) and through b = phiT y.
         with precision("f64"):
-            sampler = DualSampler(BlockSensingMatrix(3, 4, rng.standard_normal((3, 16))),
-                                  BlockSensingMatrix(5, 4, rng.standard_normal((5, 16))))
+            sampler = DualSampler(BlockSensingMatrix(rng.standard_normal((3, 16))),
+                                  BlockSensingMatrix(rng.standard_normal((5, 16))))
             y1, y2 = (tensor(y.data) for y in sample(sampler, tensor(rng.standard_normal((1, 1, 8, 12)))))
             x = rng.standard_normal((1, 1, 8, 12))
             p = tensor(rng.uniform(0.1, 0.9, (1, 1, 8, 12)))

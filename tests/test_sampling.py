@@ -101,7 +101,7 @@ class TestSampleAdjoint:
 
     def test_single_row_selects_top_left_pixel(self, rng):
         w1 = np.array([[1.0, 0.0, 0.0, 0.0]], dtype=np.float32)
-        phi = BlockSensingMatrix(1, 2, w1)
+        phi = BlockSensingMatrix(w1)
         x = rng.standard_normal((1, 1, 4, 4)).astype(np.float32)
         y = phi.measure(blockify(tensor(x), phi.block_size))
         expect = x[0, 0, ::2, ::2].reshape(-1, 1)
@@ -115,7 +115,7 @@ class TestSampleAdjoint:
         assert np.allclose(y1a.data, 2.5 * y1b.data, atol=1e-5)
 
     def test_identity_matrix_round_trip(self, rng):
-        phi = BlockSensingMatrix(4, 2, np.eye(4, dtype=np.float32))
+        phi = BlockSensingMatrix(np.eye(4, dtype=np.float32))
         x = rng.standard_normal((1, 1, 6, 4)).astype(np.float32)
         xt = tensor(x)
         back = phi.adjoint(phi.measure(blockify(xt, phi.block_size)), (6, 4))
@@ -128,7 +128,7 @@ class TestSampleAdjoint:
                 rows = int(rng.integers(1, b * b + 1))
                 grid = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
                 hw = (grid[0] * b, grid[1] * b)
-                phi = BlockSensingMatrix(rows, b, rng.standard_normal((rows, b * b)))
+                phi = BlockSensingMatrix(rng.standard_normal((rows, b * b)))
                 x = tensor(rng.standard_normal((1, 1) + hw))
                 y = tensor(rng.standard_normal((grid[0] * grid[1], rows)))
                 lhs = float(np.sum(phi.measure(blockify(x, phi.block_size)).data * y.data))
@@ -138,7 +138,7 @@ class TestSampleAdjoint:
 
     def test_matches_dense_operator(self, rng):
         with precision("f64"):
-            phi = BlockSensingMatrix(3, 2, rng.standard_normal((3, 4)))
+            phi = BlockSensingMatrix(rng.standard_normal((3, 4)))
             x = rng.standard_normal((1, 1, 4, 4))
             dense = dense_block_operator(phi, (4, 4))
             y = phi.measure(blockify(tensor(x), phi.block_size))
@@ -162,40 +162,38 @@ class TestSampleAdjoint:
             sample(sampler, tensor(np.zeros((1, 1, 6, 8))))
 
     def test_wrong_block_count_rejected(self):
-        phi = BlockSensingMatrix(2, 2, np.zeros((2, 4), dtype=np.float32))
+        phi = BlockSensingMatrix(np.zeros((2, 4), dtype=np.float32))
         with pytest.raises(DimensionError):
             phi.adjoint(tensor(np.zeros((3, 2))), (4, 4))
 
     def test_adjoint_to_indivisible_extents_rejected(self):
         # Six rows are no whole number of 4-row blocks.
-        phi = BlockSensingMatrix(2, 4, np.zeros((2, 16), dtype=np.float32))
+        phi = BlockSensingMatrix(np.zeros((2, 16), dtype=np.float32))
         with pytest.raises(GeometryError):
             phi.adjoint(tensor(np.zeros((1, 2))), (6, 4))
 
 
 class TestSensingMatrixChecks:
-    @pytest.mark.parametrize("rows,block_size", [
-        (2.5, 2), (np.float64(2.0), 2), (True, 2), (0, 2), (5, 2),
-        (1, "x"), (1, 1), (1, 2.0), (1, None),
-    ])
+    @pytest.mark.parametrize("rows,block_size", [(0, 2), (5, 2), (1, 1)])
     def test_bad_rows_or_block_size_rejected(self, rows, block_size):
-        with pytest.raises(ConfigError):
-            BlockSensingMatrix(rows, block_size, np.zeros((2, 4)))
+        with pytest.raises(DimensionError):
+            BlockSensingMatrix(np.zeros((rows, block_size * block_size)))
 
-    @pytest.mark.parametrize("shape", [(5, 64), (3, 63), (3, 8, 8), (64,)])
+    @pytest.mark.parametrize("shape", [(65, 64), (3, 63), (3, 8, 8), (64,), (3, 0), (3, 2)])
     def test_weights_must_be_rows_by_block_area(self, shape):
         with pytest.raises(DimensionError):
-            BlockSensingMatrix(3, 8, np.zeros(shape))
+            BlockSensingMatrix(np.zeros(shape))
 
-    def test_numpy_integer_extents_accepted(self):
-        phi = BlockSensingMatrix(np.int64(3), np.int64(8), np.zeros((3, 64)))
-        assert phi.weights.shape == (3, 64)
+    @pytest.mark.parametrize("rows,block_size", [(1, 2), (4, 2), (3, 8), (64, 8)])
+    def test_block_size_read_off_the_weights(self, rows, block_size):
+        phi = BlockSensingMatrix(np.zeros((rows, block_size * block_size)))
+        assert (phi.weights.shape[0], phi.block_size) == (rows, block_size)
 
 
 class TestDataGrad:
     def test_consistent_estimate_zero_gradient(self, rng):
         with precision("f64"):
-            phi = BlockSensingMatrix(4, 2, np.eye(4))
+            phi = BlockSensingMatrix(np.eye(4))
             x = tensor(rng.standard_normal((1, 1, 4, 4)))
             y = phi.measure(blockify(x, phi.block_size))
             g = data_grad(phi.gram(), x, phi.adjoint(y, (4, 4)))
@@ -203,7 +201,7 @@ class TestDataGrad:
 
     def test_dense_oracle_with_zero_measurements(self, rng):
         with precision("f64"):
-            phi = BlockSensingMatrix(3, 2, rng.standard_normal((3, 4)))
+            phi = BlockSensingMatrix(rng.standard_normal((3, 4)))
             dense = dense_block_operator(phi, (4, 4))
             x = rng.standard_normal((1, 1, 4, 4))
             y = tensor(np.zeros((4, 3)))
@@ -212,7 +210,7 @@ class TestDataGrad:
 
     def test_joint_linearity(self, rng):
         with precision("f64"):
-            phi = BlockSensingMatrix(2, 2, rng.standard_normal((2, 4)))
+            phi = BlockSensingMatrix(rng.standard_normal((2, 4)))
             x = tensor(rng.standard_normal((1, 1, 4, 4)))
             y = tensor(rng.standard_normal((4, 2)))
             full = data_grad(phi.gram(), x, phi.adjoint(y, (4, 4))).data

@@ -98,9 +98,9 @@ class TestTrainConfig:
             TrainConfig.from_dict(None)
 
     @pytest.mark.parametrize("field,value", [
-        ("lr", float("nan")), ("betas", (1.5, 0.999)), ("batch_size", 2.5), ("patch_size", 0),
+        ("lr", float("nan")), ("split", (1, -2)), ("batch_size", 2.5), ("patch_size", 0),
         ("stages", 0), ("channels", 0), ("channels", -3), ("split", (1,)), ("seed", -1),
-        ("gamma", "0.5"), ("block_size", 4.0), ("rho", float("nan")), ("betas", None),
+        ("gamma", "0.5"), ("block_size", 4.0), ("rho", float("nan")), ("lr", None),
         ("freeze_sampler", "no"),
         pytest.param("block_size", 10**200, id="block_size-1e200"),
         pytest.param("lr", 10**400, id="lr-1e400"),
@@ -154,35 +154,32 @@ class TestExtractPatches:
         assert patches[0].shape == (1, 1, 128, 128)
 
     def test_tiling_count(self, rng):
-        patches = extract_patches(rng.uniform(0, 1, (256, 256)), 128, stride=128)
+        patches = extract_patches(rng.uniform(0, 1, (256, 256)), 128)
         assert len(patches) == 4
 
-    def test_determinism(self, rng):
-        img = rng.uniform(0, 1, (64, 64))
-        a = extract_patches(img, 32, augment=True, seed=5)
-        b = extract_patches(img, 32, augment=True, seed=5)
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    def test_row_major_tiles_drop_the_incomplete_edge(self, rng):
+        img = rng.uniform(0, 1, (70, 70))
+        patches = extract_patches(img, 32)
+        expect = [img[i:i + 32, j:j + 32] for i in (0, 32) for j in (0, 32)]
+        assert len(patches) == 4
+        for got, tile in zip(patches, expect):
+            assert got.shape == (1, 1, 32, 32) and got.dtype == np.float64
+            assert np.array_equal(got[0, 0], tile)
 
     def test_too_small_rejected(self, rng):
         with pytest.raises(IngestionError):
             extract_patches(rng.uniform(0, 1, (16, 16)), 32)
 
-    @pytest.mark.parametrize("patch,stride", [
-        (-4, None), (0, None), (4.0, None), (True, None), ("4", None),
-        (4, 0), (4, -4), (4, 2.5), (4, False),
-    ])
-    def test_bad_patch_or_stride_rejected(self, rng, patch, stride):
+    @pytest.mark.parametrize("patch", [-4, 0, 4.0, True, "4"])
+    def test_bad_patch_rejected(self, rng, patch):
         with pytest.raises(ContractError):
-            extract_patches(rng.uniform(0, 1, (16, 16)), patch, stride=stride)
+            extract_patches(rng.uniform(0, 1, (16, 16)), patch)
 
-    def test_explicit_stride_overlaps(self, rng):
-        assert len(extract_patches(rng.uniform(0, 1, (16, 16)), 8, stride=4)) == 9
-
-    @pytest.mark.parametrize("augment", [False, True])
-    @pytest.mark.parametrize("seed", [-1, 1.5, "5", None])
-    def test_bad_seed_rejected(self, rng, seed, augment):
-        with pytest.raises(ContractError):
-            extract_patches(rng.uniform(0, 1, (16, 16)), 8, augment=augment, seed=seed)
+    @pytest.mark.parametrize("image", [np.full((16, 16), "a"), np.ones((16, 16), complex), [[None] * 16] * 16],
+                             ids=["strings", "complex", "objects"])
+    def test_non_real_image_rejected(self, image):
+        with pytest.raises(IngestionError):
+            extract_patches(image, 8)
 
 
 class TestTrainStep:
@@ -206,24 +203,28 @@ class TestTrainStep:
         loss_double, _ = train_step([img, img], model, build_optimizer(model, cfg))
         assert loss_single == loss_double
 
-    @pytest.mark.parametrize("shapes,error", [
-        ([], ContractError),
-        ([(1, 16, 16)], DimensionError),
-        ([(2, 1, 16, 16)], DimensionError),
-        ([(1, 2, 16, 16)], DimensionError),
-        ([(1, 1, 16, 16), (1, 1, 32, 32)], DimensionError),
-    ], ids=["empty", "rank-3", "two-samples", "two-channels", "mixed-extents"])
-    def test_bad_batch_rejected_before_forward(self, rng, shapes, error):
+    @pytest.mark.parametrize("shapes,dtype,error", [
+        ([], float, ContractError),
+        ([(1, 16, 16)], float, DimensionError),
+        ([(2, 1, 16, 16)], float, DimensionError),
+        ([(1, 2, 16, 16)], float, DimensionError),
+        ([(1, 1, 16, 16), (1, 1, 32, 32)], float, DimensionError),
+        ([(1, 1, 16, 16), (1, 1, 16, 16)], complex, IngestionError),
+        ([(1, 1, 16, 16)], str, IngestionError),
+    ], ids=["empty", "rank-3", "two-samples", "two-channels", "mixed-extents", "complex", "strings"])
+    def test_bad_batch_rejected_before_forward(self, rng, shapes, dtype, error):
         cfg = tiny_config()
         model = build_model(cfg)
         optimizer = build_optimizer(model, cfg)
         model.forward = lambda *args: pytest.fail("forward ran on a bad batch")
         marker = np.ones(1)
+        before = [param.data.copy() for param in model.parameters()]
         for param in model.parameters():
             param.grad = marker
         with pytest.raises(error):
-            train_step([rng.uniform(0, 1, s) for s in shapes], model, optimizer)
+            train_step([rng.uniform(0, 1, s).astype(dtype) for s in shapes], model, optimizer)
         assert all(param.grad is marker for param in model.parameters())
+        assert all(np.array_equal(param.data, b) for param, b in zip(model.parameters(), before))
 
     def test_each_trace_matches_its_own_forward(self, rng):
         images = [random_image(rng).reshape(1, 1, 16, 16) for _ in range(3)]

@@ -31,20 +31,24 @@ def _owner(array):
     return array
 
 
-def _closure_arrays(fn):
-    """Every ndarray that `fn` reaches through closure cells, nested functions, lists and tuples."""
+def _closure_values(fn):
+    """Every value that `fn` reaches through closure cells, nested functions, lists and tuples."""
     stack, seen = [fn], set()
     while stack:
         value = stack.pop()
         if id(value) in seen:
             continue
         seen.add(id(value))
-        if isinstance(value, np.ndarray):
-            yield value
-        elif isinstance(value, types.FunctionType):
+        yield value
+        if isinstance(value, types.FunctionType):
             stack.extend(cell.cell_contents for cell in value.__closure__ or ())
         elif isinstance(value, (list, tuple)):
             stack.extend(value)
+
+
+def _closure_arrays(fn):
+    """The ndarrays among `_closure_values(fn)`."""
+    return (value for value in _closure_values(fn) if isinstance(value, np.ndarray))
 
 
 def _tape_nodes(out):
