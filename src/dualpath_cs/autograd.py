@@ -39,7 +39,7 @@ from itertools import count
 
 import numpy as np
 
-from .errors import ContractError, NumericsError
+from .errors import ContractError, NumericsError, as_real_array
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
 
@@ -110,14 +110,15 @@ class Tensor:
     A recorded op's output reads its gradient and tape links through `_node`;
     a leaf has no node, keeps its own gradient and stands as its own node. A
     taped concatenation's `_parts` holds its parts' arrays and the axis that
-    joins them.
+    joins them. An ndarray is kept as it is; other data is cast to the global
+    precision, and raises ContractError unless it is a real-valued array.
     """
 
     __slots__ = ("data", "requires_grad", "_grad", "_node", "_parts")
 
     def __init__(self, data, requires_grad=False):
         if not isinstance(data, np.ndarray):
-            data = np.asarray(data, dtype=_default_dtype)
+            data = as_real_array(data, ContractError).astype(_default_dtype, copy=False)
         self.data = data
         self.requires_grad = bool(requires_grad)
         self._grad = None
@@ -170,9 +171,10 @@ class Tensor:
 
 
 def tensor(data, requires_grad=False, dtype=None):
-    """Create a leaf tensor, cast to the global (or given) precision."""
-    arr = np.asarray(data, dtype=dtype or _default_dtype)
-    return Tensor(arr, requires_grad=requires_grad)
+    """Create a leaf tensor, cast to the global (or given) precision; an array already of that
+    dtype is taken as it is, and data that is not a real-valued array raises ContractError."""
+    return Tensor(as_real_array(data, ContractError).astype(dtype or _default_dtype, copy=False),
+                  requires_grad=requires_grad)
 
 
 def _op_name(backward_fn):

@@ -1,89 +1,49 @@
-"""Versioned binary checkpoints.
+"""Versioned checkpoints: an uncompressed zip that any numpy reads with `np.load`.
 
-Layout (all integers little-endian):
-    8 bytes   magic "DPHDUNCK"
-    u32       format version (1)
-    u32 + n   UTF-8 JSON header: config snapshot, epoch, per-parameter Adam
-              step counters
-    u32       tensor count
-    per tensor:
-        u32 + n  UTF-8 name ("<param>", "<param>#adam_m", "<param>#adam_v")
-        u8       rank
-        u8       dtype code (0 = float32, 1 = float64)
-        u32*rank extents
-        raw      values, little-endian, C order
+Layout (version 2), two members in this order, both stored (ZIP_STORED), with a
+fixed timestamp so that saving a restored model writes the same bytes:
+    header.json  UTF-8 JSON: version 2, config snapshot, epoch, per-parameter
+                 Adam step counters (`steps`), and `shapes`, each parameter's
+                 [name, extents] in `named_parameters` order
+    state.npy    one [3, total] .npy array (NEP 1, little-endian float32 or
+                 float64, C order): every parameter's values, then every
+                 `adam_m`, then every `adam_v`, each row in `shapes` order
 
-Loading parses the whole file before touching any model state, so a malformed
-file can never leave a half-restored model. A tensor name that appears twice, or
-any byte after the last tensor, is a format error.
+The zip end record must be the file's last 22 bytes, so no byte may follow it.
+Each member's CRC-32 is checked as it is read, and `state.npy`'s byte count is
+checked against the zip directory before its data is read, so a forged extent
+allocates nothing. Loading parses the whole file before touching any model
+state, so a malformed file can never leave a half-restored model. The tensors
+it returns are read-only views of the one state array; `restore_model` copies.
 """
 
 import json
 import math
 import os
-import struct
+import tokenize
+import zipfile
+import zlib
+from io import BytesIO
 
 import numpy as np
 
 from .errors import (
     CheckpointError,
     CheckpointFormatError,
-    CheckpointMagicError,
     CheckpointMismatchError,
-    CheckpointTruncatedError,
     CheckpointVersionError,
     ContractError,
 )
 from .training import TrainConfig
 
-MAGIC = b"DPHDUNCK"
-VERSION = 1
-_DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
-_CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-
-
-class _Reader:
-    def __init__(self, blob):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, n):
-        if n < 0:
-            raise CheckpointFormatError(f"negative byte count {n} at offset {self.pos}")
-        if self.pos + n > len(self.blob):
-            raise CheckpointTruncatedError(
-                f"needed {n} bytes at offset {self.pos}, file has {len(self.blob)}"
-            )
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self):
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u8(self):
-        return self.take(1)[0]
-
-    def text(self, what):
-        raw = self.take(self.u32())
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as err:
-            raise CheckpointFormatError(f"{what} is not UTF-8: {err}") from None
-
-
-def _tensor_entry(name, arr):
-    dtype = np.dtype(arr.dtype)
-    if dtype not in _DTYPE_CODES:
-        raise ContractError(f"unsupported dtype {dtype} for {name}")
-    payload = [
-        struct.pack("<I", len(name.encode()))
-        + name.encode()
-        + struct.pack("<BB", arr.ndim, _DTYPE_CODES[dtype])
-    ]
-    payload.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
-    payload.append(np.ascontiguousarray(arr).astype(dtype.newbyteorder("<"), copy=False).tobytes())
-    return b"".join(payload)
+VERSION = 2
+_MEMBERS = ["header.json", "state.npy"]
+_DTYPES = (np.dtype("<f4"), np.dtype("<f8"))
+_V1_MAGIC = b"DPHDUNCK"
+_END_RECORD = b"PK\x05\x06"  # a zip end record with no comment is 22 bytes, ending in its 0 comment length
+# What the zip, .npy and JSON parsers raise on a malformed file (UnicodeDecodeError is a ValueError).
+_PARSE_ERRORS = (zipfile.BadZipFile, NotImplementedError, RuntimeError, ValueError, SyntaxError,
+                 tokenize.TokenError, EOFError, KeyError, RecursionError)
 
 
 def _is_count(value):
@@ -91,8 +51,12 @@ def _is_count(value):
 
 
 def _check_header(header):
-    if not isinstance(header, dict) or not {"config", "epoch", "steps"} <= set(header):
-        raise CheckpointFormatError("header must be an object with config, epoch and steps")
+    if not isinstance(header, dict):
+        raise CheckpointFormatError("header must be an object")
+    if header.get("version") != VERSION:
+        raise CheckpointVersionError(f"checkpoint version {header.get('version')!r} not supported (expected {VERSION})")
+    if not {"config", "epoch", "steps", "shapes"} <= set(header):
+        raise CheckpointFormatError("header must be an object with config, epoch, steps and shapes")
     if not isinstance(header["config"], dict):
         raise CheckpointFormatError("header config must be an object")
     if not _is_count(header["epoch"]):
@@ -100,78 +64,116 @@ def _check_header(header):
     steps = header["steps"]
     if not (isinstance(steps, dict) and all(_is_count(v) for v in steps.values())):
         raise CheckpointFormatError("header steps must map parameter names to integers >= 0")
+    shapes = header["shapes"]
+    if not (isinstance(shapes, list) and all(
+            isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+            and isinstance(entry[1], list) and all(_is_count(n) for n in entry[1]) for entry in shapes)):
+        raise CheckpointFormatError("header shapes must list [name, [extent, ...]] pairs")
 
 
 def save_checkpoint(path, model, epoch=0, config=None):
     """Write the model's parameters and Adam state. `config` is None, a TrainConfig
-    or a JSON-serializable dict; anything else, or an epoch that is not an
-    integer >= 0, raises ContractError before the file is opened; a path that cannot be
-    written raises CheckpointError."""
+    or a JSON-serializable dict; anything else, an epoch that is not an integer >= 0,
+    or parameters and moments that do not all share one float32 or float64 dtype,
+    raises ContractError before the file is opened; a path that cannot be written
+    raises CheckpointError."""
     if isinstance(config, TrainConfig):
         config = config.to_dict()
     if not (config is None or isinstance(config, dict)):
         raise ContractError(f"config must be a TrainConfig or a dict, got {type(config).__name__}")
     if not _is_count(epoch):
         raise ContractError(f"epoch must be an integer >= 0, got {epoch!r}")
-    tensors = []
-    steps = {}
-    for name, param in model.named_parameters():
-        tensors += [(name, param.data), (f"{name}#adam_m", param.adam_m), (f"{name}#adam_v", param.adam_v)]
-        steps[name] = param.step_count
-    header = {"config": config or {}, "epoch": epoch, "steps": steps}
+    params = list(model.named_parameters())
+    dtypes = {a.dtype for _, p in params for a in (p.data, p.adam_m, p.adam_v)}
+    if len(dtypes) != 1 or not dtypes <= set(_DTYPES):
+        raise ContractError(f"parameters and moments must share one dtype, float32 or float64; "
+                            f"got {', '.join(sorted(map(str, dtypes)))}")
+    dtype = dtypes.pop().newbyteorder("<")
+    header = {"version": VERSION, "config": config or {}, "epoch": epoch,
+              "steps": {name: p.step_count for name, p in params},
+              "shapes": [[name, list(p.shape)] for name, p in params]}
     try:
         header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     except (TypeError, ValueError) as err:
         raise ContractError(f"checkpoint header is not JSON-serializable: {err}") from None
-    entries = [_tensor_entry(name, arr) for name, arr in tensors]
+    shape = (3, sum(p.data.size for _, p in params))
     try:
-        with open(os.fspath(path), "wb") as fh:  # fspath refuses an int, which open() takes as a descriptor it closes
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", VERSION))
-            fh.write(struct.pack("<I", len(header_bytes)))
-            fh.write(header_bytes)
-            fh.write(struct.pack("<I", len(entries)))
-            for entry in entries:
-                fh.write(entry)
+        # fspath refuses an int, which open() takes as a descriptor it closes. A ZipInfo is stored and
+        # stamped 1980-01-01, so equal states give equal bytes.
+        with open(os.fspath(path), "wb") as fh, zipfile.ZipFile(fh, "w") as zf:
+            zf.writestr(zipfile.ZipInfo(_MEMBERS[0]), header_bytes)
+            with zf.open(zipfile.ZipInfo(_MEMBERS[1]), "w") as out:
+                np.lib.format.write_array_header_1_0(out, {"descr": dtype.str, "fortran_order": False, "shape": shape})
+                for key in ("data", "adam_m", "adam_v"):
+                    for _, p in params:
+                        out.write(np.ascontiguousarray(getattr(p, key), dtype=dtype))
     except (OSError, TypeError, ValueError) as err:  # TypeError and ValueError: not a path
         raise CheckpointError(f"cannot write checkpoint {path}: {err}") from err
 
 
+def _read_state(zf, blob, total):
+    """state.npy's [3, total] values, a read-only view of `blob`, once its .npy header agrees with `total`
+    and with the zip directory and its CRC-32 holds."""
+    info = zf.getinfo(_MEMBERS[1])
+    with zf.open(info) as member:  # checks the local header that `start` below steps over
+        version = np.lib.format.read_magic(member)
+        if version not in ((1, 0), (2, 0)):
+            raise CheckpointFormatError(f"state.npy is .npy version {version}, expected (1, 0) or (2, 0)")
+        read_header = np.lib.format.read_array_header_1_0 if version == (1, 0) else np.lib.format.read_array_header_2_0
+        shape, fortran_order, dtype = read_header(member)
+        values_at = member.tell()
+    if fortran_order or dtype not in _DTYPES or shape != (3, total):
+        raise CheckpointFormatError(f"state.npy holds {dtype.str} {shape} with fortran_order {fortran_order}; the "
+                                    f"header's shapes need a C-order <f4 or <f8 array of shape (3, {total})")
+    if info.file_size - values_at != 3 * total * dtype.itemsize:
+        raise CheckpointFormatError(f"state.npy declares {3 * total * dtype.itemsize} bytes of values, "
+                                    f"the zip directory {info.file_size - values_at}")
+    # The member's data follows its local header: 30 bytes, then the name and the extra field,
+    # whose lengths are the header's last two 16-bit fields.
+    at = info.header_offset
+    start = at + 30 + int.from_bytes(blob[at + 26:at + 28], "little") + int.from_bytes(blob[at + 28:at + 30], "little")
+    if zlib.crc32(memoryview(blob)[start:start + info.file_size]) != info.CRC:
+        raise CheckpointFormatError("state.npy fails its CRC-32 check")
+    return np.frombuffer(blob, dtype, 3 * total, start + values_at).reshape(shape)
+
+
 def load_checkpoint(path):
-    """Parse a checkpoint into (header dict, {name: array}); no model mutation."""
+    """Parse a checkpoint into (header dict, {name: read-only array}); no model mutation.
+
+    A path that cannot be read raises CheckpointError, a version other than 2
+    (version 1 files included) CheckpointVersionError, and any other malformed
+    file CheckpointFormatError."""
     try:
         with open(os.fspath(path), "rb") as fh:  # fspath refuses an int, which open() takes as a descriptor it closes
             blob = fh.read()
     except (OSError, TypeError, ValueError) as err:  # TypeError and ValueError: not a path
         raise CheckpointError(f"cannot read checkpoint {path}: {err}") from err
-    reader = _Reader(blob)
-    magic = reader.take(8)
-    if magic != MAGIC:
-        raise CheckpointMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
-    version = reader.u32()
-    if version != VERSION:
-        raise CheckpointVersionError(f"checkpoint version {version} not supported (expected {VERSION})")
+    if blob.startswith(_V1_MAGIC):
+        raise CheckpointVersionError(f"checkpoint version 1 not supported (expected {VERSION})")
+    if len(blob) < 22 or blob[-22:-18] != _END_RECORD or blob[-2:] != b"\0\0":
+        raise CheckpointFormatError("not a checkpoint: the file does not end with a zip end record")
     try:
-        header = json.loads(reader.text("header"))
-    except (json.JSONDecodeError, RecursionError) as err:
-        raise CheckpointFormatError(f"header is not JSON: {err!r}") from None
-    _check_header(header)
-    count = reader.u32()
-    tensors = {}
-    for _ in range(count):
-        name = reader.text("tensor name")
-        if name in tensors:
-            raise CheckpointFormatError(f"tensor {name!r} appears twice")
-        rank = reader.u8()
-        code = reader.u8()
-        if code not in _CODE_DTYPES:
-            raise CheckpointFormatError(f"unknown dtype code {code} for {name}")
-        shape = struct.unpack(f"<{rank}I", reader.take(4 * rank)) if rank else ()
-        dtype = _CODE_DTYPES[code]
-        raw = reader.take(math.prod(shape) * dtype.itemsize)  # Python ints: no overflow
-        tensors[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-    if reader.pos != len(blob):
-        raise CheckpointFormatError(f"{len(blob) - reader.pos} bytes after the last tensor")
+        # A BytesIO bounds every read by the file's size, where a file's read(n) allocates n bytes first.
+        with zipfile.ZipFile(BytesIO(blob)) as zf:
+            infos = zf.infolist()
+            if [info.filename for info in infos] != _MEMBERS:
+                raise CheckpointFormatError(f"members {[info.filename for info in infos]}, expected {_MEMBERS}")
+            if any(info.compress_type != zipfile.ZIP_STORED for info in infos):
+                raise CheckpointFormatError("a member is compressed; checkpoints are stored")
+            header = json.loads(zf.read(_MEMBERS[0]).decode("utf-8"))
+            _check_header(header)
+            sizes = [math.prod(extents) for _, extents in header["shapes"]]  # Python ints: no overflow
+            state = _read_state(zf, blob, sum(sizes))
+        tensors = {}
+        offset = 0
+        for (name, extents), size in zip(header["shapes"], sizes):
+            for row, key in zip(state, (name, f"{name}#adam_m", f"{name}#adam_v")):
+                tensors[key] = row[offset:offset + size].reshape(extents)
+            offset += size
+    except _PARSE_ERRORS as err:
+        raise CheckpointFormatError(f"malformed checkpoint {path}: {err!r}") from None
+    if len(tensors) != 3 * len(sizes):
+        raise CheckpointFormatError("a parameter name appears twice in the header's shapes")
     return header, tensors
 
 
@@ -179,11 +181,11 @@ def restore_model(model, header, tensors):
     """Write saved parameter values and Adam state into a freshly built model.
 
     Every entry is checked against the model before the first write: a header
-    that `load_checkpoint` would refuse raises CheckpointFormatError, and a
-    missing or unexpected name, shape or dtype, or a `steps` table that does not
-    name exactly the model's parameters, raises CheckpointMismatchError, as does
-    an entry that is not an ndarray; `tensors` not a dict raises ContractError.
-    Each leaves the model untouched.
+    that `load_checkpoint` would refuse raises CheckpointFormatError (or
+    CheckpointVersionError), and a missing or unexpected name, shape or dtype, or
+    a `steps` table that does not name exactly the model's parameters, raises
+    CheckpointMismatchError, as does an entry that is not an ndarray; `tensors`
+    not a dict raises ContractError. Each leaves the model untouched.
     """
     if not isinstance(tensors, dict):
         raise ContractError(f"tensors must be a dict of name to ndarray, got {type(tensors).__name__}")

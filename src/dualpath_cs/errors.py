@@ -1,7 +1,9 @@
-"""Exception taxonomy shared across the package, and the number predicates its checks use."""
+"""Exception taxonomy shared across the package, the number predicates its checks use, and its array intake."""
 
 import math
 from numbers import Integral, Real
+
+import numpy as np
 
 
 def is_integer(value):
@@ -19,9 +21,16 @@ def is_finite_real(value):
         return False
 
 
-def is_real_array(array):
-    """An ndarray of bools, integers or real floats: not complex, strings or objects."""
-    return array.dtype.kind in "biuf"
+def as_real_array(x, error):
+    """`np.asarray(x)` if it holds bools, integers or real floats; anything else, a ragged nesting
+    or complex, string or object values, raises `error`, the caller's DualPathError subclass."""
+    try:
+        array = np.asarray(x)
+    except (TypeError, ValueError) as err:  # ValueError: a ragged nesting
+        raise error(f"expected a real-valued array (bools, integers or real numbers): {err}") from None
+    if array.dtype.kind not in "biuf":
+        raise error(f"expected a real-valued array (bools, integers or real numbers), got dtype {array.dtype}")
+    return array
 
 
 class DualPathError(Exception):
@@ -64,20 +73,12 @@ class CheckpointError(DualPathError):
     """Base class for checkpoint failures; raised itself when the file cannot be read or written."""
 
 
-class CheckpointMagicError(CheckpointError):
-    """File does not start with the checkpoint magic."""
-
-
 class CheckpointVersionError(CheckpointError):
     """Checkpoint format version is not supported."""
 
 
-class CheckpointTruncatedError(CheckpointError):
-    """File ended before the declared payload was read."""
-
-
 class CheckpointFormatError(CheckpointError):
-    """The header or a tensor name does not decode, or the header lacks a field."""
+    """The file is not a well-formed checkpoint: not a zip, cut short, corrupt, or a member or field is wrong."""
 
 
 class CheckpointMismatchError(CheckpointError):

@@ -5,21 +5,13 @@ import math
 import numpy as np
 
 from .autograd import Tensor
-from .errors import (ConfigError, ContractError, DimensionError, GeometryError, NumericsError, is_finite_real,
-                     is_integer, is_real_array)
+from .errors import (ConfigError, ContractError, DimensionError, GeometryError, NumericsError, as_real_array,
+                     is_finite_real, is_integer)
 
 SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
-
-
-def _as_array(x):
-    """x's array; ContractError unless it holds bools, integers or real floats."""
-    arr = x.data if isinstance(x, Tensor) else np.asarray(x)
-    if not is_real_array(arr):
-        raise ContractError(f"expected a real-valued array, got dtype {arr.dtype}")
-    return arr
 
 
 def _require_finite(metric, *arrays):
@@ -37,7 +29,7 @@ def psnr(a, b):
     or real float raise ContractError, empty images DimensionError, and a
     non-finite pixel or an error past float64's range NumericsError.
     """
-    av, bv = _as_array(a), _as_array(b)
+    av, bv = as_real_array(a, ContractError), as_real_array(b, ContractError)
     if av.shape != bv.shape:
         raise DimensionError(f"psnr shapes differ: {av.shape} vs {bv.shape}")
     if av.size == 0:
@@ -73,7 +65,7 @@ def ssim(a, b):
     """Single-scale SSIM: 11x11 Gaussian window sigma 1.5, K1/K2 = 0.01/0.03,
     dynamic range 1.0, averaged over valid (unpadded) positions. Images not of bools, integers
     or real floats raise ContractError, and windowed second moments past float64 NumericsError."""
-    av, bv = _as_array(a).astype(np.float64).squeeze(), _as_array(b).astype(np.float64).squeeze()
+    av, bv = (as_real_array(x, ContractError).astype(np.float64).squeeze() for x in (a, b))
     if av.shape != bv.shape:
         raise DimensionError(f"ssim shapes differ: {av.shape} vs {bv.shape}")
     _require_finite("ssim", av, bv)
@@ -107,7 +99,7 @@ def add_gaussian_noise(y, sigma, seed):
         raise ConfigError(f"noise sigma must be a finite real >= 0, got {sigma!r}")
     if not (is_integer(seed) and seed >= 0):
         raise ConfigError(f"noise seed must be an integer >= 0, got {seed!r}")
-    arr = _as_array(y)
+    arr = as_real_array(y.data if isinstance(y, Tensor) else y, ContractError)
     if not np.issubdtype(arr.dtype, np.floating):
         raise ContractError(f"noise needs a floating-point input, got dtype {arr.dtype}")
     if sigma == 0:

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import erf
 
 from .autograd import Tensor, joined, make, parts
-from .errors import ContractError, DimensionError, is_integer
+from .errors import ContractError, DimensionError, as_real_array, is_integer
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
@@ -373,16 +373,17 @@ class KeyPlan:
     `mask` is the mask Tensor, [N, ...] with T elements per sample, each 0 or 1 (no gradient
     reaches it), and `data` its array. `order` [N, T] holds each sample's key indices as int32, its
     kept keys (the ones) first and its dropped keys after them, each part ascending, and `counts`
-    [N] each sample's kept count. A mask value other than 0 or 1 raises ContractError.
+    [N] each sample's kept count. A mask that is not a real-valued array, or a value other than 0 or
+    1, raises ContractError, and an empty mask or one without a sample axis DimensionError.
     """
 
     __slots__ = ("mask", "order", "counts")
 
     def __init__(self, mask):
-        self.mask = mask if isinstance(mask, Tensor) else Tensor(np.asarray(mask))
+        self.mask = mask if isinstance(mask, Tensor) else Tensor(as_real_array(mask, ContractError))
         data = self.mask.data
-        if data.ndim < 2:
-            raise DimensionError(f"key mask of shape {data.shape} has no sample axis [N, ...]")
+        if data.ndim < 2 or data.size == 0:
+            raise DimensionError(f"key mask of shape {data.shape} is empty or has no sample axis [N, ...]")
         rows = data.reshape(data.shape[0], -1)
         dropped = rows == 0
         if not np.all(dropped | (rows == 1)):

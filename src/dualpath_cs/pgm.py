@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 
-from .errors import IngestionError
+from .errors import IngestionError, as_real_array
 
 
 def _read_token(blob, pos):
@@ -61,16 +61,9 @@ def write_pgm(path, image):
 
     A non-real, non-2-d or non-finite image, or a path that cannot be written, raises
     IngestionError; the image is checked before the file is opened."""
-    try:
-        arr = np.asarray(image)
-        if arr.dtype.kind == "c":  # the cast below would drop the imaginary part with a warning
-            raise TypeError(f"{arr.dtype} is not a real dtype")
-        arr = arr.astype(np.float64)
-    except (TypeError, ValueError) as err:
-        raise IngestionError(f"PGM pixels must be real numbers: {err}") from None
-    arr = np.squeeze(arr)
+    arr = np.squeeze(as_real_array(image, IngestionError)).astype(np.float64)
     if arr.ndim != 2:
-        raise IngestionError(f"expected a 2-d image, got shape {np.asarray(image).shape}")
+        raise IngestionError(f"expected a 2-d image, got shape {np.shape(image)}")
     if not np.isfinite(arr).all():
         raise IngestionError("cannot write a non-finite pixel (NaN or inf) to PGM")
     data = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)

@@ -8,7 +8,7 @@ import numpy as np
 from . import ops
 from .autograd import tensor
 from .errors import (ConfigError, ContractError, DimensionError, GeometryError, IngestionError, TrainingDivergenceError,
-                     is_integer, is_real_array)
+                     as_real_array, is_integer)
 from .model import DualPathModel, check_architecture, check_extents
 from .nn import Adam, adam_settings
 from .sampling import split_rows
@@ -93,9 +93,7 @@ def extract_patches(image, patch):
     edge pixels that fill no whole tile. An image not 2-d, real-valued and one tile wide raises IngestionError."""
     if not (is_integer(patch) and patch >= 1):
         raise ContractError(f"patch must be an integer >= 1, got {patch!r}")
-    arr = np.asarray(image)
-    if not is_real_array(arr):
-        raise IngestionError(f"expected a real-valued image, got dtype {arr.dtype}")
+    arr = as_real_array(image, IngestionError)
     if arr.ndim != 2:
         raise IngestionError(f"expected a 2-d grayscale image, got shape {arr.shape}")
     h, w = arr.shape
@@ -110,8 +108,8 @@ def train_step(batch, model, optimizer):
     """One optimizer step on N [1,1,H,W] patches; returns (loss, one trace per patch).
 
     The patches run stacked as one [N,1,H,W] batch through one forward and one
-    backward of the MSE over all of them. An empty batch, or an optimizer with a
-    parameter not of `model`, raises ContractError, patches not all [1,1,H,W]
+    backward of the MSE over all of them. A batch that is empty or not iterable, or an
+    optimizer with a parameter not of `model`, raises ContractError, patches not all [1,1,H,W]
     of one extent raise DimensionError, and a patch that is not bool, integer or
     real float raises IngestionError, each before the forward pass. Every model
     parameter ends the step with no gradient, whether the step succeeds or raises, so a frozen
@@ -119,14 +117,15 @@ def train_step(batch, model, optimizer):
     The backward pass consumes the tape, so the returned traces hold values but
     no tape: no closure or saved array, and no backward can run through them.
     """
-    if len(batch) == 0:
+    try:
+        batch = [as_real_array(item, IngestionError) for item in batch]
+    except TypeError:  # not iterable
+        raise ContractError(f"train_step needs a list of patches, got {type(batch).__name__}") from None
+    if not batch:
         raise ContractError("train_step needs a batch of at least one patch")
-    shapes = sorted({np.shape(item) for item in batch})
+    shapes = sorted({item.shape for item in batch})
     if len(shapes) != 1 or len(shapes[0]) != 4 or shapes[0][:2] != (1, 1):
         raise DimensionError(f"train_step expects [1,1,H,W] patches of one extent, got {shapes}")
-    for item in batch:
-        if not is_real_array(arr := np.asarray(item)):
-            raise IngestionError(f"train_step expects bool, integer or real float patches, got dtype {arr.dtype}")
     params = model.parameters()
     owned = {id(p) for p in params}
     for p in optimizer.params:

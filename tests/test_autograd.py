@@ -192,6 +192,23 @@ class TestModes:
         assert np.isinf(a.grad).all()
 
 
+class TestTensorIntake:
+    def test_array_of_the_precision_is_taken_as_it_is(self):
+        a = np.ones(3, np.float32)
+        assert tensor(a).data is a
+        with precision("f64"):
+            assert tensor(a).data.dtype == np.float64
+
+    @pytest.mark.parametrize("data", ["ab", [[1.0, 2.0], [3.0]], {"a": 1.0}, [1 + 2j]],
+                             ids=["string", "ragged", "dict", "complex"])
+    def test_non_numbers_rejected(self, data):
+        # The cast raised a bare ValueError for a string or a ragged list, and a TypeError for a dict.
+        with pytest.raises(ContractError, match="real-valued"):
+            tensor(data)
+        with pytest.raises(ContractError, match="real-valued"):
+            Tensor(data)
+
+
 class TestAdam:
     def test_zero_gradient_leaves_values(self):
         p = Parameter(np.array([1.0, -2.0], dtype=np.float32))

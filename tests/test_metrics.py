@@ -104,6 +104,13 @@ class TestRealInput:
         with pytest.raises(ContractError, match="real-valued"):
             metric(*images)
 
+    @pytest.mark.parametrize("metric", [psnr, ssim], ids=["psnr", "ssim"])
+    def test_ragged_image_rejected(self, metric):
+        # np.asarray raised a bare ValueError ("inhomogeneous shape").
+        ragged = [[1.0, 2.0], [3.0]]
+        with pytest.raises(ContractError, match="real-valued"):
+            metric(ragged, ragged)
+
     def test_psnr_of_strings_rejected(self):
         with pytest.raises(ContractError):
             psnr("ab", "cd")
@@ -141,6 +148,10 @@ class TestGaussianNoise:
         # numpy would raise a bare ValueError or TypeError, or take True or None as a seed.
         with pytest.raises(ConfigError):
             add_gaussian_noise(np.zeros(4), 0.1, seed=seed)
+
+    def test_ragged_input_rejected(self):
+        with pytest.raises(ContractError, match="real-valued"):
+            add_gaussian_noise([[1.0, 2.0], [3.0]], 0.1, seed=0)
 
     @pytest.mark.parametrize("y", [np.zeros(3, np.uint8), np.zeros(3, np.int64), np.zeros(3, bool),
                                    Tensor(np.zeros(3, np.int32))], ids=["uint8", "int64", "bool", "int-tensor"])

@@ -443,6 +443,15 @@ class TestKeyPlan:
         with pytest.raises(DimensionError, match="sample axis"):
             ops.KeyPlan(np.ones(4))
 
+    def test_ragged_mask_rejected(self):
+        with pytest.raises(ContractError, match="real-valued"):
+            ops.KeyPlan([[1.0, 0.0], [1.0]])
+
+    def test_empty_mask_rejected(self):
+        # Its rows did not reshape: a bare ValueError.
+        with pytest.raises(DimensionError, match="empty"):
+            ops.KeyPlan(np.ones((0, 4)))
+
     @pytest.mark.parametrize("value", [0.5, 2.0])
     def test_mask_value_other_than_0_or_1_rejected(self, value):
         with pytest.raises(ContractError, match="only 0"):

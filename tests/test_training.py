@@ -1,7 +1,7 @@
 """Training loop mechanics, determinism, and checkpoint persistence."""
 
 import os
-import struct
+import zipfile
 from fractions import Fraction
 
 import numpy as np
@@ -14,9 +14,7 @@ from dualpath_cs.checkpoint import load_checkpoint, restore_model, save_checkpoi
 from dualpath_cs.errors import (
     CheckpointError,
     CheckpointFormatError,
-    CheckpointMagicError,
     CheckpointMismatchError,
-    CheckpointTruncatedError,
     CheckpointVersionError,
     ConfigError,
     ContractError,
@@ -33,6 +31,7 @@ from dualpath_cs.training import (
     extract_patches,
     train_step,
 )
+from test_checkpoint import npy_bytes, read_members, rewrite
 
 TINY = dict(gamma=0.5, split=(1, 2), block_size=4, stages=2, channels=8,
             patch_size=16, batch_size=1, seed=7)
@@ -175,9 +174,11 @@ class TestExtractPatches:
         with pytest.raises(ContractError):
             extract_patches(rng.uniform(0, 1, (16, 16)), patch)
 
-    @pytest.mark.parametrize("image", [np.full((16, 16), "a"), np.ones((16, 16), complex), [[None] * 16] * 16],
-                             ids=["strings", "complex", "objects"])
+    @pytest.mark.parametrize("image", [np.full((16, 16), "a"), np.ones((16, 16), complex), [[None] * 16] * 16,
+                                       [[1.0, 2.0], [3.0]]],
+                             ids=["strings", "complex", "objects", "ragged"])
     def test_non_real_image_rejected(self, image):
+        # A ragged list leaked np.asarray's bare ValueError ("inhomogeneous shape").
         with pytest.raises(IngestionError):
             extract_patches(image, 8)
 
@@ -213,6 +214,17 @@ class TestTrainStep:
         ([(1, 1, 16, 16)], str, IngestionError),
     ], ids=["empty", "rank-3", "two-samples", "two-channels", "mixed-extents", "complex", "strings"])
     def test_bad_batch_rejected_before_forward(self, rng, shapes, dtype, error):
+        self._assert_rejected_before_forward([rng.uniform(0, 1, s).astype(dtype) for s in shapes], error)
+
+    @pytest.mark.parametrize("batch,error", [
+        (None, ContractError), (3, ContractError), (True, ContractError), ([[[[1.0, 2.0], [3.0]]]], IngestionError),
+    ], ids=["none", "number", "bool", "ragged-patch"])
+    def test_batch_not_a_list_of_arrays_rejected_before_forward(self, batch, error):
+        # len(batch) raised a bare TypeError, and np.shape of a ragged patch a bare ValueError.
+        self._assert_rejected_before_forward(batch, error)
+
+    @staticmethod
+    def _assert_rejected_before_forward(batch, error):
         cfg = tiny_config()
         model = build_model(cfg)
         optimizer = build_optimizer(model, cfg)
@@ -222,7 +234,7 @@ class TestTrainStep:
         for param in model.parameters():
             param.grad = marker
         with pytest.raises(error):
-            train_step([rng.uniform(0, 1, s).astype(dtype) for s in shapes], model, optimizer)
+            train_step(batch, model, optimizer)
         assert all(param.grad is marker for param in model.parameters())
         assert all(np.array_equal(param.data, b) for param, b in zip(model.parameters(), before))
 
@@ -433,21 +445,21 @@ class TestCheckpoint:
             os.close(path)  # raises EBADF had the call closed it
 
     def test_bad_magic(self, tmp_path):
+        # Not a zip: no end record closes the file.
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
-        with pytest.raises(CheckpointMagicError):
+        with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
 
     def test_version_mismatch_names_both(self, tmp_path, rng):
         cfg, model = self._trained_model(rng, steps=1)
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, model, config=cfg.to_dict())
-        blob = bytearray(path.read_bytes())
-        blob[8] = 99
-        path.write_bytes(bytes(blob))
+        header, _ = read_members(path)
+        rewrite(path, header={**header, "version": 99})
         with pytest.raises(CheckpointVersionError) as err:
             load_checkpoint(path)
-        assert "99" in str(err.value) and "1" in str(err.value)
+        assert "99" in str(err.value) and "2" in str(err.value)
 
     def test_truncation_detected(self, tmp_path, rng):
         cfg, model = self._trained_model(rng, steps=1)
@@ -455,22 +467,23 @@ class TestCheckpoint:
         save_checkpoint(path, model, config=cfg.to_dict())
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(CheckpointTruncatedError):
+        with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
 
 
 class TestCheckpointFormat:
-    """A header or tensor name that does not decode, a header that is not the
-    expected object, a tensor name that appears twice or bytes after the last
-    tensor raise a CheckpointError subclass; the config may be given
-    as a TrainConfig, and anything unserializable is refused before writing."""
+    """A header that does not decode or is not the expected object, a corrupt
+    byte, a parameter name that appears twice or bytes after the zip's end raise a
+    CheckpointError subclass; the config may be given as a TrainConfig, and
+    anything unserializable is refused before writing."""
+
+    HEADER_AT = 30 + len("header.json")  # header.json's first byte: after the zip's first local header
 
     @staticmethod
     def _saved_blob(path):
         cfg = tiny_config()
         save_checkpoint(path, build_model(cfg), config=cfg)
-        blob = path.read_bytes()
-        return blob, struct.unpack_from("<I", blob, 12)[0]
+        return path.read_bytes()
 
     def test_config_object_stored_as_dict(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -495,76 +508,47 @@ class TestCheckpointFormat:
 
     @pytest.mark.parametrize("first", [0x7B ^ 0x80, ord("x")], ids=["flipped-bit", "not-json"])
     def test_corrupt_header_byte(self, tmp_path, first):
+        # The member's CRC-32 no longer holds.
         path = tmp_path / "m.ckpt"
-        blob = bytearray(self._saved_blob(path)[0])
-        assert blob[16] == 0x7B
-        blob[16] = first
+        blob = bytearray(self._saved_blob(path))
+        assert blob[self.HEADER_AT] == 0x7B
+        blob[self.HEADER_AT] = first
         path.write_bytes(bytes(blob))
-        with pytest.raises(CheckpointFormatError):
+        with pytest.raises(CheckpointFormatError, match="CRC"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("header", [
-        b"[1]", b'{"config":{},"epoch":0}', b'{"config":[],"epoch":0,"steps":{}}',
-        b'{"config":{},"epoch":-1,"steps":{}}', b'{"config":{},"epoch":0,"steps":{"fusion.weight":"x"}}',
-        b"[" * 100000,
-    ], ids=["list", "no-steps", "config-not-object", "negative-epoch", "step-not-integer", "deep-nesting"])
-    def test_header_must_be_the_expected_object(self, tmp_path, header):
+    @pytest.mark.parametrize("edit", [
+        lambda h: [1], lambda h: {k: v for k, v in h.items() if k != "steps"}, lambda h: {**h, "config": []},
+        lambda h: {**h, "epoch": -1}, lambda h: {**h, "steps": {**h["steps"], "fusion.weight": "x"}},
+        lambda h: b"[" * 100000, lambda h: b"{x", lambda h: b"\xff",
+    ], ids=["list", "no-steps", "config-not-object", "negative-epoch", "step-not-integer", "deep-nesting",
+            "not-json", "not-utf8"])
+    def test_header_must_be_the_expected_object(self, tmp_path, edit):
         path = tmp_path / "m.ckpt"
-        blob, length = self._saved_blob(path)
-        path.write_bytes(blob[:12] + struct.pack("<I", len(header)) + header + blob[16 + length:])
-        with pytest.raises(CheckpointFormatError):
-            load_checkpoint(path)
-
-    @staticmethod
-    def _one_tensor_file(path, rank, code, extents):
-        """A checkpoint with one tensor entry and no payload after its extents."""
-        header, name = b'{"config":{},"epoch":0,"steps":{}}', b"w"
-        path.write_bytes(b"DPHDUNCK" + struct.pack("<II", 1, len(header)) + header
-                         + struct.pack("<II", 1, len(name)) + name
-                         + struct.pack(f"<BB{rank}I", rank, code, *extents))
-
-    def test_oversized_extents_are_truncation(self, tmp_path):
-        # Their byte count exceeds int64 and must not wrap to a negative read length.
-        path = tmp_path / "m.ckpt"
-        self._one_tensor_file(path, 2, 0, (0xFFFFFFFF, 0xFFFFFFFF))
-        with pytest.raises(CheckpointTruncatedError):
-            load_checkpoint(path)
-
-    def test_unknown_dtype_code_is_a_format_error(self, tmp_path):
-        path = tmp_path / "m.ckpt"
-        self._one_tensor_file(path, 1, 7, (1,))
-        with pytest.raises(CheckpointFormatError, match="dtype code 7"):
-            load_checkpoint(path)
-
-    def test_tensor_name_not_utf8(self, tmp_path):
-        path = tmp_path / "m.ckpt"
-        blob, length = self._saved_blob(path)
-        blob = bytearray(blob)
-        blob[16 + length + 8] = 0xFF  # first byte of the first tensor name
-        path.write_bytes(bytes(blob))
+        self._saved_blob(path)
+        rewrite(path, header=edit(read_members(path)[0]))
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
 
     def test_bytes_after_last_tensor(self, tmp_path):
+        # zipfile itself reads past them.
         path = tmp_path / "m.ckpt"
-        blob, _ = self._saved_blob(path)
+        blob = self._saved_blob(path)
         path.write_bytes(blob + b"\x00")
-        with pytest.raises(CheckpointFormatError, match="1 bytes after the last tensor"):
+        assert zipfile.ZipFile(path).namelist() == ["header.json", "state.npy"]
+        with pytest.raises(CheckpointFormatError, match="zip end record"):
             load_checkpoint(path)
 
     def test_duplicated_tensor_name(self, tmp_path):
-        # A second entry of the first tensor, counted in the tensor count: last-wins parsing would
-        # hand restore_model a complete, plausible set of tensors.
+        # The first parameter listed again, with its values, moments and step count: last-wins
+        # parsing would hand restore_model a complete, plausible set of tensors.
         path = tmp_path / "m.ckpt"
-        blob, length = self._saved_blob(path)
-        count_at = 16 + length
-        first = count_at + 4
-        name_len = struct.unpack_from("<I", blob, first)[0]
-        rank = blob[first + 4 + name_len]
-        extents = struct.unpack_from(f"<{rank}I", blob, first + 6 + name_len)
-        end = first + 6 + name_len + 4 * rank + 4 * int(np.prod(extents))  # float32 values
-        count = struct.unpack_from("<I", blob, count_at)[0]
-        path.write_bytes(blob[:count_at] + struct.pack("<I", count + 1) + blob[first:] + blob[first:end])
+        self._saved_blob(path)
+        header, tensors = load_checkpoint(path)
+        shapes = header["shapes"] + header["shapes"][:1]
+        state = np.stack([np.concatenate([tensors[name + suffix].ravel() for name, _ in shapes])
+                          for suffix in ("", "#adam_m", "#adam_v")])
+        rewrite(path, header={**header, "shapes": shapes}, state=npy_bytes(state.shape, state.tobytes()))
         with pytest.raises(CheckpointFormatError, match="appears twice"):
             load_checkpoint(path)
 
