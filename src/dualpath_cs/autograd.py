@@ -57,7 +57,7 @@ def default_dtype():
 def precision(mode):
     """Temporarily switch the global precision to 'f32' or 'f64'."""
     global _default_dtype
-    if mode not in _DTYPES:
+    if not (isinstance(mode, str) and mode in _DTYPES):  # a dict or list mode is unhashable
         raise ContractError(f"unknown precision {mode!r}, expected 'f32' or 'f64'")
     saved = _default_dtype
     _default_dtype = _DTYPES[mode]

@@ -12,9 +12,10 @@ fixed timestamp so that saving a restored model writes the same bytes:
 The zip end record must be the file's last 22 bytes, so no byte may follow it.
 Each member's CRC-32 is checked as it is read, and `state.npy`'s byte count is
 checked against the zip directory before its data is read, so a forged extent
-allocates nothing. Loading parses the whole file before touching any model
-state, so a malformed file can never leave a half-restored model. The tensors
-it returns are read-only views of the one state array; `restore_model` copies.
+allocates nothing. `load_checkpoint` returns the header and the state as a
+read-only view of the file's bytes, and touches no model. `restore_model` checks
+the header's `shapes`, its `steps` and the state's shape and dtype against the
+model's layout before its first write, then copies each parameter's three rows.
 """
 
 import json
@@ -53,8 +54,9 @@ def _is_count(value):
 def _check_header(header):
     if not isinstance(header, dict):
         raise CheckpointFormatError("header must be an object")
-    if header.get("version") != VERSION:
-        raise CheckpointVersionError(f"checkpoint version {header.get('version')!r} not supported (expected {VERSION})")
+    version = header.get("version")
+    if not (_is_count(version) and version == VERSION):  # an array version would compare elementwise
+        raise CheckpointVersionError(f"checkpoint version {version!r} not supported (expected {VERSION})")
     if not {"config", "epoch", "steps", "shapes"} <= set(header):
         raise CheckpointFormatError("header must be an object with config, epoch, steps and shapes")
     if not isinstance(header["config"], dict):
@@ -62,13 +64,20 @@ def _check_header(header):
     if not _is_count(header["epoch"]):
         raise CheckpointFormatError(f"header epoch must be an integer >= 0, got {header['epoch']!r}")
     steps = header["steps"]
-    if not (isinstance(steps, dict) and all(_is_count(v) for v in steps.values())):
+    if not (isinstance(steps, dict) and all(isinstance(k, str) and _is_count(v) for k, v in steps.items())):
         raise CheckpointFormatError("header steps must map parameter names to integers >= 0")
     shapes = header["shapes"]
     if not (isinstance(shapes, list) and all(
             isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
             and isinstance(entry[1], list) and all(_is_count(n) for n in entry[1]) for entry in shapes)):
         raise CheckpointFormatError("header shapes must list [name, [extent, ...]] pairs")
+    if len({name for name, _ in shapes}) != len(shapes):
+        raise CheckpointFormatError("a parameter name appears twice in the header's shapes")
+
+
+def _shapes(params):
+    """The header's `shapes`: each parameter's [name, extents], in `named_parameters` order."""
+    return [[name, list(p.shape)] for name, p in params]
 
 
 def save_checkpoint(path, model, epoch=0, config=None):
@@ -91,7 +100,7 @@ def save_checkpoint(path, model, epoch=0, config=None):
     dtype = dtypes.pop().newbyteorder("<")
     header = {"version": VERSION, "config": config or {}, "epoch": epoch,
               "steps": {name: p.step_count for name, p in params},
-              "shapes": [[name, list(p.shape)] for name, p in params]}
+              "shapes": _shapes(params)}
     try:
         header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     except (TypeError, ValueError) as err:
@@ -117,10 +126,9 @@ def _read_state(zf, blob, total):
     info = zf.getinfo(_MEMBERS[1])
     with zf.open(info) as member:  # checks the local header that `start` below steps over
         version = np.lib.format.read_magic(member)
-        if version not in ((1, 0), (2, 0)):
-            raise CheckpointFormatError(f"state.npy is .npy version {version}, expected (1, 0) or (2, 0)")
-        read_header = np.lib.format.read_array_header_1_0 if version == (1, 0) else np.lib.format.read_array_header_2_0
-        shape, fortran_order, dtype = read_header(member)
+        if version != (1, 0):  # the version save_checkpoint writes
+            raise CheckpointFormatError(f"state.npy is .npy version {version}, expected (1, 0)")
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(member)
         values_at = member.tell()
     if fortran_order or dtype not in _DTYPES or shape != (3, total):
         raise CheckpointFormatError(f"state.npy holds {dtype.str} {shape} with fortran_order {fortran_order}; the "
@@ -138,7 +146,8 @@ def _read_state(zf, blob, total):
 
 
 def load_checkpoint(path):
-    """Parse a checkpoint into (header dict, {name: read-only array}); no model mutation.
+    """Parse a checkpoint into (header dict, state), where state is the read-only [3, total] array of
+    values, `adam_m` and `adam_v`; no model mutation.
 
     A path that cannot be read raises CheckpointError, a version other than 2
     (version 1 files included) CheckpointVersionError, and any other malformed
@@ -162,60 +171,45 @@ def load_checkpoint(path):
                 raise CheckpointFormatError("a member is compressed; checkpoints are stored")
             header = json.loads(zf.read(_MEMBERS[0]).decode("utf-8"))
             _check_header(header)
-            sizes = [math.prod(extents) for _, extents in header["shapes"]]  # Python ints: no overflow
-            state = _read_state(zf, blob, sum(sizes))
-        tensors = {}
-        offset = 0
-        for (name, extents), size in zip(header["shapes"], sizes):
-            for row, key in zip(state, (name, f"{name}#adam_m", f"{name}#adam_v")):
-                tensors[key] = row[offset:offset + size].reshape(extents)
-            offset += size
+            state = _read_state(zf, blob, sum(math.prod(extents) for _, extents in header["shapes"]))
     except _PARSE_ERRORS as err:
         raise CheckpointFormatError(f"malformed checkpoint {path}: {err!r}") from None
-    if len(tensors) != 3 * len(sizes):
-        raise CheckpointFormatError("a parameter name appears twice in the header's shapes")
-    return header, tensors
+    return header, state
 
 
-def restore_model(model, header, tensors):
+def restore_model(model, header, state):
     """Write saved parameter values and Adam state into a freshly built model.
 
-    Every entry is checked against the model before the first write: a header
-    that `load_checkpoint` would refuse raises CheckpointFormatError (or
-    CheckpointVersionError), and a missing or unexpected name, shape or dtype, or
-    a `steps` table that does not name exactly the model's parameters, raises
-    CheckpointMismatchError, as does an entry that is not an ndarray; `tensors`
-    not a dict raises ContractError. Each leaves the model untouched.
+    `state` is the [3, total] array `load_checkpoint` returns. Four checks run before the
+    first write: a header that `load_checkpoint` would refuse raises CheckpointFormatError
+    (or CheckpointVersionError); `shapes` that do not list the model's parameters, names
+    and extents, in `named_parameters` order, a `steps` table that does not name exactly
+    those parameters, or a state not of shape (3, total) in their dtype raise
+    CheckpointMismatchError; and a state that is not an ndarray raises ContractError.
+    Each leaves the model untouched.
     """
-    if not isinstance(tensors, dict):
-        raise ContractError(f"tensors must be a dict of name to ndarray, got {type(tensors).__name__}")
     _check_header(header)
-    steps = header["steps"]
     params = list(model.named_parameters())
-    names = {name for name, _ in params}
+    saved, layout = header["shapes"], _shapes(params)
+    if saved != layout:
+        at = next((i for i, (a, b) in enumerate(zip(saved, layout)) if a != b), min(len(saved), len(layout)))
+        raise CheckpointMismatchError(f"checkpoint shapes differ from the model's at entry {at}: "
+                                      f"{saved[at:at + 1]} against {layout[at:at + 1]}")
+    steps, names = header["steps"], {name for name, _ in params}
     if set(steps) != names:
         raise CheckpointMismatchError(f"header steps table: missing {sorted(names - set(steps))[:3]}, "
                                       f"not in the model {sorted(set(steps) - names)[:3]}")
-    expected = {}
-    for name, param in params:
-        for key in (name, f"{name}#adam_m", f"{name}#adam_v"):
-            expected[key] = param.data
-    unexpected = sorted(set(tensors) - set(expected))
-    if unexpected:
-        raise CheckpointMismatchError(f"checkpoint entries not in the model: {unexpected[:3]}")
-    for key, like in expected.items():
-        arr = tensors.get(key)
-        if arr is None:
-            raise CheckpointMismatchError(f"checkpoint missing {key}")
-        if not isinstance(arr, np.ndarray):
-            raise CheckpointMismatchError(f"{key}: checkpoint entry is a {type(arr).__name__}, not an ndarray")
-        if arr.shape != like.shape or arr.dtype != like.dtype:
-            raise CheckpointMismatchError(
-                f"{key}: checkpoint has {arr.dtype} {arr.shape}, model expects {like.dtype} {like.shape}"
-            )
-    for name, param in params:
-        param.data = tensors[name].copy()
-        param.adam_m = tensors[f"{name}#adam_m"].copy()
-        param.adam_v = tensors[f"{name}#adam_v"].copy()
-        param.step_count = steps[name]
+    if not isinstance(state, np.ndarray):
+        raise ContractError(f"state must be the [3, total] ndarray load_checkpoint returns, got {type(state).__name__}")
+    expect = (3, sum(p.data.size for _, p in params))
+    dtypes = {p.data.dtype for _, p in params}
+    if state.shape != expect or dtypes != {state.dtype}:
+        raise CheckpointMismatchError(f"state is {state.dtype} {state.shape}; the model expects "
+                                      f"{', '.join(sorted(map(str, dtypes)))} {expect}")
+    offset = 0
+    for name, p in params:
+        size = p.data.size
+        p.data, p.adam_m, p.adam_v = (row[offset:offset + size].reshape(p.shape).copy() for row in state)
+        p.step_count = steps[name]
+        offset += size
     return model

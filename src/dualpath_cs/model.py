@@ -7,11 +7,11 @@ import numpy as np
 
 from . import ops
 from .autograd import Tensor
-from .errors import ConfigError, GeometryError, is_integer
+from .errors import ConfigError, GeometryError, ResourceError, is_integer
 from .hyperprior import GuidanceBundle, HyperpriorBranch, HyperpriorSignal, check_rho
 from .nn import Conv2d, Module
 from .reconstruction import ReconstructionStage
-from .sampling import build_dual_sampler, initial_recon, sample
+from .sampling import TOKEN_CAP, build_dual_sampler, initial_recon, sample
 
 
 def check_architecture(stages, channels, rho):
@@ -23,7 +23,8 @@ def check_architecture(stages, channels, rho):
 
 
 def check_extents(hw, block_size):
-    """Raise GeometryError unless H and W are divisible by the block size and by 4 (the U-Net's scales)."""
+    """Raise GeometryError unless H and W are divisible by the block size and by 4 (the U-Net's scales),
+    and ResourceError if H*W exceeds `TOKEN_CAP`, the attention's tokens per sample."""
     if not (isinstance(hw, (tuple, list)) and len(hw) == 2 and all(is_integer(e) and e > 0 for e in hw)):
         raise GeometryError(f"extents must be two positive integers, got {hw!r}")
     h, w = hw
@@ -31,6 +32,8 @@ def check_extents(hw, block_size):
         raise GeometryError(f"extents {h}x{w} not divisible by block size {block_size}")
     if h % 4 or w % 4:
         raise GeometryError(f"extents {h}x{w} not divisible by 4 (scale pyramid)")
+    if h * w > TOKEN_CAP:
+        raise ResourceError(f"{h * w} attention tokens exceed the cap {TOKEN_CAP}")
 
 
 @dataclass
@@ -73,7 +76,8 @@ class DualPathModel(Module):
         self.stages = [ReconstructionStage(channels, rng, k, stages) for k in range(1, stages + 1)]
 
     def reconstruct(self, y1, y2, hw):
-        """Run the hyperprior branch and all K stages on given measurements."""
+        """Run the hyperprior branch and all K stages on given measurements; extents that
+        `check_extents` refuses raise before any op runs."""
         check_extents(hw, self.sampler.phi1.block_size)
         x, x1, gram1, gram, back = initial_recon(self.sampler, y1, y2, self.fusion, hw)
         signal, guidance = self.hyperprior(x1, gram1, self.sampler.phi1.block_size)

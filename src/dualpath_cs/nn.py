@@ -9,7 +9,7 @@ import numpy as np
 from . import ops
 from .autograd import Tensor, default_dtype
 from .conv import conv2d, conv_transpose2x
-from .errors import ConfigError, ContractError, is_finite_real
+from .errors import ConfigError, ContractError, as_real_array, is_finite_real
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -20,13 +20,14 @@ class Parameter(Tensor):
     """Learnable leaf tensor plus its Adam state.
 
     `name` is a dotted path ("stages.2.step_gen.out.weight") assigned when the
-    owning module tree is walked; it keys the checkpoint table.
+    owning module tree is walked; a checkpoint's `shapes` and `steps` list it. An array
+    that is not bool, integer or real float raises ContractError.
     """
 
     __slots__ = ("name", "adam_m", "adam_v", "step_count")
 
     def __init__(self, array):
-        super().__init__(np.asarray(array), requires_grad=True)
+        super().__init__(as_real_array(array, ContractError), requires_grad=True)
         self.name = ""
         self.adam_m = np.zeros_like(self.data)
         self.adam_v = np.zeros_like(self.data)

@@ -12,11 +12,9 @@ import numpy as np
 
 from . import nn, ops
 from .autograd import Tensor
-from .errors import ContractError, GeometryError, ResourceError
+from .errors import ContractError
 from .nn import ChannelGate, Conv2d, ConvTranspose2x, LayerNormChannels, Module, SpatialGate
 from .sampling import data_grad
-
-TOKEN_CAP = 16384  # attention tokens (pixels) per stage, 128x128: bounds the quadratic time; memory is linear
 
 
 def stage_factor(k, total, like):
@@ -60,7 +58,7 @@ class HardMaskedAttention(Module):
     values in its value gemms, forward and backward. The key projection has no bias: a shift b of
     every key adds q_i . b to the whole score row i, which softmax ignores, so such a bias would
     get a zero gradient. Attention memory is linear in the token count; its time is quadratic in
-    the tokens per sample, and `TOKEN_CAP` bounds that time.
+    the tokens per sample, and `sampling.TOKEN_CAP` bounds that time.
     """
 
     def __init__(self, channels, rng):
@@ -71,8 +69,6 @@ class HardMaskedAttention(Module):
 
     def forward(self, r, key_plan):
         n, _, h, w = r.shape
-        if h * w > TOKEN_CAP:
-            raise ResourceError(f"{h * w} attention tokens exceed the cap {TOKEN_CAP}")
         feats = self.proj(r)
 
         def to_tokens(t):
@@ -133,9 +129,6 @@ class SoftGuidedUNet(Module):
         self.out = Conv2d(c1, 1, 3, rng)
 
     def forward(self, att, z_prev, soft_pyramid):
-        h, w = att.shape[2], att.shape[3]
-        if h % 4 or w % 4:
-            raise GeometryError(f"extents {h}x{w} must be divisible by 4 for three scales")
         m1, m2, m3 = soft_pyramid
         f0 = self.align(att)
         e1 = self.enc1(ops.add(ops.mul(m1, f0), z_prev[0]))

@@ -18,6 +18,8 @@ from .autograd import default_dtype
 from .errors import ConfigError, DimensionError, GeometryError, is_finite_real, is_integer
 from .nn import Module, Parameter
 
+TOKEN_CAP = 16384  # pixels per sample the model reconstructs, 128x128: bounds attention's quadratic time
+
 
 def round_half_up(x):
     return int(np.floor(x + 0.5))
@@ -53,8 +55,11 @@ def unblockify(blocks, hw):
 
 
 def check_block_size(block_size):
-    if not (is_integer(block_size) and block_size >= 2 and is_finite_real(block_size * block_size)):
-        raise ConfigError(f"block size must be an integer >= 2 with a finite square, got {block_size!r}")
+    """ConfigError unless B is an integer >= 2 whose BxB block fits `TOKEN_CAP`: no image the model
+    reconstructs holds a larger block."""
+    if not (is_integer(block_size) and 2 <= block_size and block_size * block_size <= TOKEN_CAP):
+        raise ConfigError(f"block size must be an integer >= 2 with at most {TOKEN_CAP} pixels a block, "
+                          f"got {block_size!r}")
 
 
 class BlockSensingMatrix(Module):

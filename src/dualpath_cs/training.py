@@ -7,8 +7,8 @@ import numpy as np
 
 from . import ops
 from .autograd import tensor
-from .errors import (ConfigError, ContractError, DimensionError, GeometryError, IngestionError, TrainingDivergenceError,
-                     as_real_array, is_integer)
+from .errors import (ConfigError, ContractError, DimensionError, GeometryError, IngestionError, ResourceError,
+                     TrainingDivergenceError, as_real_array, is_integer)
 from .model import DualPathModel, check_architecture, check_extents
 from .nn import Adam, adam_settings
 from .sampling import split_rows
@@ -42,7 +42,7 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         try:
             check_extents((self.patch_size, self.patch_size), self.block_size)
-        except GeometryError as err:
+        except (GeometryError, ResourceError) as err:
             raise ConfigError(str(err)) from None
         if adam_settings(self.lr) == 0.0:
             raise ConfigError(f"lr must be positive as a float, got {self.lr!r}")

@@ -153,6 +153,14 @@ class TestModes:
             assert tensor([1.0]).dtype == np.float64
         assert tensor([1.0]).dtype == np.float32
 
+    @pytest.mark.parametrize("mode", ["f16", None, {}, ["f64"]], ids=["f16", "none", "dict", "list"])
+    def test_unknown_precision_rejected(self, mode):
+        # A dict or list mode leaked a bare TypeError (unhashable) from the table lookup.
+        with pytest.raises(ContractError, match="unknown precision"):
+            with precision(mode):
+                pass
+        assert tensor([1.0]).dtype == np.float32
+
     def test_finite_check_raises(self):
         x = tensor([1e38], dtype=np.float32)
         with np.errstate(over="ignore"), finite_checks():

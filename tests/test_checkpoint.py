@@ -9,8 +9,14 @@ from io import BytesIO
 import numpy as np
 import pytest
 
-from dualpath_cs.checkpoint import load_checkpoint, save_checkpoint
-from dualpath_cs.errors import CheckpointError, CheckpointFormatError, CheckpointVersionError, ContractError
+from dualpath_cs.checkpoint import load_checkpoint, restore_model, save_checkpoint
+from dualpath_cs.errors import (
+    CheckpointError,
+    CheckpointFormatError,
+    CheckpointMismatchError,
+    CheckpointVersionError,
+    ContractError,
+)
 from dualpath_cs.training import TrainConfig, build_model
 
 # One stage of two channels: an 80 KB checkpoint, small enough to fuzz at many offsets.
@@ -60,27 +66,45 @@ def npy_bytes(shape, payload, descr="<f4", fortran_order=False, version=(1, 0)):
 
 
 def saved(path, config=SMALL):
-    """Save a freshly built model to `path`; its (header, tensors) as load_checkpoint reads them."""
+    """Save a freshly built model to `path`; its (header, state) as load_checkpoint reads them."""
     save_checkpoint(path, build_model(TrainConfig(**config)), config=TrainConfig(**config))
     return load_checkpoint(path)
 
 
 def assert_same(got, expect):
-    (header, tensors), (expect_header, expect_tensors) = got, expect
-    assert header == expect_header and list(tensors) == list(expect_tensors)
-    for name, array in tensors.items():
-        assert array.dtype == expect_tensors[name].dtype and np.array_equal(array, expect_tensors[name]), name
+    (header, state), (expect_header, expect_state) = got, expect
+    assert header == expect_header
+    assert state.dtype == expect_state.dtype and np.array_equal(state, expect_state)
+
+
+def model_state(model):
+    """Copies of every parameter's values, moments and step count."""
+    return [(p.data.copy(), p.adam_m.copy(), p.adam_v.copy(), p.step_count) for p in model.parameters()]
+
+
+def assert_model_state(model, before):
+    for p, (data, m, v, steps) in zip(model.parameters(), before, strict=True):
+        assert np.array_equal(p.data, data) and np.array_equal(p.adam_m, m)
+        assert np.array_equal(p.adam_v, v) and p.step_count == steps
+
+
+def _assert_rejected_untouched(model, header, state, error=CheckpointMismatchError):
+    before = model_state(model)
+    with pytest.raises(error):
+        restore_model(model, header, state)
+    assert_model_state(model, before)
 
 
 class TestLayout:
     def test_numpy_reads_the_file(self, tmp_path):
         path = tmp_path / "m.ckpt"
-        header, tensors = saved(path)
+        header, loaded = saved(path)
         model = build_model(TrainConfig(**SMALL))
         with np.load(path) as npz:
             assert npz.files == ["header.json", "state"]
             assert json.loads(npz["header.json"]) == header
             state = npz["state"]
+        assert np.array_equal(state, loaded)
         assert state.shape == (3, sum(p.data.size for p in model.parameters())) and state.dtype == model.parameters()[0].dtype
         assert np.array_equal(state[0], np.concatenate([p.data.ravel() for p in model.parameters()]))
         assert header["shapes"] == [[name, list(p.shape)] for name, p in model.named_parameters()]
@@ -89,15 +113,13 @@ class TestLayout:
                 ("header.json", zipfile.ZIP_STORED, (1980, 1, 1, 0, 0, 0)),
                 ("state.npy", zipfile.ZIP_STORED, (1980, 1, 1, 0, 0, 0))]
 
-    def test_tensors_are_read_only_views_of_one_state(self, tmp_path):
-        def owner(array):
-            while isinstance(array.base, np.ndarray):
-                array = array.base
-            return array.base
-
-        _, tensors = saved(tmp_path / "m.ckpt")
-        assert len({id(owner(array)) for array in tensors.values()}) == 1
-        assert not any(array.flags.writeable for array in tensors.values())
+    def test_state_is_a_read_only_view_of_the_file(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        _, state = saved(path)
+        base = state
+        while isinstance(base, np.ndarray):
+            base = base.base
+        assert base == path.read_bytes() and not state.flags.writeable
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_both_precisions_round_trip(self, tmp_path, dtype):
@@ -105,9 +127,10 @@ class TestLayout:
         for p in model.parameters():
             p.data, p.adam_m, p.adam_v = (a.astype(dtype) for a in (p.data, p.adam_m, p.adam_v))
         save_checkpoint(tmp_path / "m.ckpt", model)
-        _, tensors = load_checkpoint(tmp_path / "m.ckpt")
-        for name, p in model.named_parameters():
-            assert tensors[name].dtype == dtype and np.array_equal(tensors[name], p.data)
+        _, state = load_checkpoint(tmp_path / "m.ckpt")
+        assert state.dtype == dtype
+        for row, key in zip(state, ("data", "adam_m", "adam_v"), strict=True):
+            assert np.array_equal(row, np.concatenate([getattr(p, key).ravel() for p in model.parameters()]))
 
     @pytest.mark.parametrize("part", ["data", "adam_m"])
     def test_mixed_dtypes_rejected_at_save(self, tmp_path, part):
@@ -189,11 +212,13 @@ class TestRefusedFiles:
         with pytest.raises(CheckpointFormatError, match=r"version \(3, 0\)"):
             load_checkpoint(path)
 
-    def test_npy_version_2_accepted(self, tmp_path):
+    def test_npy_version_2_refused(self, tmp_path):
+        # The same values under a .npy 2.0 header, which save_checkpoint never writes.
         path = tmp_path / "m.ckpt"
-        expect = saved(path)
-        rewrite(path, state=npy_bytes((3, total(expect[0])), npy_payload(read_members(path)[1]), version=(2, 0)))
-        assert_same(load_checkpoint(path), expect)
+        header, _ = saved(path)
+        rewrite(path, state=npy_bytes((3, total(header)), npy_payload(read_members(path)[1]), version=(2, 0)))
+        with pytest.raises(CheckpointFormatError, match=r"version \(2, 0\), expected \(1, 0\)"):
+            load_checkpoint(path)
 
     def test_npy_byte_count_must_match_the_zip_directory(self, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -240,14 +265,14 @@ class TestRefusedFiles:
             load_checkpoint(path)
 
     def test_rank_above_numpy_limit(self, tmp_path):
-        # 65 extents of 1 hold one value each, but numpy reshapes to at most 64 axes.
+        # 65 extents of 1 hold one value each, but numpy reshapes to at most 64 axes. Loading
+        # reshapes nothing; the model's layout refuses it.
         path = tmp_path / "m.ckpt"
         header, _ = saved(path)
         assert header["shapes"][-1][1] == [1]
         header["shapes"][-1][1] = [1] * 65
         rewrite(path, header=header)
-        with pytest.raises(CheckpointFormatError):
-            load_checkpoint(path)
+        _assert_rejected_untouched(build_model(TrainConfig(**SMALL)), *load_checkpoint(path))
 
 
 class TestFuzz:

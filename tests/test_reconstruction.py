@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dualpath_cs import model as model_module
 from dualpath_cs import ops
 from dualpath_cs.autograd import Tensor, backward, no_grad, precision, tensor
 from dualpath_cs.conv import conv2d
@@ -12,14 +13,13 @@ from dualpath_cs.errors import ConfigError, ContractError, GeometryError, Resour
 from dualpath_cs.hyperprior import HyperpriorSignal, soft_pyramid
 from dualpath_cs.model import DualPathModel
 from dualpath_cs.reconstruction import (
-    TOKEN_CAP,
     HardMaskedAttention,
     SoftGuidedUNet,
     StepSizeGenerator,
     hgdm_step,
     stage_factor,
 )
-from dualpath_cs.sampling import BlockSensingMatrix, DualSampler, blockify, initial_recon, sample
+from dualpath_cs.sampling import TOKEN_CAP, BlockSensingMatrix, DualSampler, blockify, initial_recon, sample
 from dualpath_cs.training import TrainConfig, build_model
 
 
@@ -247,14 +247,6 @@ class TestHardMaskedAttention:
             expect[i] = w_row @ v
         assert np.allclose(got, expect, atol=1e-6)
 
-    def test_token_cap_enforced(self):
-        att = HardMaskedAttention(2, np.random.default_rng(0))
-        att.proj = lambda r: pytest.fail("projection ran past the token cap")
-        assert 128 * 129 > TOKEN_CAP
-        r = tensor(np.zeros((1, 1, 128, 129), dtype=np.float32))
-        with pytest.raises(ResourceError):
-            att(r, ops.KeyPlan(np.ones((1, 1, 128, 129), dtype=np.float32)))
-
     def test_no_grad_128_forward_is_memory_linear(self):
         # 16384 tokens: a kept T x T float32 probability matrix alone would be 1 GB.
         model = build_model(TrainConfig(patch_size=128, channels=4, stages=1))
@@ -310,14 +302,6 @@ class TestSoftGuidedUNet:
         t_b = ops.mul(m2, f0).data
         changed = t_a != t_b
         assert np.all(changed[:, :, np.abs(f0.data[0]).sum(axis=0) > 1e-6])
-
-    def test_indivisible_extents_rejected(self, rng):
-        unet = SoftGuidedUNet(4, np.random.default_rng(3))
-        att, z = self._inputs(rng, 4, (8, 8))
-        soft = tensor(np.ones((1, 1, 6, 6), dtype=np.float32))
-        bad = tensor(rng.standard_normal((1, 4, 6, 6)).astype(np.float32))
-        with pytest.raises(GeometryError):
-            unet(bad, z, soft)
 
 
 class TestUnrolledModel:
@@ -400,6 +384,23 @@ class TestUnrolledModel:
         y1, y2 = sample(model.sampler, tensor(rng.uniform(0, 1, (1, 1, 16, 16)).astype(np.float32)))
         with pytest.raises(GeometryError):
             model.reconstruct(y1, y2, hw)
+
+    @staticmethod
+    def _assert_refused_before_any_op(monkeypatch, model, hw, error):
+        # The extents are checked first, so no measurement is read and no op runs.
+        monkeypatch.setattr(model_module, "initial_recon", lambda *args: pytest.fail("an op ran on refused extents"))
+        with pytest.raises(error):
+            model.reconstruct(None, None, hw)
+
+    def test_token_cap_enforced(self, monkeypatch):
+        # 128x132 passes every geometric rule at B = 4, but holds more tokens than attention may take.
+        assert 128 * 132 > TOKEN_CAP
+        self._assert_refused_before_any_op(monkeypatch, self._model(), (128, 132), ResourceError)
+
+    def test_indivisible_extents_rejected(self, monkeypatch):
+        # 6x6 is whole 2x2 blocks, but the U-Net's three scales need extents divisible by 4.
+        model = DualPathModel(gamma=0.5, split=(1, 1), block_size=2, stages=1, channels=4, rho=0.5, seed=0)
+        self._assert_refused_before_any_op(monkeypatch, model, (6, 6), GeometryError)
 
     @pytest.mark.parametrize("field,value", [
         ("stages", 0), ("stages", 2.5), ("stages", True), ("channels", 0), ("channels", 1.5),

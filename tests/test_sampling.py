@@ -5,9 +5,10 @@ import pytest
 
 from dualpath_cs import ops
 from dualpath_cs.autograd import precision, tensor
-from dualpath_cs.errors import ConfigError, DimensionError, GeometryError
+from dualpath_cs.errors import ConfigError, ContractError, DimensionError, GeometryError
 from dualpath_cs.nn import Conv2d
 from dualpath_cs.sampling import (
+    TOKEN_CAP,
     BlockSensingMatrix,
     blockify,
     build_dual_sampler,
@@ -73,6 +74,14 @@ class TestBudget:
     def test_unsplittable_budget(self):
         with pytest.raises(ConfigError):
             split_rows(0.01, (1, 1), 4)  # round(0.16) = 0
+
+    @pytest.mark.parametrize("block_size", [129, 2 ** 64])
+    def test_block_past_the_token_cap_rejected(self, block_size):
+        # No image the model reconstructs holds such a block; build_dual_sampler asked numpy for a
+        # [M, 2**128] array and leaked its bare ValueError ("Maximum allowed dimension exceeded").
+        assert block_size * block_size > TOKEN_CAP
+        with pytest.raises(ConfigError, match="pixels a block"):
+            build_dual_sampler(0.5, (1, 2), block_size, seed=0)
 
 
 class TestDeterminism:
@@ -183,6 +192,13 @@ class TestSensingMatrixChecks:
     def test_weights_must_be_rows_by_block_area(self, shape):
         with pytest.raises(DimensionError):
             BlockSensingMatrix(np.zeros(shape))
+
+    @pytest.mark.parametrize("weights", [[[0.0, 1.0, 2.0, 3.0], [4.0]], np.full((1, 4), "a"), np.ones((1, 4), complex)],
+                             ids=["ragged", "strings", "complex"])
+    def test_non_real_weights_rejected(self, weights):
+        # A ragged list leaked np.asarray's bare ValueError from Parameter.
+        with pytest.raises(ContractError):
+            BlockSensingMatrix(weights)
 
     @pytest.mark.parametrize("rows,block_size", [(1, 2), (4, 2), (3, 8), (64, 8)])
     def test_block_size_read_off_the_weights(self, rows, block_size):

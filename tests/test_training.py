@@ -1,5 +1,6 @@
 """Training loop mechanics, determinism, and checkpoint persistence."""
 
+import math
 import os
 import zipfile
 from fractions import Fraction
@@ -14,16 +15,17 @@ from dualpath_cs.checkpoint import load_checkpoint, restore_model, save_checkpoi
 from dualpath_cs.errors import (
     CheckpointError,
     CheckpointFormatError,
-    CheckpointMismatchError,
     CheckpointVersionError,
     ConfigError,
     ContractError,
     DimensionError,
     GeometryError,
     IngestionError,
+    ResourceError,
     TrainingDivergenceError,
 )
 from dualpath_cs.metrics import psnr
+from dualpath_cs.sampling import TOKEN_CAP
 from dualpath_cs.training import (
     TrainConfig,
     build_model,
@@ -31,7 +33,7 @@ from dualpath_cs.training import (
     extract_patches,
     train_step,
 )
-from test_checkpoint import npy_bytes, read_members, rewrite
+from test_checkpoint import _assert_rejected_untouched, npy_bytes, read_members, rewrite
 
 TINY = dict(gamma=0.5, split=(1, 2), block_size=4, stages=2, channels=8,
             patch_size=16, batch_size=1, seed=7)
@@ -65,19 +67,24 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(patch_size=36, block_size=8)
 
-    @pytest.mark.parametrize("patch", [24, 36, 40, 44, 48])
+    @pytest.mark.parametrize("patch", [24, 36, 40, 44, 48, 136])
     def test_patch_accepted_exactly_when_the_model_reconstructs_it(self, rng, patch):
-        """At B = 8 the model reconstructs every multiple of 8, not only the multiples of 4*B."""
+        """At B = 8 the model reconstructs every multiple of 8, not only the multiples of 4*B, up to
+        the attention's token cap: 136 is a multiple of 8, but 136² tokens exceed it."""
         fields = dict(block_size=8, stages=1, channels=4)
         image = random_image(rng, patch)
         if patch % 8:
-            with pytest.raises(GeometryError):
-                build_model(tiny_config(**fields))(tensor(image.reshape(1, 1, patch, patch)))
-            with pytest.raises(ConfigError, match="not divisible by block size 8"):
-                tiny_config(**fields, patch_size=patch)
+            error, match = GeometryError, "not divisible by block size 8"
+        elif patch * patch > TOKEN_CAP:
+            error, match = ResourceError, "exceed the cap"
         else:
             _, [(loss, trace)] = train(tiny_config(**fields, patch_size=patch), image, steps=1)
             assert np.isfinite(loss) and trace.output.shape == (1, 1, patch, patch)
+            return
+        with pytest.raises(error, match=match):
+            build_model(tiny_config(**fields))(tensor(image.reshape(1, 1, patch, patch)))
+        with pytest.raises(ConfigError, match=match):
+            tiny_config(**fields, patch_size=patch)
 
     def test_rho_range(self):
         with pytest.raises(ConfigError):
@@ -540,24 +547,24 @@ class TestCheckpointFormat:
             load_checkpoint(path)
 
     def test_duplicated_tensor_name(self, tmp_path):
-        # The first parameter listed again, with its values, moments and step count: last-wins
-        # parsing would hand restore_model a complete, plausible set of tensors.
+        # The first parameter listed again, with its values and moments: last-wins parsing would
+        # hand restore_model a complete, plausible state.
         path = tmp_path / "m.ckpt"
         self._saved_blob(path)
-        header, tensors = load_checkpoint(path)
-        shapes = header["shapes"] + header["shapes"][:1]
-        state = np.stack([np.concatenate([tensors[name + suffix].ravel() for name, _ in shapes])
-                          for suffix in ("", "#adam_m", "#adam_v")])
-        rewrite(path, header={**header, "shapes": shapes}, state=npy_bytes(state.shape, state.tobytes()))
+        header, state = load_checkpoint(path)
+        first = math.prod(header["shapes"][0][1])
+        state = np.concatenate([state, state[:, :first]], axis=1)
+        rewrite(path, header={**header, "shapes": header["shapes"] + header["shapes"][:1]},
+                state=npy_bytes(state.shape, state.tobytes()))
         with pytest.raises(CheckpointFormatError, match="appears twice"):
             load_checkpoint(path)
 
 
 class TestRestoreValidation:
-    """restore_model rejects a mismatched checkpoint before writing anything."""
+    """restore_model rejects a header or state that does not fit the model before writing anything."""
 
     @pytest.fixture
-    def saved(self, tmp_path, rng):
+    def trained(self, tmp_path, rng):
         cfg = tiny_config()
         model, _ = train(cfg, random_image(rng), 1)
         path = tmp_path / "m.ckpt"
@@ -565,71 +572,95 @@ class TestRestoreValidation:
         return load_checkpoint(path)
 
     @staticmethod
-    def _assert_rejected_untouched(model, header, tensors, error=CheckpointMismatchError):
-        before = [(p.data.copy(), p.adam_m.copy(), p.adam_v.copy(), p.step_count) for p in model.parameters()]
-        with pytest.raises(error):
-            restore_model(model, header, tensors)
-        for p, (data, m, v, steps) in zip(model.parameters(), before):
-            assert np.array_equal(p.data, data) and np.array_equal(p.adam_m, m)
-            assert np.array_equal(p.adam_v, v) and p.step_count == steps
+    def _layout_edit(header, shapes, columns):
+        """A header listing `shapes`, and a state of the given columns, with steps to match, so that
+        only the layout disagrees with the model."""
+        steps = {name: header["steps"].get(name, 1) for name, _ in shapes}
+        return {**header, "shapes": shapes, "steps": steps}, np.concatenate(columns, axis=1)
 
-    def test_missing_adam_moment(self, saved):
-        header, tensors = saved
-        del tensors["stages.1.soft_unet.out.bias#adam_m"]
-        self._assert_rejected_untouched(build_model(tiny_config()), header, tensors)
+    def test_missing_adam_moment(self, trained):
+        header, state = trained
+        _assert_rejected_untouched(build_model(tiny_config()), header, state[:2])
 
-    def test_missing_last_parameter_found_before_first_write(self, saved):
-        header, tensors = saved
-        model = build_model(tiny_config())
-        last = model.parameters()[-1].name
-        del tensors[last]
-        self._assert_rejected_untouched(model, header, tensors)
+    def test_missing_last_parameter_found_before_first_write(self, trained):
+        header, state = trained
+        last = math.prod(header["shapes"][-1][1])
+        edited = self._layout_edit(header, header["shapes"][:-1], [state[:, :-last]])
+        _assert_rejected_untouched(build_model(tiny_config()), *edited)
 
-    def test_unexpected_entry(self, saved):
-        header, tensors = saved
-        tensors["stages.9.out.weight"] = np.zeros(1, dtype=np.float32)
-        self._assert_rejected_untouched(build_model(tiny_config()), header, tensors)
+    def test_unexpected_entry(self, trained):
+        header, state = trained
+        edited = self._layout_edit(header, header["shapes"] + [["stages.9.out.weight", [1]]],
+                                   [state, state[:, :1]])
+        _assert_rejected_untouched(build_model(tiny_config()), *edited)
+
+    @pytest.mark.parametrize("edit", ["renamed", "reordered", "reshaped"])
+    def test_shapes_must_be_the_model_layout(self, trained, edit):
+        # Each edit keeps the value count, so only the names, order or extents disagree.
+        header, state = trained
+        shapes = [[name, list(extents)] for name, extents in header["shapes"]]
+        if edit == "renamed":
+            shapes[0][0] = "sampler.phi0.weights"
+        elif edit == "reordered":
+            shapes[:2] = shapes[1::-1]
+        else:
+            shapes[0][1] = [math.prod(shapes[0][1])]
+        _assert_rejected_untouched(build_model(tiny_config()), *self._layout_edit(header, shapes, [state]))
 
     @pytest.mark.parametrize("edit", ["missing", "unknown"])
-    def test_steps_table_must_name_exactly_the_parameters(self, saved, edit):
+    def test_steps_table_must_name_exactly_the_parameters(self, trained, edit):
         # A missing name restored step_count 0, silently resetting Adam's bias correction.
-        header, tensors = saved
+        header, state = trained
         if edit == "missing":
             del header["steps"]["fusion.weight"]
         else:
             header["steps"]["stages.9.out.weight"] = 3
-        self._assert_rejected_untouched(build_model(tiny_config()), header, tensors)
+        _assert_rejected_untouched(build_model(tiny_config()), header, state)
 
     @pytest.mark.parametrize("steps", ["x", -1, None])
-    def test_malformed_step_count_found_before_first_write(self, saved, steps):
+    def test_malformed_step_count_found_before_first_write(self, trained, steps):
         # int("x") raised a bare ValueError after the first parameters had been written.
-        header, tensors = saved
+        header, state = trained
         header["steps"][list(header["steps"])[-1]] = steps
-        self._assert_rejected_untouched(build_model(tiny_config()), header, tensors, CheckpointFormatError)
+        _assert_rejected_untouched(build_model(tiny_config()), header, state, CheckpointFormatError)
+
+    def test_array_version_refused(self, trained):
+        # An array compared to the version elementwise, and its truth value raised a bare ValueError.
+        header, state = trained
+        _assert_rejected_untouched(build_model(tiny_config()), {**header, "version": np.array([2, 2])}, state,
+                                   CheckpointVersionError)
+
+    @pytest.mark.parametrize("extra", [None, {1: 0, "x": 0}], ids=["list", "name-not-text"])
+    def test_malformed_steps_table(self, trained, extra):
+        # Names of two types raised a bare TypeError from sorting the unknown ones.
+        header, state = trained
+        steps = list(header["steps"]) if extra is None else {**header["steps"], **extra}
+        _assert_rejected_untouched(build_model(tiny_config()), {**header, "steps": steps}, state, CheckpointFormatError)
 
     def test_wider_model_checkpoint(self, tmp_path, rng):
         wide = tiny_config(channels=16)
         path = tmp_path / "wide.ckpt"
         save_checkpoint(path, build_model(wide), config=wide.to_dict())
-        header, tensors = load_checkpoint(path)
-        self._assert_rejected_untouched(build_model(tiny_config()), header, tensors)
+        header, state = load_checkpoint(path)
+        _assert_rejected_untouched(build_model(tiny_config()), header, state)
 
-    def test_entries_not_arrays(self, saved):
-        # A table of lists raised a bare AttributeError on the first entry's shape.
-        header, tensors = saved
-        lists = {name: arr.tolist() for name, arr in tensors.items()}
-        self._assert_rejected_untouched(build_model(tiny_config()), header, lists)
+    @pytest.mark.parametrize("kind", ["list", "dict", "none"])
+    def test_state_not_an_ndarray(self, trained, kind):
+        # Only the ndarray load_checkpoint returns is restored; anything else is the caller's error.
+        header, state = trained
+        state = {"list": state.tolist(), "dict": dict(enumerate(state)), "none": None}[kind]
+        _assert_rejected_untouched(build_model(tiny_config()), header, state, ContractError)
 
-    def test_table_not_a_dict(self, saved):
-        # A list of (name, array) pairs raised a bare TypeError: unhashable type.
-        header, tensors = saved
-        self._assert_rejected_untouched(build_model(tiny_config()), header, list(tensors.items()), ContractError)
+    @pytest.mark.parametrize("edit", ["short", "long", "transposed", "flat", "zero-d", "empty"])
+    def test_wrong_state_shape(self, trained, edit):
+        header, state = trained
+        state = {"short": state[:, 1:], "long": np.concatenate([state, state[:, :1]], axis=1), "transposed": state.T,
+                 "flat": state.ravel(), "zero-d": state[0, 0, ...], "empty": state[:, :0]}[edit]
+        _assert_rejected_untouched(build_model(tiny_config()), header, state)
 
-    def test_wrong_dtype(self, saved):
-        header, tensors = saved
-        name = "fusion.weight"
-        tensors[name] = tensors[name].astype(np.float64)
-        self._assert_rejected_untouched(build_model(tiny_config()), header, tensors)
+    def test_wrong_dtype(self, trained):
+        header, state = trained
+        _assert_rejected_untouched(build_model(tiny_config()), header, state.astype(np.float64))
 
     def test_unsupported_dtype_rejected_at_save(self, tmp_path):
         model = build_model(tiny_config())
