@@ -162,9 +162,7 @@ def conv2d(x, w, b=None, stride=1):
             for ph, (ys, ry), (xs, rx) in _phases(h, wdt, k // 2, s):
                 # A phase that no kernel tap reads gets no gradient.
                 dx[:, :, ys, xs] = planes(dxp[ph])[:, :, ry, rx].transpose(1, 0, 2, 3) if ph in d_rows else 0
-        if no_bias:
-            return dx, dw
-        return dx, dw, g.sum(axis=(0, 2, 3))
+        return (dx, dw) if no_bias else (dx, dw, g.sum(axis=(0, 2, 3)))
 
     parents = (x, w) if b is None else (x, w, b)
     return make(out, parents, bwd)
@@ -214,12 +212,10 @@ def _correlate(src, groups, span, weights, targets):
     """
     windows = _lowered_windows(src, groups, span, targets.shape[1])
     for (cols_at, t), run in groupby(windows, key=lambda item: (item[0], item[1][0])):
-        total = None
+        _, (_, r), window = next(run)
+        total = weights[t][r] @ window
         for _, (_, r), window in run:
-            if total is None:
-                total = weights[t][r] @ window
-            else:
-                total += weights[t][r] @ window
+            total += weights[t][r] @ window
         targets[t][:, cols_at] = total
 
 

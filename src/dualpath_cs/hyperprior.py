@@ -10,8 +10,8 @@ this produces
 
 The branch builds the gradient guidance once per forward in the form every
 stage reads it: the mask as attention's key plan (`ops.KeyPlan`: each sample's
-key order, kept keys first, and kept count) and the confidence map as a
-pyramid at full, half and quarter size. No stage rebuilds either.
+key order, kept keys first, and the count all samples keep) and the confidence
+map as a pyramid at full, half and quarter size. No stage rebuilds either.
 
 The mask path is deliberately not differentiated through: top-K selection is
 treated as a constant during backward.
@@ -43,7 +43,7 @@ class GuidanceBundle:
     """Structural guidance, built once per forward and read by every stage.
 
     `key_plan` is the hard block mask as attention reads it (`ops.KeyPlan`): the [N,1,H,W] mask
-    Tensor, `hard_mask`, with each sample's key order, kept keys first, and its kept count.
+    Tensor, `hard_mask`, with each sample's key order, kept keys first, and the count all samples keep.
     `soft_pyramid` is the soft confidence map, `soft_map`, at full, half and quarter size: the
     three scales of the soft-guided U-Net. Each stage's gradient reaches the shared resizes, which
     send their sum back to the map once.

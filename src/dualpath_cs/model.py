@@ -13,12 +13,17 @@ from .nn import Conv2d, Module
 from .reconstruction import ReconstructionStage
 from .sampling import TOKEN_CAP, build_dual_sampler, initial_recon, sample
 
+ARCHITECTURE_CAP = 4 * 64 ** 2  # stages x channels^2, which the parameter count grows as
+
 
 def check_architecture(stages, channels, rho):
-    """Reject a stage count, a channel width or a mask fraction outside its range with ConfigError."""
+    """Reject with ConfigError a stage count, a channel width or a mask fraction outside its range, and
+    stages x channels^2 above `ARCHITECTURE_CAP`: 18,438,852 parameters at 4 x 64^2, 1,162,980 at 4 x 16^2."""
     for name, value in (("stages", stages), ("channels", channels)):
         if not (is_integer(value) and value >= 1):
             raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+    if int(stages) * int(channels) ** 2 > ARCHITECTURE_CAP:
+        raise ConfigError(f"stages x channels^2 = {stages} x {channels}^2 exceeds the cap {ARCHITECTURE_CAP}")
     check_rho(rho)
 
 

@@ -47,9 +47,7 @@ class Module:
 
     def _children(self):
         for key, value in vars(self).items():
-            if isinstance(value, Parameter):
-                yield key, value
-            elif isinstance(value, Module):
+            if isinstance(value, (Parameter, Module)):
                 yield key, value
             elif isinstance(value, (list, tuple)):
                 for i, item in enumerate(value):

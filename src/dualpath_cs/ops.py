@@ -8,14 +8,15 @@ score row by a Cauchy-Schwarz bound on it, folded into the score gemm, and by
 the exact row max only where that bound is past 31.5 bits in float32 (255.5 in
 float64) and so too loose to keep the largest exp2 term in range; sigmoid never
 exponentiates a positive argument; and the half-size bilinear resize is the
-2x2 block mean it equals. Attention keeps only a per-query base-2 log-sum-exp
-for its backward pass and recomputes the probabilities a chunk of queries at a
-time in one reused T×chunk buffer, so its memory is linear in the token count;
-it reads a binary key mask only through its `KeyPlan` (each sample's key order
-with the kept keys first, and its kept count), built once per mask and shared
-by every call under it, skips the dropped keys' values in its value gemms, and
-its backward splits the dq and dk gemms at the kept keys, scaling the small
-side of the dropped-key ones by -rowdot. An elementwise activation keeps one
+2x2 block mean it equals. Attention runs each gemm once over the sample axis of
+its [N, T, d] operands, keeps only a per-query base-2 log-sum-exp for its
+backward pass and recomputes the probabilities a chunk of queries at a time in
+one reused T×chunk buffer per sample, so its memory is linear in the tokens; it
+reads a binary key mask only through its `KeyPlan` (each sample's key order with
+the kept keys first, and the one count every sample keeps), built once per mask
+and shared by every call under it, skips the dropped keys' values in its value
+gemms, and its backward splits the dq and dk gemms at the kept keys, scaling the
+small side of the dropped-key ones by -rowdot. An elementwise activation keeps one
 array for its backward: gelu its slope Φ(x) + x·φ(x), computed after the
 forward only when the output is taped; relu and sigmoid read their derivative
 off their own output. A parent with requires_grad=False gets None from the
@@ -372,12 +373,13 @@ class KeyPlan:
 
     `mask` is the mask Tensor, [N, ...] with T elements per sample, each 0 or 1 (no gradient
     reaches it), and `data` its array. `order` [N, T] holds each sample's key indices as int32, its
-    kept keys (the ones) first and its dropped keys after them, each part ascending, and `counts`
-    [N] each sample's kept count. A mask that is not a real-valued array, or a value other than 0 or
-    1, raises ContractError, and an empty mask or one without a sample axis DimensionError.
+    kept keys (the ones) first and its dropped keys after them, each part ascending, and `kept` the
+    count every sample keeps. A mask that is not a real-valued array, a value other than 0 or 1, or
+    samples that keep different counts raise ContractError, and an empty mask or one without a
+    sample axis DimensionError.
     """
 
-    __slots__ = ("mask", "order", "counts")
+    __slots__ = ("mask", "order", "kept")
 
     def __init__(self, mask):
         self.mask = mask if isinstance(mask, Tensor) else Tensor(as_real_array(mask, ContractError))
@@ -388,8 +390,11 @@ class KeyPlan:
         dropped = rows == 0
         if not np.all(dropped | (rows == 1)):
             raise ContractError("a key mask holds only 0 (dropped) and 1 (kept)")
+        counts = rows.shape[1] - np.count_nonzero(dropped, axis=1)
+        if np.any(counts != counts[0]):
+            raise ContractError(f"every sample of a key mask keeps the same count, got {counts.min()} to {counts.max()}")
         self.order = np.argsort(dropped, axis=1, kind="stable").astype(np.int32)
-        self.counts = rows.shape[1] - np.count_nonzero(dropped, axis=1)
+        self.kept = int(counts[0])
 
     @property
     def data(self):
@@ -399,15 +404,16 @@ class KeyPlan:
 def scaled_dot_attention(q, k, v, plan):
     """softmax(q kᵀ / sqrt(d)) (mask ⊙ v) for [N*T,d] token matrices, single head.
 
-    The N samples' T tokens are stacked, and each sample attends only to its own keys, with the
-    gemms it would run alone. `plan` is the `KeyPlan` of a binary key mask [N, ...] with T
-    elements per sample (no gradient reaches it); anything else raises ContractError. A caller
-    that attends under one mask more than once passes the same plan, so no call derives the key
-    order again, and their backward passes keep one copy. The softmax denominator spans every
-    key, but a dropped key's value is zero, so the kept keys are permuted to the front
-    and only their rows of the score buffer enter the value gemms: E·V forward
-    (a ones column beside the values also gives the kept part of each query's
-    sum), dv and dp backward, where a dropped key's dp is exactly -rowdot.
+    The N samples' T tokens are stacked, and each sample attends only to its own keys: the op views
+    the operands as [N, T, d] and runs each gemm once over the sample axis, the gemm each sample
+    would run alone. `plan` is the `KeyPlan` of a binary key mask [N, ...] with T elements per
+    sample, all keeping one count (no gradient reaches it); anything else raises ContractError. A
+    caller that attends under one mask more than once passes the same plan, so no call derives the
+    key order again, and their backward passes keep one copy. The softmax denominator spans every
+    key, but a dropped key's value is zero, so the kept keys are permuted to the front and only
+    their rows of the score buffer enter the value gemms: E·V forward (a ones column beside the
+    values also gives the kept part of each query's sum), dv and dp backward, where a dropped key's
+    dp is exactly -rowdot.
 
     Softmax gives the same result for any per-row shift m_i and in any base, and the row max is
     only one shift that keeps exp in range (Milakov & Gimelshein 2018). This op scales the queries
@@ -418,21 +424,18 @@ def scaled_dot_attention(q, k, v, plan):
     keys, with a ones column beside them, gives the shifted scores, with no max-and-subtract pass.
     A row whose bound is above log2(1/tiny)/4 (31.5 bits in float32, 255.5 in float64; the same
     limit as 21.8 and 177 nats) could underflow its largest term and shifts by its exact max
-    instead, found in a pre-pass over only those rows.
+    instead, found in a pass over the query chunks that runs only when some row is that wide.
 
-    Memory-linear: queries are processed `ATTENTION_CHUNK` at a time through one reused
-    key-major T×chunk score buffer (a row per key, kept keys first, so the kept
-    and the dropped keys are two contiguous row blocks), and only the per-query
-    base-2 log-sum-exp is kept for the backward pass, which rebuilds each chunk
-    of probabilities from it (recomputation as in Rabe & Staats 2021 and
-    FlashAttention, Dao et al. 2022). Peak extra memory is O(chunk·T + N·T·d)
-    in both passes. Key-major chunks keep the per-chunk elementwise passes on
-    contiguous memory, a point FlashAttention-2 (Dao 2023) makes about work
-    partitioning and non-matmul work once the gemms are tight. For the same
-    reason the backward never scales the dropped rows of a chunk by -rowdot:
-    it splits the dq and dk gemms at the kept keys and scales the small side
-    of the dropped-key ones instead, the chunk's rows of dq after its gemm and
-    its queries before theirs.
+    Memory-linear: queries are processed `ATTENTION_CHUNK` at a time through one reused key-major
+    T×chunk score buffer per sample (a row per key, kept keys first, so the kept and the dropped
+    keys are two contiguous row blocks), and only the per-query base-2 log-sum-exp is kept for the
+    backward pass, which rebuilds each chunk of probabilities from it (recomputation as in Rabe &
+    Staats 2021 and FlashAttention, Dao et al. 2022). Peak extra memory is O(N·T·(chunk + d)) in
+    both passes. Key-major chunks keep the per-chunk elementwise passes on contiguous memory, a
+    point FlashAttention-2 (Dao 2023) makes about work partitioning and non-matmul work once the
+    gemms are tight. For the same reason the backward never scales the dropped rows of a chunk by
+    -rowdot: it splits the dq and dk gemms at the kept keys and scales the small side of the
+    dropped-key ones instead, the chunk's rows of dq after its gemm and its queries before theirs.
     """
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
         raise DimensionError("attention operands must be [N*T,d]")
@@ -444,93 +447,91 @@ def scaled_dot_attention(q, k, v, plan):
         raise DimensionError(f"attention key mask of shape {plan.data.shape} is not [N, ...] for {q.shape[0]} tokens")
     n = plan.order.shape[0]
     out = np.empty(v.shape, dtype=q.dtype)
-    samples = zip(*(np.split(a, n) for a in (q.data, k.data, v.data, out)), plan.order, plan.counts)
-    backs = [_attend(*sample) for sample in samples]
-
-    def bwd(g):
-        grads = zip(*(back(g_s) for back, g_s in zip(backs, np.split(g, n))))
-        return tuple(np.concatenate(parts) for parts in grads)
-
-    return make(out, (q, k, v), bwd)
+    back = _attend(*(a.reshape(n, -1, a.shape[1]) for a in (q.data, k.data, v.data, out)), plan)
+    return make(out, (q, k, v), lambda g: tuple(a.reshape(-1, a.shape[2]) for a in back(g.reshape(n, -1, g.shape[1]))))
 
 
-def _attend(q, k, v, out, order, nk):
-    """One sample of `scaled_dot_attention` into `out`, under its row of a `KeyPlan` (its key order
-    and kept count `nk`); returns its backward pass."""
-    t, d = q.shape
+def _attend(q, k, v, out, plan):
+    """`scaled_dot_attention` of the [N, T, ·] samples into `out`, every gemm once over the sample axis,
+    under `plan`; returns its backward pass, from and to [N, T, ·] arrays."""
+    n, t, d = q.shape
     dt = q.dtype
     chunk = ATTENTION_CHUNK
-    kept = order[:nk]
-    scale = dt.type(1.0 / np.sqrt(d))
+    nk = plan.kept
+    order = plan.order[..., None]  # [N, T, 1]: the gathers and scatters broadcast over the features
+    kept = order[:, :nk]
     # The queries scaled by log2(e)/sqrt(d), so the scores are in bits, with a last column of minus
     # each row's softmax shift: against the ones column beside the keys, one gemm gives the
     # shifted scores.
-    q_one = np.empty((t, d + 1), dtype=dt)
-    qs = q_one[:, :d]
+    q_one = np.empty((n, t, d + 1), dtype=dt)
+    qs = q_one[..., :d]
     np.multiply(q, np.asarray(_LOG2E / np.sqrt(d), dtype=dt), out=qs)
-    k_one = np.hstack([k[order], np.ones((t, 1), dtype=dt)])
-    kp = k_one[:, :d]
-    v_one = np.hstack([v[kept], np.ones((nk, 1), dtype=dt)])
+    k_one = np.ones((n, t, d + 1), dtype=dt)
+    kp = k_one[..., :d]
+    kp[...] = np.take_along_axis(k, order, axis=1)
+    v_one = np.ones((n, nk, out.shape[2] + 1), dtype=dt)
+    v_one[..., :-1] = np.take_along_axis(v, kept, axis=1)
     ones = np.ones(t - nk, dtype=dt)
-    buf = np.empty((t, min(chunk, t)), dtype=dt)
+    width = min(chunk, t)
+    buf = np.empty((n, t, width), dtype=dt)
     # Cauchy-Schwarz: |q_i·k_j| <= |q_i| max_j |k_j| = bound_i, so no shifted score is above 0
-    # and the largest is at least -2 bound_i. Up to `safe`, the query's largest exp2 term is then at
-    # least sqrt(tiny), far from underflow; a query with a larger bound shifts by its exact max instead.
-    bound = np.sqrt(np.einsum("ij,ij->i", qs, qs) * np.einsum("ij,ij->i", kp, kp).max())
-    q_one[:, d] = -bound
-    safe = -np.log2(np.finfo(dt).tiny) / 4
-    wide = np.flatnonzero(~(bound <= safe))  # NaN too: 0·inf from an overflowed key norm
-    for r0 in range(0, wide.size, chunk):
-        rows = wide[r0:r0 + chunk]
-        s = buf[:, :rows.size]
-        np.matmul(kp, qs[rows].T, out=s)
-        q_one[rows, d] = -s.max(axis=0)
+    # and the largest is at least -2 bound_i. Up to log2(1/tiny)/4, the query's largest exp2 term is then
+    # at least sqrt(tiny), far from underflow; a query with a wider bound shifts by its exact max instead.
+    bound = np.sqrt(np.einsum("nij,nij->ni", qs, qs) * np.einsum("nij,nij->ni", kp, kp).max(axis=1, keepdims=True))
+    q_one[..., d] = -bound
+    wide = ~(bound <= -np.log2(np.finfo(dt).tiny) / 4)  # NaN too: 0·inf from an overflowed key norm
+    if wide.any():
+        for i0 in range(0, t, chunk):
+            s = buf[..., :min(chunk, t - i0)]
+            np.matmul(kp, qs[:, i0:i0 + chunk].transpose(0, 2, 1), out=s)
+            np.copyto(q_one[:, i0:i0 + chunk, d], -s.max(axis=1), where=wide[:, i0:i0 + chunk])
     for i0 in range(0, t, chunk):
         i1 = min(i0 + chunk, t)
-        e = buf[:, :i1 - i0]
-        np.matmul(k_one, q_one[i0:i1].T, out=e)
+        e = buf[..., :i1 - i0]
+        np.matmul(k_one, q_one[:, i0:i1].transpose(0, 2, 1), out=e)
         np.exp2(e, out=e)
-        num = e[:nk].T @ v_one
+        num = e[:, :nk].transpose(0, 2, 1) @ v_one
         # A matrix-vector product sums the dropped keys faster than ndarray.sum.
-        row_sum = num[:, -1] + ones @ e[nk:]
-        np.divide(num[:, :-1], row_sum[:, None], out=out[i0:i1])
+        row_sum = num[..., -1] + ones @ e[:, nk:]
+        np.divide(num[..., :-1], row_sum[..., None], out=out[:, i0:i1])
         # The shift column becomes -lse2: the backward rebuilds probabilities as exp2(s - lse2).
-        q_one[i0:i1, d] -= np.log2(row_sum)
+        q_one[:, i0:i1, d] -= np.log2(row_sum)
 
     def bwd(g):
         # rowsum(P ⊙ (g vᵀ)) = rowsum(g ⊙ out): O(T·d) instead of a T×T product.
         g = np.ascontiguousarray(g)
-        neg_rowdot = -(g * out).sum(axis=1)
+        neg_rowdot = -(g * out).sum(axis=2)
         # The ones columns of k_one and v_one fold the -lse2 and -rowdot shifts into the gemms.
-        g_dot = np.hstack([g, neg_rowdot[:, None]])
-        p_buf = np.empty((t, min(chunk, t)), dtype=dt)
-        dp_buf = np.empty((nk, min(chunk, t)), dtype=dt)
-        dq = np.empty((t, d), dtype=dt)
-        dkp = np.zeros((t, d), dtype=dt)
-        dvk = np.zeros((nk, out.shape[1]), dtype=dt)
+        g_dot = np.empty((n, t, out.shape[2] + 1), dtype=dt)
+        g_dot[..., :-1], g_dot[..., -1] = g, neg_rowdot
+        p_buf = np.empty((n, t, width), dtype=dt)
+        dp_buf = np.empty((n, nk, width), dtype=dt)
+        dq = np.empty((n, t, d), dtype=dt)
+        dkp = np.zeros((n, t, d), dtype=dt)
+        dvk = np.zeros((n, nk, out.shape[2]), dtype=dt)
         for i0 in range(0, t, chunk):
             i1 = min(i0 + chunk, t)
-            p = p_buf[:, :i1 - i0]
-            np.matmul(k_one, q_one[i0:i1].T, out=p)
+            p = p_buf[..., :i1 - i0]
+            np.matmul(k_one, q_one[:, i0:i1].transpose(0, 2, 1), out=p)
             np.exp2(p, out=p)
-            pk, pd = p[:nk], p[nk:]
-            dvk += pk @ g[i0:i1]
-            dp = dp_buf[:, :i1 - i0]
-            np.matmul(v_one, g_dot[i0:i1].T, out=dp)
+            pk, pd = p[:, :nk], p[:, nk:]
+            dvk += pk @ g[:, i0:i1]
+            dp = dp_buf[..., :i1 - i0]
+            np.matmul(v_one, g_dot[:, i0:i1].transpose(0, 2, 1), out=dp)
             pk *= dp
             # A dropped key's value is zero, so its dp is exactly -rowdot: scale the small side of
             # each dropped-key gemm by it rather than the dropped rows of p.
-            nr = neg_rowdot[i0:i1, None]
-            np.matmul(pk.T, kp[:nk], out=dq[i0:i1])
-            dq[i0:i1] += nr * (pd.T @ kp[nk:])
-            dkp[:nk] += pk @ qs[i0:i1]
-            dkp[nk:] += pd @ (qs[i0:i1] * nr)
-        dq *= scale
+            nr = neg_rowdot[:, i0:i1, None]
+            np.matmul(pk.transpose(0, 2, 1), kp[:, :nk], out=dq[:, i0:i1])
+            dq[:, i0:i1] += nr * (pd.transpose(0, 2, 1) @ kp[:, nk:])
+            dkp[:, :nk] += pk @ qs[:, i0:i1]
+            dkp[:, nk:] += pd @ (qs[:, i0:i1] * nr)
+        dq *= dt.type(1.0 / np.sqrt(d))
         dkp *= np.asarray(_LN2, dtype=dt)  # the log2(e) that qs carries
         dk = np.empty_like(dkp)
-        dk[order] = dkp
+        np.put_along_axis(dk, order, dkp, axis=1)
         dv = np.zeros_like(out)
-        dv[kept] = dvk
+        np.put_along_axis(dv, kept, dvk, axis=1)
         return dq, dk, dv
 
     return bwd

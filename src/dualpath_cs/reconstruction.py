@@ -51,11 +51,12 @@ class HardMaskedAttention(Module):
     """Pixel-token attention whose value features are gated by the hard mask.
 
     Tokens are pixels of the C-channel projection of r (single head, d = C). The N samples'
-    tokens are stacked as one [N*H*W, C] matrix, and each sample's pixels attend only to that
-    sample's pixels. Every pixel is a key of its sample's softmax, but only the pixels the block
-    mask keeps contribute values: `forward` takes the binary [N,1,H,W] mask as its `ops.KeyPlan`,
-    which the hyperprior branch builds once for every stage, and the op skips the dropped keys'
-    values in its value gemms, forward and backward. The key projection has no bias: a shift b of
+    tokens are stacked as one [N*H*W, C] matrix, which the op runs in one pass over its sample
+    axis, and each sample's pixels attend only to that sample's pixels. Every pixel is a key of its
+    sample's softmax, but only the pixels the block mask keeps, as many in every sample, contribute
+    values: `forward` takes the binary [N,1,H,W] mask as its `ops.KeyPlan`, which the hyperprior
+    branch builds once for every stage, and the op skips the dropped keys' values in its value
+    gemms, forward and backward. The key projection has no bias: a shift b of
     every key adds q_i . b to the whole score row i, which softmax ignores, so such a bias would
     get a zero gradient. Attention memory is linear in the token count; its time is quadratic in
     the tokens per sample, and `sampling.TOKEN_CAP` bounds that time.

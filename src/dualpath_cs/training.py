@@ -58,8 +58,7 @@ class TrainConfig:
     def from_dict(cls, d):
         if not isinstance(d, dict):
             raise ConfigError(f"config must be a dict, got {type(d).__name__}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config fields: {', '.join(sorted(map(repr, unknown)))}")
         return cls(**d)

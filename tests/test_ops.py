@@ -399,21 +399,34 @@ class TestAttention:
             ops.scaled_dot_attention(q, k, v, ops.KeyPlan(np.ones(shape)))
 
     def test_samples_attend_only_to_their_own_keys(self, rng):
-        # Three samples of 70 tokens (two chunks each) stacked: output and
+        # Three samples of 70 tokens (two chunks each), each keeping 42 keys, stacked: output and
         # gradients equal each sample's own attention, bit for bit.
-        keep = (rng.random((3, 1, 7, 10)) < 0.6).astype(np.float64)
-        with precision("f64"):
-            arrays = [rng.standard_normal((210, 4)) for _ in range(3)]
-            weight = rng.standard_normal((210, 4))
+        keep = np.stack([rng.permutation(70) < 42 for _ in range(3)]).reshape(3, 1, 7, 10).astype(np.float64)
+        self._check_stacked(keep, [rng.standard_normal((210, 4)) for _ in range(3)], rng.standard_normal((210, 4)))
 
+    def test_stacked_wide_rows_match_each_sample_alone(self, rng):
+        # Only the second of two samples has rows whose shift bound passes 177 (f64): the exact-max
+        # pass runs over both samples' query chunks and must leave the first one's bound shifts as
+        # they were.
+        keep = np.stack([rng.permutation(70) < 30 for _ in range(2)]).astype(np.float64)
+        arrays = [np.concatenate([2.0 * rng.standard_normal((70, 3)), 6.0 * rng.standard_normal((70, 3))])
+                  for _ in range(3)]
+        q, k, _ = arrays
+        assert [self._wide_rows(q[rows], k[rows], np.float64) for rows in (slice(70), slice(70, None))] == ["none", "some"]
+        self._check_stacked(keep, arrays, rng.standard_normal((140, 3)))
+
+    def _check_stacked(self, keep, arrays, weight):
+        """Each sample of the stacked attention under `keep` [N, ...] gives, bit for bit, what it gives alone."""
+        t = keep[0].size
+        with precision("f64"):
             def run(mask, rows):
                 attend = lambda q, k, v: ops.scaled_dot_attention(q, k, v, ops.KeyPlan(mask))
                 return self._forward_backward(attend, [a[rows] for a in arrays], weight[rows])
 
             stacked = run(keep, slice(None))
-            for s in range(3):
-                rows = slice(70 * s, 70 * (s + 1))
-                for got, expect in zip(stacked, run(keep[s], rows)):
+            for s in range(len(keep)):
+                rows = slice(t * s, t * (s + 1))
+                for got, expect in zip(stacked, run(keep[s:s + 1], rows)):
                     assert np.array_equal(got[rows], expect)
 
     def test_memory_linear_in_tokens(self, rng):
@@ -434,10 +447,14 @@ class TestAttention:
 
 class TestKeyPlan:
     def test_order_puts_each_samples_kept_keys_first(self):
-        plan = ops.KeyPlan(np.array([[0.0, 1.0, 0.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0, 1.0]]))
+        plan = ops.KeyPlan(np.array([[0.0, 1.0, 0.0, 1.0, 1.0], [1.0, 0.0, 1.0, 0.0, 1.0]]))
         assert plan.order.dtype == np.int32
-        assert plan.order.tolist() == [[1, 3, 4, 0, 2], [0, 4, 1, 2, 3]]
-        assert plan.counts.tolist() == [3, 2]
+        assert plan.order.tolist() == [[1, 3, 4, 0, 2], [0, 2, 4, 1, 3]]
+        assert plan.kept == 3
+
+    def test_samples_keeping_different_counts_rejected(self):
+        with pytest.raises(ContractError, match="same count, got 2 to 3"):
+            ops.KeyPlan(np.array([[0.0, 1.0, 0.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0, 1.0]]))
 
     def test_mask_without_sample_axis_rejected(self):
         with pytest.raises(DimensionError, match="sample axis"):

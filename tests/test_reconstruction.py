@@ -1,5 +1,6 @@
 """Unrolled-stage semantics: step maps, gradient step, attention limits, U-Net."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -368,7 +369,7 @@ class TestUnrolledModel:
             rows = slice(i, i + 1)
             assert np.array_equal(part.hard_mask.data, guidance.hard_mask.data[rows])
             assert np.array_equal(part.key_plan.order, plan.order[rows])
-            assert np.array_equal(part.key_plan.counts, plan.counts[rows])
+            assert part.key_plan.kept == plan.kept
             assert len(part.soft_pyramid) == 3 and part.soft_map is part.soft_pyramid[0]
             for got, whole in zip(part.soft_pyramid, guidance.soft_pyramid):
                 assert np.array_equal(got.data, whole.data[rows])
@@ -404,14 +405,38 @@ class TestUnrolledModel:
 
     @pytest.mark.parametrize("field,value", [
         ("stages", 0), ("stages", 2.5), ("stages", True), ("channels", 0), ("channels", 1.5),
+        ("stages", 257), ("channels", 91),
         ("rho", 1.5), ("rho", 0.0), ("rho", float("nan")), ("rho", float("inf")), ("rho", "0.5"),
     ])
     def test_bad_architecture_rejected_before_building(self, field, value):
-        # The seed is bad too: the architecture is checked first, before the sampler is built.
+        # The seed is bad too: the architecture is checked first, before the sampler is built. At
+        # 8 channels, 256 stages sit on the cap and 257 pass it; at 2 stages, 91 channels pass it, 90 not.
         args = dict(gamma=0.5, split=(1, 2), block_size=4, stages=2, channels=8, rho=0.5, seed=-1)
         args[field] = value
         with pytest.raises(ConfigError, match=field):
             DualPathModel(**args)
+
+    @pytest.mark.parametrize("field, value", [("channels", 10 ** 6), ("stages", 10 ** 9)])
+    def test_oversized_config_refused_before_allocating(self, field, value):
+        # Unbounded, channels = 10**6 asked numpy for 65.5 TiB, and stages = 10**9 built 10**9 stages.
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ConfigError, match="exceeds the cap"):
+                TrainConfig(**{field: value})
+            elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5 and peak < 2 ** 16, (elapsed, peak)
+
+    @pytest.mark.parametrize("stages, channels", [(4, 64), (1, 128), (model_module.ARCHITECTURE_CAP, 1)])
+    def test_architecture_cap_boundary(self, stages, channels):
+        # Each sits on the cap, and one more stage or channel passes it. Numpy integers are multiplied
+        # as Python ints, so 2**32 stages of 2**32 channels do not wrap to 0 in int64.
+        model_module.check_architecture(stages, channels, 0.5)
+        for past in ((stages + 1, channels), (stages, channels + 1), (np.int64(2 ** 32), np.int64(2 ** 32))):
+            with pytest.raises(ConfigError, match="stages x channels"):
+                model_module.check_architecture(*past, 0.5)
 
     @pytest.mark.parametrize("seed", [-3, 2.5])
     def test_bad_seed_rejected(self, seed):
