@@ -19,12 +19,13 @@ that needs it is enabled. An elementwise op may keep its local derivative in
 place of its input (gelu's slope, computed only when its output is taped), or
 read it off its own output (relu's mask, sigmoid's s(1 - s)), which the next
 op usually keeps anyway. A buffer built from a kept array (conv2d's padded
-phase buffer, its lowered blocks and its row-ordered weights, conv_transpose2x's
-input rows, layer_norm's normalised input, reduce_max's argmax) is rebuilt in
-the backward, not stored. A concatenation is kept as its parts and rebuilt where
-a backward reads it: a taped `ops.concat` output records its parts' arrays
-(`parts`), which the op that reads it keeps in place of the copy (conv2d fills
-its phase buffer part by part; mul rebuilds the concatenation with `joined`).
+phase buffer, its lowered blocks and its row-ordered weights, a strided 1x1
+conv's strided input, layer_norm's normalised input, reduce_max's argmax) is
+rebuilt in the backward, not stored. A concatenation is kept as its parts and
+rebuilt where a backward reads it: a taped `ops.concat` output records its
+parts' arrays (`parts`), which the op that reads it keeps in place of the copy
+(conv2d fills its phase buffer part by part; a 1x1 conv and mul rebuild the
+concatenation with `joined`).
 A closure captures the arrays themselves, never `t.data` at backward time:
 `Adam.step` rebinds a parameter's `.data`.
 

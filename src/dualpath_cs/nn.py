@@ -126,7 +126,7 @@ class SpatialGate(Module):
 class ChannelGate(Module):
     """Squeeze-excite channel attention with reduction 4 and a sigmoid gate. Its 1x1 convs run as
     [N,1,1,C] @ [C,h] matmuls, one product per sample: as `Conv2d` calls they give the same forward
-    bits at any N, but cost 0.1-0.2 ms more per gate (24 a forward), and change training's bits."""
+    bits at any N at about the same cost (each is one channel gemm), but change training's bits."""
 
     def __init__(self, channels, rng):
         hidden = max(1, channels // 4)
@@ -156,7 +156,11 @@ class Adam:
         self.lr = adam_settings(lr)
 
     def step(self):
-        """Update every parameter, or none: a missing gradient raises before any update."""
+        """Update every parameter, or none: a missing gradient raises before any update.
+
+        The moments `adam_m` and `adam_v` are updated in place; `data` is bound to a new array,
+        because a taped op's backward reads the array its forward saw.
+        """
         for p in self.params:
             if p.grad is None:
                 raise ContractError(f"parameter {p.name or '?'} has no gradient; run backward first")
@@ -164,8 +168,10 @@ class Adam:
             g = p.grad
             p.step_count += 1
             t = p.step_count
-            p.adam_m = ADAM_BETA1 * p.adam_m + (1.0 - ADAM_BETA1) * g
-            p.adam_v = ADAM_BETA2 * p.adam_v + (1.0 - ADAM_BETA2) * (g * g)
+            p.adam_m *= ADAM_BETA1
+            p.adam_m += (1.0 - ADAM_BETA1) * g
+            p.adam_v *= ADAM_BETA2
+            p.adam_v += (1.0 - ADAM_BETA2) * (g * g)
             m_hat = p.adam_m / (1.0 - ADAM_BETA1 ** t)
             v_hat = p.adam_v / (1.0 - ADAM_BETA2 ** t)
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

@@ -309,20 +309,25 @@ def layer_norm(a, gain, bias):
         raise DimensionError("layer_norm gain/bias must match the channel axis")
     gd = gd[:, None, None]
     mu = x.mean(axis=1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    out = xc * inv * gd + bias.data[:, None, None]
+    out = x - mu
+    inv = 1.0 / np.sqrt((out * out).mean(axis=1, keepdims=True) + LAYER_NORM_EPS)
+    out *= inv
+    out *= gd
+    out += bias.data[:, None, None]
 
     def bwd(g):
-        xhat = (x - mu) * inv
-        dxhat = g * gd
-        m1 = dxhat.mean(axis=1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-        dx = inv * (dxhat - m1 - xhat * m2)
+        # In place, in the order of inv * (g * gain - m1 - xhat * m2): the same bits in fewer arrays.
+        xhat = x - mu
+        xhat *= inv
+        dx = g * gd
+        m1 = dx.mean(axis=1, keepdims=True)
+        m2 = (dx * xhat).mean(axis=1, keepdims=True)
         dgain = (g * xhat).sum(axis=(0, 2, 3))
-        dbias = g.sum(axis=(0, 2, 3))
-        return dx.astype(x.dtype, copy=False), dgain, dbias
+        dx -= m1
+        xhat *= m2
+        dx -= xhat
+        dx *= inv
+        return dx.astype(x.dtype, copy=False), dgain, g.sum(axis=(0, 2, 3))
 
     return make(out.astype(x.dtype, copy=False), (a, gain, bias), bwd)
 
@@ -526,6 +531,7 @@ def _attend(q, k, v, out, plan):
             dq[:, i0:i1] += nr * (pd.transpose(0, 2, 1) @ kp[:, nk:])
             dkp[:, :nk] += pk @ qs[:, i0:i1]
             dkp[:, nk:] += pd @ (qs[:, i0:i1] * nr)
+        del p_buf, dp_buf, g_dot, p, pk, pd, dp, nr  # before the scatter targets are allocated
         dq *= dt.type(1.0 / np.sqrt(d))
         dkp *= np.asarray(_LN2, dtype=dt)  # the log2(e) that qs carries
         dk = np.empty_like(dkp)

@@ -140,6 +140,7 @@ class TestConstantParents:
     @pytest.mark.parametrize("op,shapes", [
         (lambda x, w, b: conv2d(x, w, b, stride=2), [(1, 2, 7, 7), (3, 2, 3, 3), (3,)]),
         (conv_transpose2x, [(1, 3, 4, 4), (3, 2, 2, 2), (2,)]),
+        (lambda x, w, b: conv2d(x, w, b, stride=2), [(2, 3, 7, 7), (4, 3, 1, 1), (4,)]),
     ])
     @pytest.mark.parametrize("constant", [0, 1])
     def test_constant_parent_gets_none(self, rng, op, shapes, constant):
@@ -155,7 +156,8 @@ class TestConstantParents:
         (lambda x, w: conv2d(x, w), [(1, 3, 8, 8), (4, 3, 3, 3)]),
         (lambda x, w: conv2d(x, w, stride=2), [(1, 3, 9, 9), (4, 3, 3, 3)]),
         (lambda x, w: conv_transpose2x(x, w, tensor(np.zeros(2, np.float32))), [(1, 3, 4, 4), (3, 2, 2, 2)]),
-    ], ids=["conv2d", "conv2d-stride2", "conv_transpose2x"])
+        (lambda x, w: conv2d(x, w, stride=2), [(2, 3, 9, 9), (4, 3, 1, 1)]),
+    ], ids=["conv2d", "conv2d-stride2", "conv_transpose2x", "conv2d-k1-stride2"])
     @pytest.mark.parametrize("constant", [0, 1])
     def test_closure_keeps_only_the_array_the_other_gradient_reads(self, rng, op, shapes, constant):
         """The input's array serves only the weight's gradient and the weight's only the input's:
@@ -197,13 +199,44 @@ class TestFloat32Accuracy:
     @pytest.mark.parametrize("cin,cout,k,stride", [(16, 16, 3, 1), (2, 1, 7, 1), (16, 32, 3, 2), (1, 16, 3, 1), (16, 1, 3, 1),
                                                    (32, 16, 3, 1)])
     def test_matches_float64(self, rng, cin, cout, k, stride):
-        x = rng.standard_normal((1, cin, 64, 64)).astype(np.float32)
+        self._check_conv(rng, (1, cin, 64, 64), cout, k, stride)
+
+    @pytest.mark.parametrize("shape,cout", [((1, 16, 64, 64), 16), ((1, 32, 64, 64), 16), ((4, 32, 32, 32), 16)],
+                             ids=["16-16-64", "32-16-64", "4x32-16-32"])
+    def test_pointwise_matches_float64(self, rng, shape, cout):
+        # The model's attention projections and align conv, a skip fusion at 64x64, and a skip
+        # fusion on a batch of four 32x32 tiles, whose dw sums four per-sample gemms.
+        self._check_conv(rng, shape, cout, 1, 1)
+
+    @pytest.mark.parametrize("shape,cout", [((1, 64, 16, 16), 32), ((4, 32, 16, 16), 16)], ids=["64-32-16", "4x32-16-16"])
+    def test_transposed_matches_float64(self, rng, shape, cout):
+        # The U-Net's two upsamplings at a 64x64 patch, and the second on four 32x32 tiles.
+        cin = shape[1]
+        x = rng.standard_normal(shape).astype(np.float32)
+        w = (rng.standard_normal((cin, cout, 2, 2)) / np.sqrt(cin)).astype(np.float32)
+        out = conv_transpose2x(tensor(x, requires_grad=True), tensor(w, requires_grad=True),
+                               tensor(np.zeros(cout, np.float32), requires_grad=True))
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        dx, dw, _ = out._backward_fn(g)
+        x64, w64 = x.astype(np.float64), w.astype(np.float64)
+        g_tiles = g.astype(np.float64).reshape(shape[0], cout, shape[2], 2, shape[3], 2)
+        ref = (np.einsum("ncij,coab->noiajb", x64, w64).reshape(out.shape),
+               np.einsum("noiajb,coab->ncij", g_tiles, w64), np.einsum("ncij,noiajb->coab", x64, g_tiles))
+        self._assert_close((out.data, dx, dw), ref)
+
+    def _check_conv(self, rng, shape, cout, k, stride):
+        cin = shape[1]
+        x = rng.standard_normal(shape).astype(np.float32)
         w = (rng.standard_normal((cout, cin, k, k)) / np.sqrt(cin * k * k)).astype(np.float32)
         xt, wt = tensor(x, requires_grad=True), tensor(w, requires_grad=True)
         out = conv2d(xt, wt, stride=stride)
         g = rng.standard_normal(out.shape).astype(np.float32)
         dx, dw = out._backward_fn(g)
-        for got, ref in zip((out.data, dx, dw), dense_conv2d_f64(x, w, g, stride)):
+        self._assert_close((out.data, dx, dw), dense_conv2d_f64(x, w, g, stride))
+
+    @staticmethod
+    def _assert_close(results, refs):
+        for got, ref in zip(results, refs, strict=True):
             assert got.dtype == np.float32 and got.shape == ref.shape
             rel = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
             assert rel <= 4e-6, rel
@@ -427,13 +460,14 @@ def _backward_after_rebinding(op, arrays, g, rebind):
 
 class TestTapeKeepsNoDerivedBuffer:
     """A backward closure keeps its parents' arrays, its output and per-row statistics. Every other
-    buffer the forward derives (conv2d's phase buffer and row-ordered weights, conv_transpose2x's
-    input rows) is rebuilt by the backward from the arrays the forward saw."""
+    buffer the forward derives (conv2d's phase buffer and row-ordered weights, a strided 1x1 conv's
+    strided input) is rebuilt by the backward from the arrays the forward saw."""
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    def test_taped_conv_keeps_only_its_output(self, rng, stride):
+    @pytest.mark.parametrize("stride,k", [pytest.param(1, 3, id="1"), pytest.param(2, 3, id="2"),
+                                          pytest.param(1, 1, id="1-k1")])
+    def test_taped_conv_keeps_only_its_output(self, rng, stride, k):
         x = tensor(rng.standard_normal((1, 16, 64, 64)).astype(np.float32), requires_grad=True)
-        w = tensor(rng.standard_normal((16, 16, 3, 3)).astype(np.float32), requires_grad=True)
+        w = tensor(rng.standard_normal((16, 16, k, k)).astype(np.float32), requires_grad=True)
         out, kept = _kept_bytes(lambda: conv2d(x, w, stride=stride))
         assert kept <= out.data.nbytes + TAPE_SLACK, f"{kept} bytes kept, output {out.data.nbytes}"
 
@@ -448,7 +482,8 @@ class TestTapeKeepsNoDerivedBuffer:
         (lambda x, w: conv2d(x, w), [(2, 3, 9, 9), (4, 3, 3, 3)]),
         (lambda x, w: conv2d(x, w, stride=2), [(2, 3, 9, 9), (4, 3, 3, 3)]),
         (conv_transpose2x, [(2, 3, 5, 5), (3, 4, 2, 2), (4,)]),
-    ], ids=["conv2d", "conv2d-stride2", "conv_transpose2x"])
+        (lambda x, w: conv2d(x, w, stride=2), [(2, 3, 9, 9), (4, 3, 1, 1)]),
+    ], ids=["conv2d", "conv2d-stride2", "conv_transpose2x", "conv2d-k1-stride2"])
     def test_backward_reads_the_forwards_arrays(self, rng, op, shapes):
         arrays = [rng.standard_normal(shape).astype(np.float32) for shape in shapes]
         out_shape = op(*(tensor(a) for a in arrays)).shape
